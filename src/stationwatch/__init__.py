@@ -66,6 +66,7 @@ from .postprocess import (
     BoundingBox,
     DecodeConfig,
     Detection,
+    Detections,
     decode_all,
     decode_head,
     filter_class,

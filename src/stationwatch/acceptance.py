@@ -32,7 +32,7 @@ from .bench import (
 )
 from .geometry import CameraModel, estimate_height, estimate_height_axial
 from .pipeline import Severity, default_config, run_pipeline
-from .postprocess import BoundingBox, DecodeConfig, Detection, decode_all, nms
+from .postprocess import BoundingBox, DecodeConfig, Detection, Detections, decode_all, nms
 from .scenario import (
     GroundTruthFrame,
     GroundTruthObject,
@@ -142,7 +142,7 @@ def check_nms_reference(instances: int = 1000, seed: int = 20240915) -> CheckRes
                 )
             )
         threshold = thresholds[instance % len(thresholds)]
-        got = nms(detections, threshold)
+        got = nms(Detections.from_list(detections), threshold).to_list()
         want = _reference_nms(detections, threshold)
         if got != want:
             return _result(
@@ -205,7 +205,7 @@ def check_roundtrip(frames: int = 100, seed: int = 771) -> CheckResult:
 
         gt = GroundTruthFrame(frame_index=0, objects=tuple(objects))
         tensors = encode_objects_to_tensors(gt, config, width, height, 8, actor_scores=scores)
-        decoded = decode_all(tensors, config)
+        decoded = decode_all(tensors, config).to_list()
 
         if len(decoded) != len(objects):
             return _result(

@@ -33,7 +33,7 @@ class GeometryError(StationError):
 
 
 class DecodeError(StationError):
-    """Head output holds values that cannot be decoded (non-finite cells)."""
+    """Head output holds values that cannot be decoded (non-finite cells or boxes)."""
 
 
 class ScenarioError(StationError):

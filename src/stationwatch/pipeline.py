@@ -223,6 +223,10 @@ def config_to_json(config: PipelineConfig) -> dict:
             "stationary_eps_px": config.fsm.stationary_eps_px,
             "confirm_frames": config.fsm.confirm_frames,
         },
+        "severity_table": [
+            {"state": state.value, "zone_kind": kind.value, "severity": severity.value}
+            for (state, kind), severity in config.severity_table.items()
+        ],
     }
 
 
@@ -253,11 +257,21 @@ def config_from_json(data: dict) -> PipelineConfig:
             stationary_eps_px=float(fsm_data.get("stationary_eps_px", 2.0)),
             confirm_frames=int(fsm_data.get("confirm_frames", 5)),
         )
+        table_data = data.get("severity_table")
+        if table_data is None:
+            severity_table = dict(DEFAULT_SEVERITY_TABLE)
+        else:
+            severity_table = {
+                (TrainState(e["state"]), ZoneKind(e["zone_kind"])): Severity(e["severity"])
+                for e in table_data
+            }
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed pipeline config: {exc}") from exc
-    return PipelineConfig(decode=decode, zones=zones, camera=camera, fsm=fsm)
+    return PipelineConfig(
+        decode=decode, zones=zones, camera=camera, fsm=fsm, severity_table=severity_table
+    )
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -294,7 +308,7 @@ def process_frame(
         raise FrameError(frame.frame_index, f"frame {frame.frame_index}: {exc}") from exc
     t1 = time.perf_counter()
 
-    detections = nms(decoded, config.decode.nms_iou_threshold)
+    detections = nms(decoded, config.decode.nms_iou_threshold).to_list()
     t2 = time.perf_counter()
 
     trains = filter_class(detections, config.decode.train_class_id)

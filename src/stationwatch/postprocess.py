@@ -2,8 +2,10 @@
 
 Turns raw per-stride grid tensors into scored, class-labelled boxes:
 grid decode with exponential size terms, objectness/class score fusion,
-confidence filtering, and class-aware greedy NMS. Everything here is a
-pure function; decoding the same tensors twice gives identical results.
+confidence filtering, and class-aware greedy NMS. Candidates travel from
+decode through NMS as one `Detections` batch of numpy arrays; `Detection`
+objects are built only for the rows NMS keeps. Everything here is a pure
+function; decoding the same tensors twice gives identical results.
 """
 
 from __future__ import annotations
@@ -55,15 +57,22 @@ class BoundingBox:
         return (self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0
 
     def clipped(self, image_width: float, image_height: float) -> "BoundingBox":
-        return BoundingBox(
-            min(max(self.x1, 0.0), image_width),
-            min(max(self.y1, 0.0), image_height),
-            min(max(self.x2, 0.0), image_width),
-            min(max(self.y2, 0.0), image_height),
-        )
+        return _clipped_box(self.x1, self.y1, self.x2, self.y2, image_width, image_height)
 
     def as_list(self) -> list[float]:
         return [self.x1, self.y1, self.x2, self.y2]
+
+
+def _clipped_box(x1, y1, x2, y2, image_width, image_height) -> BoundingBox:
+    # min/max return whichever argument wins, so a coordinate keeps its own
+    # type (np.float64 off the decode) unless a bound replaces it; records
+    # round the two types differently.
+    return BoundingBox(
+        min(max(x1, 0.0), image_width),
+        min(max(y1, 0.0), image_height),
+        min(max(x2, 0.0), image_width),
+        min(max(y2, 0.0), image_height),
+    )
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,56 @@ class DecodeConfig:
             raise ValueError("person and train class ids must differ")
 
 
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Candidates as one struct-of-arrays batch, from decode through NMS.
+
+    Row i is one candidate: `boxes[i]` holds (x1, y1, x2, y2) as float64,
+    `scores[i]` its fused confidence and `class_ids[i]` its label. `clip_to`
+    is the image (width, height) the boxes are clipped to, or None. The clip
+    is applied on use: as arrays by `clipped_boxes`, and per coordinate by
+    `to_list`, so that the built objects are exactly those a per-cell
+    decode would have produced, down to the type of each coordinate.
+    """
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    class_ids: np.ndarray
+    clip_to: tuple[int, int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    @classmethod
+    def from_list(cls, detections: Sequence[Detection]) -> "Detections":
+        return cls(
+            np.array([d.box.as_list() for d in detections], dtype=np.float64).reshape(-1, 4),
+            np.array([d.score for d in detections], dtype=np.float64),
+            np.array([d.class_id for d in detections], dtype=np.int64),
+        )
+
+    def take(self, rows: np.ndarray) -> "Detections":
+        """The batch of the given rows, in the given order."""
+        return Detections(self.boxes[rows], self.scores[rows], self.class_ids[rows], self.clip_to)
+
+    def clipped_boxes(self) -> np.ndarray:
+        if self.clip_to is None:
+            return self.boxes
+        width, height = self.clip_to
+        return np.minimum(np.maximum(self.boxes, 0.0), [width, height, width, height])
+
+    def to_list(self) -> list[Detection]:
+        """One `Detection` per row, in row order."""
+        if self.clip_to is None:
+            boxes = [BoundingBox(*row) for row in self.boxes]
+        else:
+            boxes = [_clipped_box(*row, *self.clip_to) for row in self.boxes]
+        return [
+            Detection(box=box, score=score, class_id=class_id)
+            for box, score, class_id in zip(boxes, self.scores.tolist(), self.class_ids.tolist())
+        ]
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Stable in both tails; plain 1/(1+exp(-x)) overflows for large -x.
     out = np.empty_like(x, dtype=np.float64)
@@ -119,15 +178,48 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def decode_head(tensor: np.ndarray, stride: int, conf_threshold: float) -> list[Detection]:
-    """Decode one stride level's grid tensor into detections.
+# A computed sigmoid lies within a few ulps of 1 of the exact one; this
+# bounds that error with room to spare.
+_SIGMOID_SLACK = 1e-15
 
-    Cell (gx, gy) holding raw values (tx, ty, tw, th, obj, class logits...)
-    maps to a box centred at ((gx+tx)*stride, (gy+ty)*stride) with size
-    (exp(tw)*stride, exp(th)*stride). The fused score is
-    sigmoid(obj) * sigmoid(best class logit); the class label is the argmax
-    over class logits, lowest id winning ties. Only detections with
-    score >= conf_threshold are returned, in row-major cell order.
+
+def _objectness_cutoff(conf_threshold: float) -> np.float64:
+    """Objectness logit below which no cell can score `conf_threshold`.
+
+    A fused score sigmoid(obj) * sigmoid(cls) never exceeds sigmoid(obj),
+    so a cell needs sigmoid(obj) >= conf. The cut-off is the logit of
+    conf - slack, lowered by a relative margin for the rounding of the
+    logit itself; -inf when the threshold is within the slack of 0. It is
+    a numpy float64 so that comparing float32 logits with it happens in
+    float64.
+    """
+    p = conf_threshold - _SIGMOID_SLACK
+    if p <= 0.0:
+        return np.float64(-np.inf)
+    logit = math.log(p) - math.log1p(-p)
+    return np.float64(logit - 1e-9 * max(1.0, abs(logit)))
+
+
+def _exp_or_inf(value: float) -> float:
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
+def _exp(values: np.ndarray) -> np.ndarray:
+    # math.exp, not np.exp: the two differ in the last bit for some inputs.
+    try:
+        return np.array([math.exp(v) for v in values.tolist()], dtype=np.float64)
+    except OverflowError:
+        return np.array([_exp_or_inf(v) for v in values.tolist()], dtype=np.float64)
+
+
+def _candidate_cells(tensor: np.ndarray, stride: int, conf_threshold: float):
+    """Validate one level's tensor; return the cells whose objectness could pass.
+
+    Returns (gy, gx, cells): grid coordinates in row-major order and the
+    cells' channels as float64.
     """
     arr = np.asarray(tensor)
     if arr.ndim != 3 or arr.shape[2] < _CH_CLASSES + 1:
@@ -142,39 +234,73 @@ def decode_head(tensor: np.ndarray, stride: int, conf_threshold: float) -> list[
         raise DecodeError(
             f"non-finite value at cell (gx={gx}, gy={gy}), channel {ch}"
         )
+    gy, gx = np.nonzero(arr[..., _CH_OBJ] >= _objectness_cutoff(conf_threshold))
+    return gy, gx, arr[gy, gx].astype(np.float64)
 
-    arr = arr.astype(np.float64)
-    obj = _sigmoid(arr[..., _CH_OBJ])
-    class_logits = arr[..., _CH_CLASSES:]
-    class_ids = np.argmax(class_logits, axis=-1)
-    best_logits = np.max(class_logits, axis=-1)
-    scores = obj * _sigmoid(best_logits)
 
-    keep_rows, keep_cols = np.nonzero(scores >= conf_threshold)
-    detections: list[Detection] = []
-    for gy, gx in zip(keep_rows, keep_cols):
-        tx, ty, tw, th = arr[gy, gx, _CH_TX:_CH_OBJ]
-        cx = (gx + tx) * stride
-        cy = (gy + ty) * stride
-        w = math.exp(tw) * stride
-        h = math.exp(th) * stride
-        detections.append(
-            Detection(
-                box=BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
-                score=float(scores[gy, gx]),
-                class_id=int(class_ids[gy, gx]),
-            )
+def _decode_cells(gy, gx, cells, stride, conf_threshold: float, level_sizes=None) -> Detections:
+    """Score candidate cells and box-decode the ones that reach the threshold.
+
+    `stride` is one value or one per cell. `level_sizes` gives the number
+    of cells each level contributed when the cells of several levels are
+    decoded together, so that an error can name the level.
+    """
+    obj_and_class = np.empty((2, len(cells)))
+    obj_and_class[0] = cells[:, _CH_OBJ]
+    obj_and_class[1] = np.max(cells[:, _CH_CLASSES:], axis=-1)
+    obj, cls = _sigmoid(obj_and_class)
+    scores = obj * cls
+    keep = np.flatnonzero(scores >= conf_threshold)
+    kept = cells[keep]
+    if not np.isscalar(stride):
+        stride = stride[keep]
+    cx = (gx[keep] + kept[:, _CH_TX]) * stride
+    cy = (gy[keep] + kept[:, _CH_TY]) * stride
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        half_w = _exp(kept[:, _CH_TW]) * stride / 2
+        half_h = _exp(kept[:, _CH_TH]) * stride / 2
+    boxes = np.empty((len(keep), 4))
+    boxes[:, 0] = cx - half_w
+    boxes[:, 1] = cy - half_h
+    boxes[:, 2] = cx + half_w
+    boxes[:, 3] = cy + half_h
+    if not np.isfinite(boxes).all():
+        cell = int(keep[np.argmin(np.isfinite(boxes).all(axis=1))])
+        where = ""
+        if level_sizes is not None:
+            level = int(np.searchsorted(np.cumsum(level_sizes), cell, side="right"))
+            where = f"level {level}: "
+        raise DecodeError(
+            f"{where}box at cell (gx={gx[cell]}, gy={gy[cell]}) overflows: "
+            f"(tx, ty, tw, th) = {tuple(cells[cell, _CH_TX:_CH_OBJ].tolist())}"
         )
-    return detections
+    class_ids = np.argmax(kept[:, _CH_CLASSES:], axis=-1)
+    return Detections(boxes, scores[keep], class_ids.astype(np.int64, copy=False))
 
 
-def decode_all(frame: RawTensorSet, config: DecodeConfig) -> list[Detection]:
-    """Decode every stride level of a frame and clip boxes to the image.
+def decode_head(tensor: np.ndarray, stride: int, conf_threshold: float) -> Detections:
+    """Decode one stride level's grid tensor into a batch of detections.
+
+    Cell (gx, gy) holding raw values (tx, ty, tw, th, obj, class logits...)
+    maps to a box centred at ((gx+tx)*stride, (gy+ty)*stride) with size
+    (exp(tw)*stride, exp(th)*stride). The fused score is
+    sigmoid(obj) * sigmoid(best class logit); the class label is the argmax
+    over class logits, lowest id winning ties. Only detections with
+    score >= conf_threshold are returned, in row-major cell order. Only the
+    cells whose objectness logit could reach the threshold are scored.
+    """
+    gy, gx, cells = _candidate_cells(tensor, stride, conf_threshold)
+    return _decode_cells(gy, gx, cells, stride, conf_threshold)
+
+
+def decode_all(frame: RawTensorSet, config: DecodeConfig) -> Detections:
+    """Decode every stride level of a frame, with boxes clipped to the image.
 
     Output order is deterministic: stride levels in config order, cells in
-    row-major order within each level.
+    row-major order within each level. The candidate cells of all levels
+    are scored and box-decoded together.
     """
-    detections: list[Detection] = []
+    levels = []
     for level, (tensor, stride) in enumerate(zip(frame.outputs, config.strides)):
         expected = (frame.image_height // stride, frame.image_width // stride)
         if frame.image_height % stride or frame.image_width % stride:
@@ -189,18 +315,21 @@ def decode_all(frame: RawTensorSet, config: DecodeConfig) -> list[Detection]:
                 f"{frame.image_width}x{frame.image_height} (expected {expected})"
             )
         try:
-            level_dets = decode_head(tensor, stride, config.conf_threshold)
+            levels.append(_candidate_cells(tensor, stride, config.conf_threshold))
         except DecodeError as exc:
             raise DecodeError(f"frame {frame.frame_index}, level {level}: {exc}") from exc
-        for det in level_dets:
-            detections.append(
-                Detection(
-                    box=det.box.clipped(frame.image_width, frame.image_height),
-                    score=det.score,
-                    class_id=det.class_id,
-                )
-            )
-    return detections
+    sizes = [len(cells) for _, _, cells in levels]
+    gy, gx, cells = (np.concatenate(parts) for parts in zip(*levels))
+    try:
+        batch = _decode_cells(
+            gy, gx, cells, np.repeat(config.strides, sizes), config.conf_threshold, sizes
+        )
+    except DecodeError as exc:
+        raise DecodeError(f"frame {frame.frame_index}, {exc}") from exc
+    return Detections(
+        batch.boxes, batch.scores, batch.class_ids,
+        clip_to=(frame.image_width, frame.image_height),
+    )
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -216,31 +345,46 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def nms(detections: Sequence[Detection], iou_threshold: float) -> list[Detection]:
+def nms(detections: Detections, iou_threshold: float) -> Detections:
     """Class-aware greedy non-maximum suppression.
 
     Candidates are visited by descending score (ties: lower class id, then
     earlier position in the input); a candidate is kept unless an already
     kept detection of the same class overlaps it with IoU strictly above
-    the threshold. Suppression never crosses class boundaries.
+    the threshold. Suppression never crosses class boundaries. Kept rows
+    come back in visit order.
+
+    Each kept box is tested, with the arithmetic of `iou`, against every
+    same-class box still alive after it, so memory stays linear in the
+    number of candidates.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
-    order = sorted(
-        range(len(detections)),
-        key=lambda i: (-detections[i].score, detections[i].class_id, i),
-    )
-    kept: list[Detection] = []
-    for i in order:
-        candidate = detections[i]
-        suppressed = any(
-            keeper.class_id == candidate.class_id
-            and iou(keeper.box, candidate.box) > iou_threshold
-            for keeper in kept
-        )
-        if not suppressed:
-            kept.append(candidate)
-    return kept
+    # lexsort is stable: equal keys keep input order.
+    order = np.lexsort((detections.class_ids, -detections.scores))
+    # Rows: x1, y1, x2, y2, area, class id, input row; columns: the
+    # candidates still alive, in visit order.
+    live = np.empty((7, len(order)))
+    live[:4] = detections.clipped_boxes()[order].T
+    live[4] = (live[2] - live[0]) * (live[3] - live[1])
+    live[5] = detections.class_ids[order]
+    live[6] = order
+    kept: list[float] = []
+    # With ordered corners the union is never below the intersection, so
+    # it is 0 only when both are, and 0 / 0 = nan compares False as the
+    # empty-union rule of `iou` asks.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.shape[1]:
+            head, rest = live[:, 0], live[:, 1:]
+            kept.append(head[6])
+            lo = np.maximum(head[:2, None], rest[:2])
+            hi = np.minimum(head[2:4, None], rest[2:4])
+            iw, ih = np.maximum(hi - lo, 0.0)
+            inter = iw * ih
+            overlap = inter / (head[4] + rest[4] - inter)
+            suppressed = (overlap > iou_threshold) & (rest[5] == head[5])
+            live = rest[:, ~suppressed] if suppressed.any() else rest
+    return detections.take(np.array(kept, dtype=np.intp))
 
 
 def filter_class(detections: Iterable[Detection], class_id: int) -> list[Detection]:

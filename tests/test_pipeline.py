@@ -137,6 +137,37 @@ def test_config_json_round_trip(tmp_path):
     assert config_to_json(load_config(path)) == config_to_json(config)
 
 
+def test_config_json_round_trip_keeps_a_custom_severity_table():
+    base = default_config()
+    table = dict(base.severity_table)
+    table[(TrainState.OFF, ZoneKind.DANGER)] = Severity.WARNING
+    config = PipelineConfig(
+        decode=base.decode, zones=base.zones, camera=base.camera, fsm=base.fsm,
+        severity_table=table,
+    )
+    restored = config_from_json(json.loads(json.dumps(config_to_json(config))))
+    assert restored.severity_table == table
+    assert severity_for(TrainState.OFF, ZoneKind.DANGER, restored.severity_table) is (
+        Severity.WARNING
+    )
+
+
+def test_config_without_a_severity_table_gets_the_default():
+    data = config_to_json(default_config())
+    del data["severity_table"]
+    assert config_from_json(data).severity_table == default_config().severity_table
+
+
+def test_config_rejects_a_malformed_severity_table():
+    data = config_to_json(default_config())
+    data["severity_table"][0]["severity"] = "PANIC"
+    with pytest.raises(ConfigError, match="malformed"):
+        config_from_json(data)
+    data["severity_table"] = []
+    with pytest.raises(ConfigError, match="severity table"):
+        config_from_json(data)
+
+
 def test_load_config_rejects_bad_files(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -276,6 +307,23 @@ def test_run_pipeline_skips_corrupt_frames_and_keeps_going(background_frame):
     assert len(error_records) == 1
     assert error_records[0]["frame"] == 2
     assert [r["frame"] for r in results if "detections" in r] == [0, 1, 3, 4]
+
+
+def test_run_pipeline_counts_a_size_overflow_as_a_frame_error(background_frame):
+    header = scene_header(4)
+    frames = [background_frame(header, i) for i in range(4)]
+    frames[1].outputs[0][2, 3] = [0.0, 0.0, 1000.0, 0.0, 20.0, 20.0, -20.0, -20.0,
+                                  -20.0, -20.0, -20.0, -20.0, -20.0]
+    backend = SequenceBackend(header, frames)
+
+    results: list[dict] = []
+    summary = run_pipeline(backend, default_config(), result_sink=results.append)
+    assert summary.frames_processed == 3
+    assert summary.error_count == 1
+    (error,) = [r for r in results if "error" in r]
+    assert error["frame"] == 1
+    assert "level 0: box at cell (gx=3, gy=2) overflows" in error["error"]
+    assert [r["frame"] for r in results if "detections" in r] == [0, 2, 3]
 
 
 def test_run_pipeline_counts_a_backend_failure_and_stops(background_frame):

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stationwatch import (
@@ -12,6 +13,7 @@ from stationwatch import (
     DecodeConfig,
     DecodeError,
     Detection,
+    Detections,
     GeometryError,
     RawTensorSet,
     decode_all,
@@ -20,7 +22,11 @@ from stationwatch import (
     iou,
     nms,
 )
-from stationwatch.postprocess import detections_from_record, detections_to_record
+from stationwatch.postprocess import (
+    _objectness_cutoff,
+    detections_from_record,
+    detections_to_record,
+)
 
 
 def blank_grid(grid_h: int, grid_w: int, channels: int = 6) -> np.ndarray:
@@ -38,7 +44,7 @@ def sigmoid(x: float) -> float:
 def test_decode_origin_cell_with_saturated_logits():
     grid = blank_grid(4, 4)
     grid[0, 0] = [0.0, 0.0, 0.0, 0.0, 20.0, 20.0]
-    dets = decode_head(grid, stride=8, conf_threshold=0.3)
+    dets = decode_head(grid, stride=8, conf_threshold=0.3).to_list()
 
     assert len(dets) == 1
     det = dets[0]
@@ -52,7 +58,7 @@ def test_decode_matches_scalar_arithmetic():
     grid = blank_grid(4, 4)
     gy, gx = 2, 3
     grid[gy, gx] = [0.5, 0.5, math.log(2.0), math.log(2.0), 0.0, 0.0]
-    dets = decode_head(grid, stride=16, conf_threshold=0.2)
+    dets = decode_head(grid, stride=16, conf_threshold=0.2).to_list()
 
     assert len(dets) == 1
     det = dets[0]
@@ -68,8 +74,8 @@ def test_decode_matches_scalar_arithmetic():
 def test_confidence_threshold_is_inclusive():
     # All-zero logits score exactly sigmoid(0)^2 = 0.25 in every cell.
     grid = np.zeros((2, 2, 6), dtype=np.float32)
-    assert decode_head(grid, stride=8, conf_threshold=0.3) == []
-    kept = decode_head(grid, stride=8, conf_threshold=0.25)
+    assert decode_head(grid, stride=8, conf_threshold=0.3).to_list() == []
+    kept = decode_head(grid, stride=8, conf_threshold=0.25).to_list()
     assert len(kept) == 4
     assert all(d.score == 0.25 for d in kept)
 
@@ -80,7 +86,7 @@ def test_decode_output_is_row_major_over_cells():
     grid[1, 0] = strong
     grid[0, 2] = strong
     grid[1, 2] = strong
-    dets = decode_head(grid, stride=8, conf_threshold=0.3)
+    dets = decode_head(grid, stride=8, conf_threshold=0.3).to_list()
     centers = [d.box.center() for d in dets]
     # (gy, gx) order: (0,2), (1,0), (1,2)
     assert centers == [(16.0, 0.0), (0.0, 8.0), (16.0, 8.0)]
@@ -89,7 +95,7 @@ def test_decode_output_is_row_major_over_cells():
 def test_class_argmax_breaks_ties_toward_the_lowest_id():
     grid = blank_grid(1, 1, channels=8)
     grid[0, 0] = [0.0, 0.0, 0.0, 0.0, 20.0, 3.0, 5.0, 5.0]
-    dets = decode_head(grid, stride=8, conf_threshold=0.1)
+    dets = decode_head(grid, stride=8, conf_threshold=0.1).to_list()
     assert len(dets) == 1
     assert dets[0].class_id == 1  # classes 1 and 2 tie at logit 5
 
@@ -117,17 +123,176 @@ def test_decode_head_rejects_bad_shapes_and_strides():
 def test_decode_is_deterministic():
     rng = np.random.default_rng(11)
     grid = rng.normal(size=(6, 6, 7)).astype(np.float32)
-    assert decode_head(grid, 8, 0.1) == decode_head(grid, 8, 0.1)
+    assert decode_head(grid, 8, 0.1).to_list() == decode_head(grid, 8, 0.1).to_list()
 
 
 def test_raising_the_threshold_keeps_a_subsequence():
     rng = np.random.default_rng(23)
     for _ in range(20):
         grid = rng.normal(scale=2.0, size=(5, 5, 8)).astype(np.float32)
-        loose = decode_head(grid, 8, 0.05)
-        tight = decode_head(grid, 8, 0.4)
+        loose = decode_head(grid, 8, 0.05).to_list()
+        tight = decode_head(grid, 8, 0.4).to_list()
         it = iter(loose)
         assert all(det in it for det in tight)  # order-preserving subset
+
+
+def test_live_cell_whose_size_overflows_is_a_decode_error():
+    grid = blank_grid(4, 4)
+    grid[2, 3] = [0.0, 0.0, 1000.0, 0.0, 20.0, 20.0]
+    with pytest.raises(DecodeError, match=r"box at cell \(gx=3, gy=2\) overflows"):
+        decode_head(grid, stride=8, conf_threshold=0.3)
+    # exp(708) is finite, but times the stride it is not.
+    grid[2, 3, 2] = 0.0
+    grid[2, 3, 3] = 708.0
+    with pytest.raises(DecodeError, match=r"\(gx=3, gy=2\)"):
+        decode_head(grid, stride=8, conf_threshold=0.3)
+
+
+def test_size_terms_of_cells_below_the_threshold_are_never_evaluated():
+    grid = blank_grid(4, 4)
+    grid[2, 3] = [0.0, 0.0, 1000.0, 1000.0, -20.0, 20.0]
+    assert len(decode_head(grid, stride=8, conf_threshold=0.3)) == 0
+
+
+# --- batch decode against the per-cell decode ---------------------------------
+
+def _cell_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def per_cell_decode_head(tensor, stride, conf_threshold):
+    """Oracle: the decode as it was before candidates were batched.
+
+    Scores every cell of the tensor, then builds one Detection per cell
+    that reaches the threshold, in row-major order.
+    """
+    arr = np.asarray(tensor).astype(np.float64)
+    obj = _cell_sigmoid(arr[..., 4])
+    class_logits = arr[..., 5:]
+    class_ids = np.argmax(class_logits, axis=-1)
+    scores = obj * _cell_sigmoid(np.max(class_logits, axis=-1))
+    keep_rows, keep_cols = np.nonzero(scores >= conf_threshold)
+    detections = []
+    for gy, gx in zip(keep_rows, keep_cols):
+        tx, ty, tw, th = arr[gy, gx, 0:4]
+        cx = (gx + tx) * stride
+        cy = (gy + ty) * stride
+        w = math.exp(tw) * stride
+        h = math.exp(th) * stride
+        detections.append(
+            Detection(
+                box=BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
+                score=float(scores[gy, gx]),
+                class_id=int(class_ids[gy, gx]),
+            )
+        )
+    return detections
+
+
+def per_cell_decode_all(frame, config):
+    return [
+        Detection(det.box.clipped(frame.image_width, frame.image_height), det.score, det.class_id)
+        for tensor, stride in zip(frame.outputs, config.strides)
+        for det in per_cell_decode_head(tensor, stride, config.conf_threshold)
+    ]
+
+
+def assert_same_detections(got, want):
+    """Equal field by field, and each coordinate of the same type.
+
+    Alert records round coordinates with round(), whose result depends on
+    the type: numpy rounds np.float64 differently from Python's float, and
+    an int image edge prints without a decimal point.
+    """
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.class_id == b.class_id and type(a.class_id) is type(b.class_id)
+        assert a.score == b.score and type(a.score) is type(b.score)
+        for x, y in zip(a.box.as_list(), b.box.as_list()):
+            assert x == y and type(x) is type(y)
+
+
+conf_thresholds = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.25, 0.3, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+logits = st.floats(min_value=-40.0, max_value=40.0, width=32)
+
+
+@st.composite
+def head_grids(draw, conf_threshold, grid_h, grid_w, channels):
+    """A float32 head tensor, some objectness logits right at the cut-off."""
+    values = draw(st.lists(logits, min_size=grid_h * grid_w * channels,
+                           max_size=grid_h * grid_w * channels))
+    grid = np.array(values, dtype=np.float32).reshape(grid_h, grid_w, channels)
+    if 0.0 < conf_threshold < 1.0:
+        edge = np.float32(math.log(conf_threshold) - math.log1p(-conf_threshold))
+        for gy, gx in draw(st.lists(st.tuples(st.integers(0, grid_h - 1),
+                                              st.integers(0, grid_w - 1)), max_size=4)):
+            steps = draw(st.integers(min_value=-2, max_value=2))
+            grid[gy, gx, 4] = edge + steps * np.spacing(edge)
+            grid[gy, gx, 5:] = draw(st.sampled_from([40.0, 30.0]))
+    return grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), conf_threshold=conf_thresholds, stride=st.sampled_from([1, 8, 32]))
+def test_batch_decode_head_equals_the_per_cell_decode(data, conf_threshold, stride):
+    grid_h, grid_w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    grid = data.draw(head_grids(conf_threshold, grid_h, grid_w, data.draw(st.integers(6, 9))))
+    assert_same_detections(
+        decode_head(grid, stride, conf_threshold).to_list(),
+        per_cell_decode_head(grid, stride, conf_threshold),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), conf_threshold=conf_thresholds)
+def test_batch_decode_all_equals_the_per_cell_decode(data, conf_threshold):
+    # Offsets and sizes push boxes past every image edge, so clipping and
+    # the types it leaves behind are exercised.
+    offsets = st.floats(min_value=-4.0, max_value=4.0, width=32)
+    channels = data.draw(st.integers(6, 9))
+    outputs = []
+    for side in (4, 2, 1):
+        grid = data.draw(head_grids(conf_threshold, side, side, channels))
+        grid[..., :4] = np.array(
+            data.draw(st.lists(offsets, min_size=side * side * 4, max_size=side * side * 4)),
+            dtype=np.float32,
+        ).reshape(side, side, 4)
+        outputs.append(grid)
+    frame = RawTensorSet(5, tuple(outputs), 32, 32)
+    config = DecodeConfig(conf_threshold=conf_threshold)
+    assert_same_detections(
+        decode_all(frame, config).to_list(), per_cell_decode_all(frame, config)
+    )
+
+
+def test_objectness_cutoff_at_the_ends_of_the_threshold_range():
+    assert _objectness_cutoff(0.0) == -math.inf
+    # At 1.0 only a saturated sigmoid passes; a float64 sigmoid reaches 1.0
+    # from a logit of about 36.7, so the cut-off must stay finite below it.
+    cutoff = _objectness_cutoff(1.0)
+    assert 30.0 < cutoff < 36.0
+    assert _cell_sigmoid(np.array([cutoff]))[0] < 1.0
+
+
+def test_threshold_zero_keeps_every_cell_and_one_keeps_saturated_cells():
+    grid = blank_grid(3, 3)
+    grid[..., 4] = -40.0
+    grid[1, 2] = [0.25, 0.5, 0.0, 0.0, 40.0, 40.0]
+    assert_same_detections(
+        decode_head(grid, 8, 0.0).to_list(), per_cell_decode_head(grid, 8, 0.0)
+    )
+    assert len(decode_head(grid, 8, 0.0)) == 9
+    saturated = decode_head(grid, 8, 1.0).to_list()
+    assert_same_detections(saturated, per_cell_decode_head(grid, 8, 1.0))
+    assert [d.score for d in saturated] == [1.0]
 
 
 # --- decode_all -------------------------------------------------------------
@@ -141,7 +306,7 @@ def test_decode_all_concatenates_levels_in_stride_order():
     outputs[0][0, 0] = [0.0, 0.0, 0.0, 0.0, 20.0, 20.0]
     outputs[2][1, 1] = [0.5, 0.5, 0.0, 0.0, 20.0, 20.0]
     frame = RawTensorSet(0, tuple(outputs), 64, 64)
-    dets = decode_all(frame, DecodeConfig())
+    dets = decode_all(frame, DecodeConfig()).to_list()
     assert len(dets) == 2
     # stride-8 hit first, then the stride-32 one at center (48, 48).
     assert dets[1].box.center() == (48.0, 48.0)
@@ -151,7 +316,7 @@ def test_decode_all_clips_boxes_to_the_image():
     outputs = frame_with_levels()
     outputs[0][0, 0] = [0.0, 0.0, 0.0, 0.0, 20.0, 20.0]
     frame = RawTensorSet(0, tuple(outputs), 64, 64)
-    det = decode_all(frame, DecodeConfig())[0]
+    det = decode_all(frame, DecodeConfig()).to_list()[0]
     assert (det.box.x1, det.box.y1) == (0.0, 0.0)  # raw corner was (-4, -4)
     assert (det.box.x2, det.box.y2) == (4.0, 4.0)
 
@@ -243,7 +408,7 @@ def test_nms_suppresses_within_a_class_only():
     a = Detection(BoundingBox(0, 0, 10, 10), 0.9, 0)
     b = Detection(BoundingBox(1, 1, 11, 11), 0.8, 0)   # IoU with a ~ 0.68
     c = Detection(BoundingBox(1, 1, 11, 11), 0.8, 1)   # same box, other class
-    assert nms([a, b, c], 0.45) == [a, c]
+    assert nms(Detections.from_list([a, b, c]), 0.45).to_list() == [a, c]
 
 
 def test_nms_keeps_overlap_exactly_at_the_threshold():
@@ -251,26 +416,26 @@ def test_nms_keeps_overlap_exactly_at_the_threshold():
     a = Detection(BoundingBox(0, 0, 3, 1), 0.9, 0)
     b = Detection(BoundingBox(1, 0, 4, 1), 0.8, 0)
     assert iou(a.box, b.box) == 0.5
-    assert nms([a, b], 0.5) == [a, b]      # strictly-greater rule
-    assert nms([a, b], 0.49) == [a]
+    assert nms(Detections.from_list([a, b]), 0.5).to_list() == [a, b]  # strictly-greater rule
+    assert nms(Detections.from_list([a, b]), 0.49).to_list() == [a]
 
 
 def test_nms_tie_breaks_by_class_then_input_position():
     box = BoundingBox(0, 0, 10, 10)
     first = Detection(box, 0.8, 0)
     second = Detection(box, 0.8, 0)
-    assert nms([first, second], 0.45) == [first]
+    assert nms(Detections.from_list([first, second]), 0.45).to_list() == [first]
 
     lower_class = Detection(BoundingBox(50, 50, 60, 60), 0.8, 1)
     higher_class = Detection(BoundingBox(50, 50, 60, 60), 0.8, 2)
-    kept = nms([higher_class, lower_class], 0.45)
+    kept = nms(Detections.from_list([higher_class, lower_class]), 0.45).to_list()
     assert kept == [lower_class, higher_class]  # class 1 visited first
 
 
 def test_nms_empty_input_and_threshold_validation():
-    assert nms([], 0.45) == []
+    assert nms(Detections.from_list([]), 0.45).to_list() == []
     with pytest.raises(ValueError, match="iou_threshold"):
-        nms([], 1.5)
+        nms(Detections.from_list([]), 1.5)
 
 
 def test_nms_matches_brute_force_on_random_instances():
@@ -289,7 +454,8 @@ def test_nms_matches_brute_force_on_random_instances():
                 )
             )
         threshold = (0.3, 0.45, 0.6)[trial % 3]
-        assert nms(dets, threshold) == brute_force_nms(dets, threshold), f"trial {trial}"
+        kept = nms(Detections.from_list(dets), threshold).to_list()
+        assert kept == brute_force_nms(dets, threshold), f"trial {trial}"
 
 
 det_strategy = st.builds(
@@ -307,7 +473,7 @@ det_strategy = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(dets=st.lists(det_strategy, max_size=12), threshold=st.sampled_from([0.3, 0.45, 0.6]))
 def test_nms_properties(dets, threshold):
-    kept = nms(dets, threshold)
+    kept = nms(Detections.from_list(dets), threshold).to_list()
     assert kept == brute_force_nms(dets, threshold)
     # Soundness: no kept same-class pair overlaps beyond the threshold.
     for i, a in enumerate(kept):
@@ -321,6 +487,111 @@ def test_nms_properties(dets, threshold):
                 k.class_id == det.class_id and iou(k.box, det.box) > threshold
                 for k in kept
             )
+
+
+# Boxes on a small integer grid: duplicates, zero-area boxes and IoUs of
+# exactly 1/3, 1/2 and 1 come up often, and so do tied scores.
+grid_boxes = st.builds(
+    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+    st.integers(0, 6), st.integers(0, 6), st.integers(0, 4), st.integers(0, 4),
+)
+
+
+@st.composite
+def tied_detections(draw):
+    classes = draw(st.integers(min_value=1, max_value=3))
+    return draw(st.lists(
+        st.builds(
+            Detection,
+            box=grid_boxes,
+            score=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+            class_id=st.integers(min_value=0, max_value=classes - 1),
+        ),
+        max_size=16,
+    ))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dets=tied_detections(), threshold=st.sampled_from([0.0, 1 / 3, 0.45, 0.5, 1.0]))
+@example(
+    dets=[Detection(BoundingBox(0, 0, 3, 1), 0.5, 0), Detection(BoundingBox(1, 0, 4, 1), 0.5, 0)],
+    threshold=0.5,
+)
+def test_batch_nms_equals_brute_force_on_ties_duplicates_and_degenerate_boxes(dets, threshold):
+    kept = nms(Detections.from_list(dets), threshold).to_list()
+    assert kept == brute_force_nms(dets, threshold)
+
+
+def full_frame(rng):
+    """A 640x640 frame of two classes with every cell of every level live."""
+    outputs = []
+    for stride in (8, 16, 32):
+        side = 640 // stride
+        grid = np.empty((side, side, 7), dtype=np.float32)
+        grid[..., 0:2] = rng.uniform(0.0, 1.0, (side, side, 2))
+        grid[..., 2:4] = rng.uniform(0.0, 1.5, (side, side, 2))
+        grid[..., 4] = 20.0
+        grid[..., 5:] = rng.uniform(0.0, 4.0, (side, side, 2))
+        outputs.append(grid)
+    return RawTensorSet(0, tuple(outputs), 640, 640)
+
+
+def test_nms_on_a_fully_live_frame_is_greedy_in_bounded_memory():
+    frame = full_frame(np.random.default_rng(8400))
+    threshold = 0.45
+    tracemalloc.start()
+    try:
+        candidates = decode_all(frame, DecodeConfig())
+        kept = nms(candidates, threshold)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(candidates) == 8400
+    # An 8400 x 8400 float64 IoU matrix alone would take 564 MB.
+    assert peak < 64 * 2**20
+
+    # Greedy characterisation: walking the candidates in visit order, each
+    # one is kept exactly when no kept candidate of its class before it
+    # overlaps it with IoU above the threshold.
+    boxes = candidates.clipped_boxes()
+    order = np.lexsort((candidates.class_ids, -candidates.scores))
+    kept_boxes = np.empty((len(kept), 4))
+    kept_classes = np.empty(len(kept), dtype=np.int64)
+    count = 0
+    for row in order:
+        box, class_id = boxes[row], candidates.class_ids[row]
+        prior = kept_boxes[:count][kept_classes[:count] == class_id]
+        touching = prior[
+            (np.minimum(prior[:, 2], box[2]) > np.maximum(prior[:, 0], box[0]))
+            & (np.minimum(prior[:, 3], box[3]) > np.maximum(prior[:, 1], box[1]))
+        ]
+        blocked = any(
+            iou(BoundingBox(*other), BoundingBox(*box)) > threshold for other in touching
+        )
+        is_kept = (
+            count < len(kept)
+            and np.array_equal(kept.boxes[count], candidates.boxes[row])
+            and kept.scores[count] == candidates.scores[row]
+            and kept.class_ids[count] == class_id
+        )
+        assert is_kept == (not blocked), f"candidate {row}"
+        if is_kept:
+            kept_boxes[count], kept_classes[count] = box, class_id
+            count += 1
+    assert count == len(kept)
+
+
+def test_detections_batch_round_trips_a_list():
+    dets = [
+        Detection(BoundingBox(1.5, 2.25, 10.0, 20.125), 0.8125, 0),
+        Detection(BoundingBox(0.0, 0.0, 5.0, 5.0), 0.5, 6),
+    ]
+    batch = Detections.from_list(dets)
+    assert len(batch) == 2
+    assert batch.boxes.shape == (2, 4)
+    assert batch.to_list() == dets
+    assert batch.take(np.array([1])).to_list() == dets[1:]
+    assert len(Detections.from_list([])) == 0
 
 
 def test_filter_class_matches_a_linear_scan():

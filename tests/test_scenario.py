@@ -117,7 +117,7 @@ def test_encoded_object_decodes_back_to_itself():
     gt = GroundTruthFrame(0, (GroundTruthObject(PERSON_CLASS, box, 0),))
     tensors = encode_objects_to_tensors(gt, config, 320, 320, 8, score_level=0.9)
 
-    dets = decode_all(tensors, config)
+    dets = decode_all(tensors, config).to_list()
     assert len(dets) == 1
     det = dets[0]
     assert det.class_id == PERSON_CLASS
@@ -147,7 +147,7 @@ def test_score_level_one_is_clamped_but_round_trips_within_tolerance():
     box = BoundingBox(100.0, 100.0, 140.0, 140.0)
     gt = GroundTruthFrame(0, (GroundTruthObject(0, box, 0),))
     tensors = encode_objects_to_tensors(gt, config, 320, 320, 8, score_level=1.0)
-    det = decode_all(tensors, config)[0]
+    det = decode_all(tensors, config).to_list()[0]
     assert det.score <= 1.0
     assert det.score == pytest.approx(1.0, abs=1e-5)
 
