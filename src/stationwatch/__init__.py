@@ -38,7 +38,6 @@ from .errors import (
 from .geometry import (
     CameraModel,
     GroundPoint,
-    HeightQuery,
     Zone,
     ZoneKind,
     estimate_height,
@@ -90,7 +89,6 @@ from .tensor_stream import (
     RawTensorSet,
     SequenceBackend,
     TensorStreamHeader,
-    playback_backend,
     read_tensor_stream,
     write_tensor_stream,
 )

@@ -41,10 +41,10 @@ from .scenario import (
     encode_scenario,
 )
 from .tensor_stream import (
+    PlaybackBackend,
     RawTensorSet,
     SequenceBackend,
     TensorStreamHeader,
-    playback_backend,
     write_tensor_stream,
 )
 from .train_fsm import FsmConfig, FsmCounters, TrainObservation, TrainState, step_fsm
@@ -258,7 +258,6 @@ def _random_observation(rng: random.Random) -> TrainObservation:
     return TrainObservation(
         present=True,
         displacement_px=abs(rng.gauss(0.0, 3.0)),
-        occupancy=rng.random(),
         centroid=(rng.uniform(0, 320), rng.uniform(0, 320)),
     )
 
@@ -281,8 +280,8 @@ def check_fsm_closure(traces: int = 10_000, seed: int = 4242) -> CheckResult:
             state = new_state
 
     # Canonical approach-stop-depart trace must walk the full cycle in order.
-    moving = TrainObservation(True, 8.0, 0.4, (100.0, 60.0))
-    still = TrainObservation(True, 0.0, 0.4, (100.0, 60.0))
+    moving = TrainObservation(True, 8.0, (100.0, 60.0))
+    still = TrainObservation(True, 0.0, (100.0, 60.0))
     absent = TrainObservation(False)
     trace_obs = [absent] * 3 + [moving] * 6 + [still] * 6 + [moving] * 2 + [absent] * 6
     visited = [TrainState.OFF]
@@ -460,15 +459,16 @@ def check_evaluation_arithmetic() -> CheckResult:
 # --- criterion 9: latency harness sanity ------------------------------------
 
 def _background_stream(path: Path, frames: int) -> TensorStreamHeader:
+    # Eight classes, so the default config's train class (6) fits the stream.
     header = TensorStreamHeader(
-        num_classes=1, image_width=64, image_height=64, strides=(8, 16, 32),
+        num_classes=8, image_width=64, image_height=64, strides=(8, 16, 32),
         frame_count=frames,
     )
     batch = []
     for index in range(frames):
         outputs = []
         for stride in header.strides:
-            grid = np.zeros((64 // stride, 64 // stride, 6), dtype=np.float32)
+            grid = np.zeros((64 // stride, 64 // stride, header.channels), dtype=np.float32)
             grid[..., 4:] = -20.0
             outputs.append(grid)
         batch.append(RawTensorSet(index, tuple(outputs), 64, 64))
@@ -504,8 +504,8 @@ def check_latency_harness() -> CheckResult:
     with tempfile.TemporaryDirectory() as tmp:
         stream = Path(tmp) / "ticks.yxt"
         _background_stream(stream, 100)
-        stats, records = measure_latency(
-            playback_backend(stream), default_config(),
+        stats, _, _ = measure_latency(
+            PlaybackBackend(stream), default_config(),
             warmup_frames=0, clock=_ScriptedClock(timeline),
         )
         expected_p50 = 125.0 * 50 / 128
@@ -523,8 +523,8 @@ def check_latency_harness() -> CheckResult:
         constant = _ScriptedClock([0.0, 0.010, 0.020, 0.030])
         short_stream = Path(tmp) / "short.yxt"
         _background_stream(short_stream, 3)
-        const_stats, _ = measure_latency(
-            playback_backend(short_stream), default_config(), warmup_frames=0, clock=constant
+        const_stats, _, _ = measure_latency(
+            PlaybackBackend(short_stream), default_config(), warmup_frames=0, clock=constant
         )
         if not (
             math.isclose(const_stats.mean_ms, 10.0, rel_tol=1e-9)
@@ -538,8 +538,8 @@ def check_latency_harness() -> CheckResult:
 
         paced_stream = Path(tmp) / "paced.yxt"
         _background_stream(paced_stream, 12)
-        paced_stats, paced_records = measure_latency(
-            playback_backend(paced_stream, simulated_delay_ms=20.0),
+        paced_stats, paced_records, _ = measure_latency(
+            PlaybackBackend(paced_stream, simulated_delay_ms=20.0),
             default_config(),
             warmup_frames=2,
         )

@@ -22,11 +22,10 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import AlignmentError, InsufficientSamplesError
-from .pipeline import PipelineConfig, StageLatencies, process_frame
+from .pipeline import PipelineConfig, RunSummary, StageLatencies, run_pipeline
 from .postprocess import Detection, iou
 from .scenario import GroundTruthFrame
 from .tensor_stream import InferenceBackend
-from .train_fsm import TrainStateMachine
 
 BENCH_CSV_HEADER = ("frame", "end_to_end_ms", "decode_ms", "nms_ms", "geometry_ms", "fsm_ms")
 
@@ -216,46 +215,58 @@ def measure_latency(
     config: PipelineConfig,
     warmup_frames: int = 0,
     clock: Callable[[], float] = time.perf_counter,
-) -> tuple[LatencyStats, list[BenchRecord]]:
-    """Time full frame cycles over a backend's stream.
+) -> tuple[LatencyStats, list[BenchRecord], RunSummary]:
+    """Time full frame cycles of run_pipeline over a backend's stream.
 
-    One sample is the wall-clock span of acquiring a frame from the
-    backend plus process_frame on it, so any pacing the source imposes
-    (a playback backend's simulated delay, a real runtime's inference
-    time) shows up in the figures. The clock is read once at the start
-    and once after each processed frame, n+1 reads for n frames, which
-    lets tests inject a fake clock with a known sample sequence. The
-    first warmup_frames frames run but are excluded from the statistics
-    and the returned records.
+    The frames go through run_pipeline itself, so a corrupt frame is
+    skipped and a stream that ends early ends the run, both counted in the
+    returned RunSummary. One sample runs from the previous result record
+    to this frame's: acquiring the frame, with any pacing the source
+    imposes, then process_frame and building the frame's records. The
+    clock is read once at the start and once per result record, n+1 reads
+    for n records, so tests can inject a fake clock with a known sample
+    sequence. Error records and the first warmup_frames processed frames
+    are not samples. Stage latencies are the result record's, rounded to 6
+    decimals as in the bench CSV.
     """
     if warmup_frames < 0:
         raise ValueError(f"warmup_frames must be >= 0, got {warmup_frames}")
-    fsm = TrainStateMachine(config.fsm)
     samples: list[float] = []
     records: list[BenchRecord] = []
-    index = 0
+    processed = 0
     previous = clock()
-    while (frame := backend.next_frame()) is not None:
-        result = process_frame(frame, config, fsm)
+
+    def time_record(record: dict) -> None:
+        nonlocal previous, processed
         now = clock()
         elapsed_ms = (now - previous) * 1000.0
         previous = now
-        if index >= warmup_frames:
+        if "error" in record:
+            return
+        processed += 1
+        if processed > warmup_frames:
+            latency = record["latency_ms"]
             samples.append(elapsed_ms)
             records.append(
                 BenchRecord(
-                    frame_index=frame.frame_index,
+                    frame_index=record["frame"],
                     end_to_end_ms=elapsed_ms,
-                    stages=result.latency,
+                    stages=StageLatencies(
+                        decode_ms=latency["decode"],
+                        nms_ms=latency["nms"],
+                        geometry_ms=latency["geometry"],
+                        fsm_ms=latency["fsm"],
+                    ),
                 )
             )
-        index += 1
+
+    summary = run_pipeline(backend, config, result_sink=time_record)
     if not samples:
         raise InsufficientSamplesError(
             f"need at least one measured frame after {warmup_frames} warmup frames, "
-            f"stream had {index}"
+            f"{processed} frames processed"
         )
-    return LatencyStats.from_samples(samples), records
+    return LatencyStats.from_samples(samples), records, summary
 
 
 def write_bench_csv(path: str | Path, records: Sequence[BenchRecord]) -> None:

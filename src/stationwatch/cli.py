@@ -9,10 +9,12 @@ Five working commands plus one meta-command:
     default-config  write the configuration matching the built-in scene
     verify          run the acceptance checks (exit 3 on any failure)
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid arguments or
-configuration, 3 acceptance failure. Logs go to stderr; data goes to the
-requested files or stdout. Commands validate their inputs before creating
-any output file, so an exit-2 failure never leaves partial outputs.
+Exit codes: 0 success, 1 runtime failure (including a `run` or `bench`
+that skipped a corrupt frame or met a stream ending early), 2 invalid
+arguments or configuration, 3 acceptance failure. Logs go to stderr; data
+goes to the requested files or stdout. Commands validate their inputs
+before creating any output file, so an exit-2 failure never leaves
+partial outputs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ from .errors import (
     SinkWriteError,
     StationError,
 )
-from .pipeline import config_to_json, default_config, load_config, run_pipeline, save_config
+from .pipeline import (
+    check_backend_geometry,
+    config_to_json,
+    default_config,
+    load_config,
+    run_pipeline,
+    save_config,
+)
 from .postprocess import detections_from_record
 from .scenario import (
     SCENE_NUM_CLASSES,
@@ -44,7 +53,7 @@ from .scenario import (
     ground_truth_to_json,
     scenario_from_json,
 )
-from .tensor_stream import TensorStreamHeader, playback_backend, write_tensor_stream
+from .tensor_stream import PlaybackBackend, TensorStreamHeader, write_tensor_stream
 
 logger = logging.getLogger("stationwatch")
 
@@ -112,8 +121,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args.config)
-    backend = playback_backend(args.tensors, loop_count=args.loop,
-                               simulated_delay_ms=args.delay_ms)
+    backend = PlaybackBackend(args.tensors, loop_count=args.loop,
+                              simulated_delay_ms=args.delay_ms)
+    check_backend_geometry(backend, config)
     with open(args.alerts_out, "w", encoding="utf-8") as alerts_fh, \
             open(args.results_out, "w", encoding="utf-8") as results_fh:
         summary = run_pipeline(
@@ -124,7 +134,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             result_sink=_JsonlWriter(results_fh),
         )
     print(json.dumps(summary.to_record()))
-    return EXIT_OK
+    return EXIT_RUNTIME if summary.error_count else EXIT_OK
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -135,8 +145,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"bench: --warmup must be >= 0, got {args.warmup}", file=sys.stderr)
         return EXIT_USAGE
     config = _load_pipeline_config(args.config)
-    backend = playback_backend(args.tensors, loop_count=args.loop,
-                               simulated_delay_ms=args.delay_ms)
+    backend = PlaybackBackend(args.tensors, loop_count=args.loop,
+                              simulated_delay_ms=args.delay_ms)
     total = backend.header.frame_count * args.loop
     if args.warmup >= total:
         print(
@@ -145,7 +155,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    stats, records = measure_latency(backend, config, warmup_frames=args.warmup)
+    stats, records, run = measure_latency(backend, config, warmup_frames=args.warmup)
     write_bench_csv(args.out_csv, records)
     summary = bench_summary(
         stats,
@@ -153,8 +163,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         accuracy_pct=args.accuracy_pct,
         latency_ms=args.latency_ms,
     )
+    summary["errors"] = run.error_count
     print(json.dumps(summary))
-    return EXIT_OK
+    return EXIT_RUNTIME if run.error_count else EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -62,35 +62,6 @@ class CameraModel:
             raise ValueError(f"camera z0_m must be positive, got {self.z0_m}")
 
 
-@dataclass(frozen=True)
-class HeightQuery:
-    """Measured distances for one height estimate.
-
-    ground_hit_m is where the ray through the subject's head meets the
-    ground; head_dist_m is the camera-to-head distance along that ray;
-    axial_dist_m, when known, is the subject's distance along the optical
-    axis (the axis meets the ground at the camera's z0_m). The two
-    parameterizations describe the same similar-triangle pair, so
-    head_dist_m / ground_hit_m equals axial_dist_m / z0_m.
-    """
-
-    ground_hit_m: float
-    head_dist_m: float
-    axial_dist_m: float | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.ground_hit_m) and self.ground_hit_m > 0):
-            raise ValueError(f"ground_hit_m must be positive, got {self.ground_hit_m}")
-        if not (math.isfinite(self.head_dist_m) and 0 <= self.head_dist_m <= self.ground_hit_m):
-            raise ValueError(
-                f"head_dist_m must lie in [0, ground_hit_m], got {self.head_dist_m}"
-            )
-        if self.axial_dist_m is not None and not (
-            math.isfinite(self.axial_dist_m) and self.axial_dist_m >= 0
-        ):
-            raise ValueError(f"axial_dist_m must be >= 0, got {self.axial_dist_m}")
-
-
 def estimate_height(camera: CameraModel, ground_hit_m: float, head_dist_m: float) -> float:
     """Subject height from the view-ray distances; see module docstring."""
     if not (math.isfinite(ground_hit_m) and ground_hit_m > 0):
@@ -171,9 +142,6 @@ class Zone:
                 raise ValueError(f"zone '{self.name}': polygon vertex not finite")
         if not _polygon_is_simple(polygon):
             raise ValueError(f"zone '{self.name}': polygon is self-intersecting")
-
-    def area(self) -> float:
-        return polygon_area(self.polygon)
 
 
 def ground_point(detection: Detection) -> GroundPoint:

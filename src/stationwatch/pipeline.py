@@ -82,10 +82,9 @@ class AlertEvent:
     train_state: TrainState
     severity: Severity
     detection: Detection
-    est_height_m: float | None = None
 
     def to_record(self) -> dict:
-        record = {
+        return {
             "frame": self.frame_index,
             "zone": self.zone,
             "state": self.train_state.value,
@@ -93,9 +92,6 @@ class AlertEvent:
             "box": [round(v, 6) for v in self.detection.box.as_list()],
             "score": round(self.detection.score, 6),
         }
-        if self.est_height_m is not None:
-            record["height_m"] = round(self.est_height_m, 6)
-        return record
 
 
 @dataclass(frozen=True)
@@ -316,10 +312,13 @@ def process_frame(
     t3 = time.perf_counter()
 
     persons = filter_class(detections, config.decode.person_class_id)
+    danger_zones = config.danger_zones
+    # MONITOR zones only feed a debug log, so they are tested only when it is on.
+    monitor_zones = config.monitor_zones if logger.isEnabledFor(logging.DEBUG) else ()
     alerts: list[AlertEvent] = []
     for person in persons:
         foot = ground_point(person)
-        for zone in config.danger_zones:
+        for zone in danger_zones:
             if point_in_zone(foot, zone):
                 severity = severity_for(state, zone.kind, config.severity_table)
                 if severity is not None:
@@ -332,7 +331,7 @@ def process_frame(
                             detection=person,
                         )
                     )
-        for zone in config.monitor_zones:
+        for zone in monitor_zones:
             if point_in_zone(foot, zone):
                 logger.debug(
                     "frame %d: person in monitor zone '%s'", frame.frame_index, zone.name
@@ -353,7 +352,8 @@ def process_frame(
     )
 
 
-def _check_backend_geometry(backend: InferenceBackend, config: PipelineConfig) -> None:
+def check_backend_geometry(backend: InferenceBackend, config: PipelineConfig) -> None:
+    """Raise ConfigError unless the config's strides and class ids fit the stream."""
     header = backend.header
     if tuple(header.strides) != tuple(config.decode.strides):
         raise ConfigError(
@@ -385,7 +385,7 @@ def run_pipeline(
     continue past it. A sink raising aborts the run with SinkWriteError
     carrying the partial summary. Sinks see records in frame order.
     """
-    _check_backend_geometry(backend, config)
+    check_backend_geometry(backend, config)
     fsm = TrainStateMachine(config.fsm)
     frames_processed = 0
     alerts_emitted = 0

@@ -87,7 +87,6 @@ class ScenarioSpec:
     image_width: int
     image_height: int
     actors: tuple[Actor, ...]
-    seed: int = 0  # reserved for stochastic extensions; interpolation is deterministic
 
     def __post_init__(self):
         object.__setattr__(self, "actors", tuple(self.actors))
@@ -95,8 +94,6 @@ class ScenarioSpec:
             raise ScenarioError(f"duration_frames must be >= 1, got {self.duration_frames}")
         if self.image_width < 1 or self.image_height < 1:
             raise ScenarioError("image dimensions must be positive")
-        if self.seed < 0:
-            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -362,7 +359,6 @@ def scenario_to_json(spec: ScenarioSpec) -> dict:
         "duration_frames": spec.duration_frames,
         "image_width": spec.image_width,
         "image_height": spec.image_height,
-        "seed": spec.seed,
         "actors": [
             {
                 "class_id": actor.class_id,
@@ -390,7 +386,6 @@ def scenario_from_json(data: dict) -> ScenarioSpec:
             image_width=int(data["image_width"]),
             image_height=int(data["image_height"]),
             actors=actors,
-            seed=int(data.get("seed", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario description: {exc}") from exc

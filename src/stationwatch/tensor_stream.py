@@ -338,10 +338,3 @@ class SequenceBackend(InferenceBackend):
 
     def next_frame(self) -> RawTensorSet | None:
         return next(self._frames, None)
-
-
-def playback_backend(
-    path: str | Path, loop_count: int = 1, simulated_delay_ms: float = 0.0
-) -> PlaybackBackend:
-    """Open a stream file for replay. See PlaybackBackend for semantics."""
-    return PlaybackBackend(path, loop_count=loop_count, simulated_delay_ms=simulated_delay_ms)

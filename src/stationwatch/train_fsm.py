@@ -44,24 +44,18 @@ class TrainObservation:
     """Per-frame evidence about the train zone.
 
     displacement_px is how far the largest train box's centroid moved since
-    the previous observation (0 on absence or first appearance). occupancy
-    is the train-box area inside the zone over the zone area, clamped to 1.
-    centroid carries the largest box centre forward so the next observation
-    can measure displacement.
+    the previous observation (0 on absence or first appearance). centroid
+    carries the largest box centre forward so the next observation can
+    measure displacement.
     """
 
     present: bool
     displacement_px: float = 0.0
-    occupancy: float = 0.0
     centroid: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.displacement_px < 0 or not math.isfinite(self.displacement_px):
             raise ValueError(f"displacement_px must be >= 0, got {self.displacement_px}")
-        if not 0.0 <= self.occupancy <= 1.0:
-            raise ValueError(f"occupancy must lie in [0, 1], got {self.occupancy}")
-        if not self.present and self.occupancy != 0.0:
-            raise ValueError("occupancy must be 0 when no train is present")
 
 
 @dataclass(frozen=True)
@@ -100,14 +94,11 @@ def observe_train(
     if risk_zone.kind is not ZoneKind.RISK:
         raise ValueError(f"train observation needs a RISK zone, got {risk_zone.kind}")
 
-    overlap_total = 0.0
-    present = False
-    for det in detections:
-        overlap = box_zone_overlap_area(det.box, risk_zone)
-        overlap_total += overlap
-        if overlap > 0.0 or point_in_zone(ground_point(det), risk_zone):
-            present = True
-
+    present = any(
+        box_zone_overlap_area(det.box, risk_zone) > 0.0
+        or point_in_zone(ground_point(det), risk_zone)
+        for det in detections
+    )
     if not present:
         return TrainObservation(present=False)
 
@@ -117,15 +108,7 @@ def observe_train(
         displacement = math.dist(centroid, previous.centroid)
     else:
         displacement = 0.0
-
-    zone_area = risk_zone.area()
-    occupancy = min(1.0, overlap_total / zone_area) if zone_area > 0 else 0.0
-    return TrainObservation(
-        present=True,
-        displacement_px=displacement,
-        occupancy=occupancy,
-        centroid=centroid,
-    )
+    return TrainObservation(present=True, displacement_px=displacement, centroid=centroid)
 
 
 def step_fsm(

@@ -10,6 +10,7 @@ import pytest
 from stationwatch import (
     AlignmentError,
     BoundingBox,
+    ConfigError,
     Detection,
     EvalResult,
     GroundTruthFrame,
@@ -274,7 +275,7 @@ def dyadic_timeline(steps: int) -> list[float]:
 def test_fake_clock_samples_are_reported_exactly(background_frame):
     header = tiny_header(5)
     backend = SequenceBackend(header, [background_frame(header, i) for i in range(5)])
-    stats, records = measure_latency(
+    stats, records, _ = measure_latency(
         backend, default_config(), warmup_frames=0, clock=ScriptedClock(dyadic_timeline(5))
     )
     expected = [125.0 * k / 128 for k in range(1, 6)]
@@ -288,7 +289,7 @@ def test_fake_clock_samples_are_reported_exactly(background_frame):
 def test_warmup_frames_are_run_but_not_measured(background_frame):
     header = tiny_header(5)
     backend = SequenceBackend(header, [background_frame(header, i) for i in range(5)])
-    stats, records = measure_latency(
+    stats, records, _ = measure_latency(
         backend, default_config(), warmup_frames=2, clock=ScriptedClock(dyadic_timeline(5))
     )
     assert [r.frame_index for r in records] == [2, 3, 4]
@@ -308,11 +309,57 @@ def test_warmup_swallowing_the_whole_stream_is_an_error(background_frame):
 def test_real_clock_records_line_up_with_stage_latencies(background_frame):
     header = tiny_header(4)
     backend = SequenceBackend(header, [background_frame(header, i) for i in range(4)])
-    stats, records = measure_latency(backend, default_config())
+    stats, records, _ = measure_latency(backend, default_config())
     assert len(records) == 4
     for record in records:
         assert record.end_to_end_ms >= record.stages.max_ms() >= 0.0
     assert stats.max_ms >= stats.p50_ms >= stats.min_ms >= 0.0
+
+
+def test_error_records_are_not_samples(background_frame):
+    header = tiny_header(5)
+    frames = [background_frame(header, i) for i in range(5)]
+    frames[2].outputs[0][0, 0, 0] = math.nan
+    stats, records, summary = measure_latency(
+        SequenceBackend(header, frames), default_config(),
+        clock=ScriptedClock(dyadic_timeline(5)),
+    )
+    # The clock is still read on the error record, so the corrupt frame's
+    # time (sample 3) is charged to no frame.
+    assert [r.frame_index for r in records] == [0, 1, 3, 4]
+    assert [r.end_to_end_ms for r in records] == [125.0 * k / 128 for k in (1, 2, 4, 5)]
+    assert stats.sample_count == 4
+    assert summary.to_record() == {"frames": 4, "alerts": 0, "errors": 1}
+
+
+def test_warmup_counts_processed_frames_only(background_frame):
+    header = tiny_header(4)
+    frames = [background_frame(header, i) for i in range(4)]
+    frames[0].outputs[1][0, 0, 4] = math.nan
+    _, records, summary = measure_latency(
+        SequenceBackend(header, frames), default_config(), warmup_frames=1
+    )
+    assert [r.frame_index for r in records] == [2, 3]
+    assert summary.error_count == 1
+
+
+def test_stage_latencies_come_from_the_result_record_at_csv_precision(background_frame):
+    header = tiny_header(3)
+    backend = SequenceBackend(header, [background_frame(header, i) for i in range(3)])
+    _, records, _ = measure_latency(backend, default_config())
+    for record in records:
+        for value in record.stages.as_dict().values():
+            assert value == round(value, 6)
+
+
+def test_measure_latency_rejects_a_config_that_does_not_fit_the_stream(background_frame):
+    narrow = TensorStreamHeader(
+        num_classes=2, image_width=320, image_height=320,
+        strides=(8, 16, 32), frame_count=1,
+    )
+    backend = SequenceBackend(narrow, [background_frame(narrow, 0)])
+    with pytest.raises(ConfigError, match="train class id 6"):
+        measure_latency(backend, default_config())
 
 
 # --- reports ---------------------------------------------------------------------------------
@@ -320,7 +367,7 @@ def test_real_clock_records_line_up_with_stage_latencies(background_frame):
 def test_bench_csv_round_trips_through_the_csv_module(tmp_path, background_frame):
     header = tiny_header(3)
     backend = SequenceBackend(header, [background_frame(header, i) for i in range(3)])
-    _, records = measure_latency(
+    _, records, _ = measure_latency(
         backend, default_config(), clock=ScriptedClock(dyadic_timeline(3))
     )
     path = tmp_path / "bench.csv"

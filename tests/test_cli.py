@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from stationwatch import ZoneKind, load_config
+import numpy as np
+
+from stationwatch import ZoneKind, default_config, load_config, save_config
 from stationwatch.cli import main
 from stationwatch.scenario import scenario_to_json
-from stationwatch.tensor_stream import read_header
+from stationwatch.tensor_stream import read_header, read_tensor_stream, write_tensor_stream
 
 
 def run_cli(*argv: str) -> int:
@@ -174,6 +176,85 @@ def test_run_loops_renumber_frames(tmp_path):
     assert json.loads(lines[-1])["frame"] == 299
 
 
+# --- bad inputs: run and bench agree -------------------------------------------
+
+def nan_stream(tmp_path):
+    """The 150-frame empty platform scene with one NaN cell in frame 7."""
+    tensors, _ = simulate(tmp_path, "empty_platform")
+    header, frames = read_tensor_stream(tensors)
+    frames = list(frames)
+    frames[7].outputs[0][0, 0, 4] = np.nan
+    path = tmp_path / "nan.yxt"
+    write_tensor_stream(path, header, frames)
+    return path
+
+
+def truncated_stream(tmp_path):
+    """The empty platform scene with its last frame cut short."""
+    tensors, _ = simulate(tmp_path, "empty_platform")
+    path = tmp_path / "truncated.yxt"
+    path.write_bytes(tensors.read_bytes()[:-100])
+    return path
+
+
+def run_outputs(tmp_path, tensors, *extra):
+    alerts = tmp_path / "alerts.jsonl"
+    results = tmp_path / "results.jsonl"
+    code = run_cli(
+        "run", "--tensors", str(tensors), *extra,
+        "--alerts-out", str(alerts), "--results-out", str(results),
+    )
+    return code, alerts, results
+
+
+def bench_output(tmp_path, tensors, *extra):
+    out_csv = tmp_path / "bench.csv"
+    code = run_cli(
+        "bench", "--tensors", str(tensors), "--power-w", "9.1", *extra,
+        "--out-csv", str(out_csv),
+    )
+    return code, out_csv
+
+
+def last_json(capsys):
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("make_stream", [nan_stream, truncated_stream])
+def test_run_and_bench_exit_1_when_a_frame_is_lost(tmp_path, capsys, make_stream):
+    tensors = make_stream(tmp_path)
+    code, _, results = run_outputs(tmp_path, tensors)
+    assert code == 1
+    assert last_json(capsys) == {"frames": 149, "alerts": 0, "errors": 1}
+    assert len(results.read_text().splitlines()) == 150  # 149 results + 1 error record
+
+    code, out_csv = bench_output(tmp_path, tensors)
+    assert code == 1
+    assert last_json(capsys)["errors"] == 1
+    assert len(out_csv.read_text().splitlines()) == 1 + 149
+
+
+def test_run_and_bench_exit_2_without_outputs_when_a_class_id_does_not_fit(
+    tmp_path, capsys
+):
+    tensors, _ = simulate(tmp_path, "empty_platform")
+    config = default_config()
+    config_path = tmp_path / "config.json"
+    save_config(config, config_path)
+    data = json.loads(config_path.read_text())
+    data["decode"]["train_class_id"] = 20
+    config_path.write_text(json.dumps(data))
+
+    code, alerts, results = run_outputs(tmp_path, tensors, "--config", str(config_path))
+    assert code == 2
+    assert not alerts.exists()
+    assert not results.exists()
+    code, out_csv = bench_output(tmp_path, tensors, "--config", str(config_path))
+    assert code == 2
+    assert not out_csv.exists()
+    assert capsys.readouterr().err.count("train class id 20") == 2
+
+
 # --- bench ----------------------------------------------------------------------
 
 def test_bench_reports_hypothetical_efficiency(tmp_path, capsys):
@@ -188,6 +269,7 @@ def test_bench_reports_hypothetical_efficiency(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["efficiency"] == pytest.approx(0.316, abs=0.001)
     assert summary["power_w"] == 10.737
+    assert summary["errors"] == 0
     assert len(out_csv.read_text().splitlines()) == 151  # header + 150 frames
 
 

@@ -29,6 +29,7 @@ from stationwatch import (
     encode_objects_to_tensors,
     encode_scenario,
     load_config,
+    point_in_zone,
     process_frame,
     run_pipeline,
     save_config,
@@ -191,7 +192,6 @@ def test_person_past_the_line_with_no_train_is_a_caution():
     assert alert.severity is Severity.CAUTION
     assert alert.zone == "yellow-line"
     assert alert.train_state is TrainState.OFF
-    assert alert.est_height_m is None
 
 
 def test_fsm_advances_before_persons_are_evaluated():
@@ -225,6 +225,26 @@ def test_person_on_the_platform_is_logged_not_alerted(caplog):
         result = process_frame(scene_frame(0, (person_obj(PERSON_ON_PLATFORM),)), config, fsm)
     assert result.alerts == ()
     assert any("platform" in record.message for record in caplog.records)
+
+
+def test_monitor_zones_are_tested_only_when_debug_logging_is_on(monkeypatch, caplog):
+    tested: list[str] = []
+
+    def recording_point_in_zone(point, zone):
+        tested.append(zone.name)
+        return point_in_zone(point, zone)
+
+    monkeypatch.setattr("stationwatch.pipeline.point_in_zone", recording_point_in_zone)
+    config = default_config()
+    frame = scene_frame(0, (person_obj(PERSON_ON_PLATFORM),))
+    with caplog.at_level(logging.INFO, logger="stationwatch.pipeline"):
+        process_frame(frame, config, TrainStateMachine(config.fsm))
+    assert tested == ["yellow-line"]
+
+    tested.clear()
+    with caplog.at_level(logging.DEBUG, logger="stationwatch.pipeline"):
+        process_frame(frame, config, TrainStateMachine(config.fsm))
+    assert tested == ["yellow-line", "platform"]
 
 
 def test_person_in_the_track_zone_is_not_an_alert():

@@ -105,8 +105,6 @@ def test_spec_validation():
         ScenarioSpec(0, 320, 320, (actor,))
     with pytest.raises(ScenarioError, match="dimensions"):
         ScenarioSpec(10, 0, 320, (actor,))
-    with pytest.raises(ScenarioError, match="seed"):
-        ScenarioSpec(10, 320, 320, (actor,), seed=-1)
 
 
 # --- encoding ---------------------------------------------------------------------
@@ -247,6 +245,13 @@ def test_crowd_scene_keeps_every_person_on_the_platform():
 def test_scenario_json_round_trip():
     spec = builtin_scenarios()["crossing_during_approach"]
     assert scenario_from_json(scenario_to_json(spec)) == spec
+
+
+def test_old_spec_files_with_a_seed_key_still_load():
+    spec = builtin_scenarios()["crossing_during_approach"]
+    data = scenario_to_json(spec)
+    assert "seed" not in data
+    assert scenario_from_json({**data, "seed": 7}) == spec
 
 
 def test_scenario_from_json_rejects_malformed_input():

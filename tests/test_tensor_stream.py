@@ -17,7 +17,6 @@ from stationwatch import (
     StreamTruncatedError,
     TensorStreamHeader,
     UnsupportedVersionError,
-    playback_backend,
     read_tensor_stream,
     write_tensor_stream,
 )
@@ -259,7 +258,7 @@ def test_playback_iterates_all_frames_in_order(tmp_path):
     path = tmp_path / "play.yxt"
     write_tensor_stream(path, header, frames)
 
-    backend = playback_backend(path)
+    backend = PlaybackBackend(path)
     assert backend.header == header
     assert "play.yxt" in backend.descriptor
     seen = list(backend)
@@ -286,7 +285,7 @@ def test_playback_simulated_delay_paces_frames(tmp_path):
     path = tmp_path / "paced.yxt"
     write_tensor_stream(path, header, random_frames(header))
 
-    backend = playback_backend(path, simulated_delay_ms=20.0)
+    backend = PlaybackBackend(path, simulated_delay_ms=20.0)
     start = time.perf_counter()
     assert len(list(backend)) == 3
     elapsed = time.perf_counter() - start
@@ -298,9 +297,9 @@ def test_playback_rejects_bad_knobs(tmp_path):
     path = tmp_path / "knobs.yxt"
     write_tensor_stream(path, header, random_frames(header))
     with pytest.raises(ValueError, match="loop_count"):
-        playback_backend(path, loop_count=0)
+        PlaybackBackend(path, loop_count=0)
     with pytest.raises(ValueError, match="simulated_delay_ms"):
-        playback_backend(path, simulated_delay_ms=-1.0)
+        PlaybackBackend(path, simulated_delay_ms=-1.0)
 
 
 def test_two_playback_instances_do_not_interfere(tmp_path):
@@ -308,8 +307,8 @@ def test_two_playback_instances_do_not_interfere(tmp_path):
     path = tmp_path / "shared.yxt"
     write_tensor_stream(path, header, random_frames(header))
 
-    first = playback_backend(path)
-    second = playback_backend(path)
+    first = PlaybackBackend(path)
+    second = PlaybackBackend(path)
     assert first.next_frame().frame_index == 0
     assert second.next_frame().frame_index == 0
     assert first.next_frame().frame_index == 1

@@ -21,8 +21,8 @@ from stationwatch import (
 RISK = Zone("track", ZoneKind.RISK, ((0.0, 0.0), (100.0, 0.0), (100.0, 100.0), (0.0, 100.0)))
 
 ABSENT = TrainObservation(present=False)
-MOVING = TrainObservation(present=True, displacement_px=8.0, occupancy=0.4, centroid=(50.0, 50.0))
-STILL = TrainObservation(present=True, displacement_px=0.0, occupancy=0.4, centroid=(50.0, 50.0))
+MOVING = TrainObservation(present=True, displacement_px=8.0, centroid=(50.0, 50.0))
+STILL = TrainObservation(present=True, displacement_px=0.0, centroid=(50.0, 50.0))
 
 ALLOWED = {
     (TrainState.OFF, TrainState.OFF),
@@ -46,7 +46,6 @@ def train(box: BoundingBox) -> Detection:
 def test_observation_of_a_half_covering_train():
     obs = observe_train([train(BoundingBox(0, 0, 50, 100))], RISK)
     assert obs.present
-    assert obs.occupancy == 0.5
     assert obs.displacement_px == 0.0  # first sighting
     assert obs.centroid == (25.0, 50.0)
 
@@ -62,7 +61,6 @@ def test_observation_absent_when_nothing_touches_the_zone():
     assert obs == TrainObservation(present=False)
     far = observe_train([train(BoundingBox(0, 200, 50, 240))], RISK)
     assert not far.present
-    assert far.occupancy == 0.0
     assert far.centroid is None
 
 
@@ -70,7 +68,6 @@ def test_ground_point_on_the_zone_edge_counts_as_present():
     # Zero-height box: no overlap area, but its ground point sits on y=100.
     obs = observe_train([train(BoundingBox(10, 100, 20, 100))], RISK)
     assert obs.present
-    assert obs.occupancy == 0.0
 
 
 def test_largest_box_drives_the_centroid():
@@ -80,10 +77,14 @@ def test_largest_box_drives_the_centroid():
     assert obs.centroid == (50.0, 50.0)
 
 
-def test_occupancy_sums_over_boxes_and_clamps_at_one():
-    full = train(BoundingBox(0, 0, 100, 100))
-    obs = observe_train([full, full], RISK)
-    assert obs.occupancy == 1.0
+def test_any_touching_box_makes_the_train_present_in_either_order():
+    far = train(BoundingBox(0, 200, 300, 240))  # largest box, outside the zone
+    touching = train(BoundingBox(40, 40, 60, 60))
+    for boxes in ([far, touching], [touching, far]):
+        obs = observe_train(boxes, RISK)
+        assert obs.present
+        assert obs.centroid == (150.0, 220.0)
+    assert not observe_train([far, far], RISK).present
 
 
 def test_observe_train_requires_a_risk_zone():
@@ -95,10 +96,6 @@ def test_observe_train_requires_a_risk_zone():
 def test_observation_validation():
     with pytest.raises(ValueError, match="displacement_px"):
         TrainObservation(present=True, displacement_px=-1.0)
-    with pytest.raises(ValueError, match="occupancy"):
-        TrainObservation(present=True, occupancy=1.5)
-    with pytest.raises(ValueError, match="no train"):
-        TrainObservation(present=False, occupancy=0.5)
 
 
 def test_fsm_config_validation():
@@ -148,9 +145,9 @@ def test_pass_through_goes_in_to_out_without_stopping():
 def test_on_state_ends_on_movement_or_absence():
     config = FsmConfig(stationary_eps_px=2.0)
     assert step_fsm(TrainState.ON, STILL, config, FsmCounters())[0] is TrainState.ON
-    slow = TrainObservation(True, 1.999, 0.4, (50.0, 50.0))
+    slow = TrainObservation(True, 1.999, (50.0, 50.0))
     assert step_fsm(TrainState.ON, slow, config, FsmCounters())[0] is TrainState.ON
-    at_eps = TrainObservation(True, 2.0, 0.4, (50.0, 50.0))
+    at_eps = TrainObservation(True, 2.0, (50.0, 50.0))
     assert step_fsm(TrainState.ON, at_eps, config, FsmCounters())[0] is TrainState.OUT
     assert step_fsm(TrainState.ON, ABSENT, config, FsmCounters())[0] is TrainState.OUT
 
@@ -197,7 +194,6 @@ def test_step_fsm_is_a_pure_function():
                 TrainObservation,
                 present=st.just(True),
                 displacement_px=st.floats(min_value=0.0, max_value=20.0),
-                occupancy=st.floats(min_value=0.0, max_value=1.0),
                 centroid=st.just((50.0, 50.0)),
             ),
         ),
