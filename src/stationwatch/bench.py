@@ -215,7 +215,7 @@ def measure_latency(
     config: PipelineConfig,
     warmup_frames: int = 0,
     clock: Callable[[], float] = time.perf_counter,
-) -> tuple[LatencyStats, list[BenchRecord], RunSummary]:
+) -> tuple[LatencyStats | None, list[BenchRecord], RunSummary]:
     """Time full frame cycles of run_pipeline over a backend's stream.
 
     The frames go through run_pipeline itself, so a corrupt frame is
@@ -227,7 +227,9 @@ def measure_latency(
     for n records, so tests can inject a fake clock with a known sample
     sequence. Error records and the first warmup_frames processed frames
     are not samples. Stage latencies are the result record's, rounded to 6
-    decimals as in the bench CSV.
+    decimals as in the bench CSV. When skipped frames leave no sample the
+    stats are None; with no sample and no skipped frame there is nothing
+    to blame but the warmup, and InsufficientSamplesError is raised.
     """
     if warmup_frames < 0:
         raise ValueError(f"warmup_frames must be >= 0, got {warmup_frames}")
@@ -261,12 +263,14 @@ def measure_latency(
             )
 
     summary = run_pipeline(backend, config, result_sink=time_record)
-    if not samples:
-        raise InsufficientSamplesError(
-            f"need at least one measured frame after {warmup_frames} warmup frames, "
-            f"{processed} frames processed"
-        )
-    return LatencyStats.from_samples(samples), records, summary
+    if samples:
+        return LatencyStats.from_samples(samples), records, summary
+    if summary.error_count:
+        return None, records, summary
+    raise InsufficientSamplesError(
+        f"need at least one measured frame after {warmup_frames} warmup frames, "
+        f"{processed} frames processed"
+    )
 
 
 def write_bench_csv(path: str | Path, records: Sequence[BenchRecord]) -> None:
@@ -288,7 +292,7 @@ def write_bench_csv(path: str | Path, records: Sequence[BenchRecord]) -> None:
 
 
 def bench_summary(
-    stats: LatencyStats,
+    stats: LatencyStats | None,
     power_w: float,
     eval_result: EvalResult | None = None,
     accuracy_pct: float | None = None,
@@ -298,21 +302,23 @@ def bench_summary(
 
     accuracy_pct and latency_ms override the measured values so a run can
     be scored with externally supplied numbers; without an accuracy from
-    either source the efficiency is reported as null.
+    either source the efficiency is reported as null. So is the latency
+    when there are no stats (every frame skipped) and no override.
     """
     if accuracy_pct is None and eval_result is not None:
         accuracy_pct = eval_result.accuracy * 100.0
-    effective_latency = latency_ms if latency_ms is not None else stats.mean_ms
+    if latency_ms is None and stats is not None:
+        latency_ms = stats.mean_ms
     efficiency = None
-    if accuracy_pct is not None:
-        efficiency = compute_efficiency(accuracy_pct, effective_latency, power_w)
+    if accuracy_pct is not None and latency_ms is not None:
+        efficiency = compute_efficiency(accuracy_pct, latency_ms, power_w)
     return {
         "accuracy": eval_result.accuracy if eval_result else None,
         "precision": eval_result.precision if eval_result else None,
         "recall": eval_result.recall if eval_result else None,
         "accuracy_pct": accuracy_pct,
-        "latency": stats.to_record(),
-        "latency_ms": effective_latency,
+        "latency": stats.to_record() if stats is not None else None,
+        "latency_ms": latency_ms,
         "power_w": power_w,
         "efficiency": efficiency,
     }

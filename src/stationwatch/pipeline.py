@@ -29,6 +29,7 @@ from .geometry import CameraModel, Zone, ZoneKind, ground_point, point_in_zone
 from .postprocess import (
     DecodeConfig,
     Detection,
+    _round6,
     decode_all,
     detections_to_record,
     filter_class,
@@ -89,8 +90,8 @@ class AlertEvent:
             "zone": self.zone,
             "state": self.train_state.value,
             "severity": self.severity.value,
-            "box": [round(v, 6) for v in self.detection.box.as_list()],
-            "score": round(self.detection.score, 6),
+            "box": [_round6(v) for v in self.detection.box.as_list()],
+            "score": _round6(self.detection.score),
         }
 
 
@@ -294,14 +295,14 @@ def process_frame(
 
     The FSM steps before person evaluation, so alert severities use the
     state the train reached on this very frame. Decode problems raise
-    FrameError carrying the frame index; the caller decides whether the
-    run continues.
+    FrameError carrying the frame index and the decode message, which
+    already names the frame; the caller decides whether the run continues.
     """
     t0 = time.perf_counter()
     try:
         decoded = decode_all(frame, config.decode)
     except (DecodeError, GeometryError) as exc:
-        raise FrameError(frame.frame_index, f"frame {frame.frame_index}: {exc}") from exc
+        raise FrameError(frame.frame_index, str(exc)) from exc
     t1 = time.perf_counter()
 
     detections = nms(decoded, config.decode.nms_iou_threshold).to_list()

@@ -56,23 +56,8 @@ class BoundingBox:
     def center(self) -> tuple[float, float]:
         return (self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0
 
-    def clipped(self, image_width: float, image_height: float) -> "BoundingBox":
-        return _clipped_box(self.x1, self.y1, self.x2, self.y2, image_width, image_height)
-
     def as_list(self) -> list[float]:
         return [self.x1, self.y1, self.x2, self.y2]
-
-
-def _clipped_box(x1, y1, x2, y2, image_width, image_height) -> BoundingBox:
-    # min/max return whichever argument wins, so a coordinate keeps its own
-    # type (np.float64 off the decode) unless a bound replaces it; records
-    # round the two types differently.
-    return BoundingBox(
-        min(max(x1, 0.0), image_width),
-        min(max(y1, 0.0), image_height),
-        min(max(x2, 0.0), image_width),
-        min(max(y2, 0.0), image_height),
-    )
 
 
 @dataclass(frozen=True)
@@ -123,17 +108,12 @@ class Detections:
     """Candidates as one struct-of-arrays batch, from decode through NMS.
 
     Row i is one candidate: `boxes[i]` holds (x1, y1, x2, y2) as float64,
-    `scores[i]` its fused confidence and `class_ids[i]` its label. `clip_to`
-    is the image (width, height) the boxes are clipped to, or None. The clip
-    is applied on use: as arrays by `clipped_boxes`, and per coordinate by
-    `to_list`, so that the built objects are exactly those a per-cell
-    decode would have produced, down to the type of each coordinate.
+    `scores[i]` its fused confidence and `class_ids[i]` its label.
     """
 
     boxes: np.ndarray
     scores: np.ndarray
     class_ids: np.ndarray
-    clip_to: tuple[int, int] | None = None
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -148,23 +128,15 @@ class Detections:
 
     def take(self, rows: np.ndarray) -> "Detections":
         """The batch of the given rows, in the given order."""
-        return Detections(self.boxes[rows], self.scores[rows], self.class_ids[rows], self.clip_to)
-
-    def clipped_boxes(self) -> np.ndarray:
-        if self.clip_to is None:
-            return self.boxes
-        width, height = self.clip_to
-        return np.minimum(np.maximum(self.boxes, 0.0), [width, height, width, height])
+        return Detections(self.boxes[rows], self.scores[rows], self.class_ids[rows])
 
     def to_list(self) -> list[Detection]:
         """One `Detection` per row, in row order."""
-        if self.clip_to is None:
-            boxes = [BoundingBox(*row) for row in self.boxes]
-        else:
-            boxes = [_clipped_box(*row, *self.clip_to) for row in self.boxes]
         return [
-            Detection(box=box, score=score, class_id=class_id)
-            for box, score, class_id in zip(boxes, self.scores.tolist(), self.class_ids.tolist())
+            Detection(box=BoundingBox(*box), score=score, class_id=class_id)
+            for box, score, class_id in zip(
+                self.boxes.tolist(), self.scores.tolist(), self.class_ids.tolist()
+            )
         ]
 
 
@@ -305,7 +277,7 @@ def decode_all(frame: RawTensorSet, config: DecodeConfig) -> Detections:
         expected = (frame.image_height // stride, frame.image_width // stride)
         if frame.image_height % stride or frame.image_width % stride:
             raise GeometryError(
-                f"stride {stride} does not divide image "
+                f"frame {frame.frame_index}: stride {stride} does not divide image "
                 f"{frame.image_width}x{frame.image_height}"
             )
         if tensor.shape[:2] != expected:
@@ -326,10 +298,9 @@ def decode_all(frame: RawTensorSet, config: DecodeConfig) -> Detections:
         )
     except DecodeError as exc:
         raise DecodeError(f"frame {frame.frame_index}, {exc}") from exc
-    return Detections(
-        batch.boxes, batch.scores, batch.class_ids,
-        clip_to=(frame.image_width, frame.image_height),
-    )
+    width, height = frame.image_width, frame.image_height
+    np.minimum(np.maximum(batch.boxes, 0.0), [width, height, width, height], out=batch.boxes)
+    return batch
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -365,7 +336,7 @@ def nms(detections: Detections, iou_threshold: float) -> Detections:
     # Rows: x1, y1, x2, y2, area, class id, input row; columns: the
     # candidates still alive, in visit order.
     live = np.empty((7, len(order)))
-    live[:4] = detections.clipped_boxes()[order].T
+    live[:4] = detections.boxes[order].T
     live[4] = (live[2] - live[0]) * (live[3] - live[1])
     live[5] = detections.class_ids[order]
     live[6] = order

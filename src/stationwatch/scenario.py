@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EncodingCollisionError, ScenarioError
-from .postprocess import BoundingBox, DecodeConfig
+from .postprocess import BoundingBox, DecodeConfig, _round6
 from .tensor_stream import RawTensorSet
 
 _BACKGROUND_LOGIT = -20.0  # sigmoid(-20) ~ 2e-9: dead cell at any sane threshold
@@ -399,7 +399,7 @@ def ground_truth_to_json(frames: Sequence[GroundTruthFrame]) -> dict:
                 "objects": [
                     {
                         "class": obj.class_id,
-                        "box": [round(v, 6) for v in obj.box.as_list()],
+                        "box": [_round6(v) for v in obj.box.as_list()],
                         "actor": obj.actor_id,
                     }
                     for obj in gt.objects

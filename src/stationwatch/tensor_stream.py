@@ -18,6 +18,7 @@ Tensor payloads are channels-last (grid_h, grid_w, channels), row-major.
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 from abc import ABC, abstractmethod
@@ -51,7 +52,6 @@ class TensorStreamHeader:
     image_height: int
     strides: tuple[int, int, int]
     frame_count: int
-    version: int = STREAM_VERSION
 
     def __post_init__(self):
         object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
@@ -88,7 +88,7 @@ class TensorStreamHeader:
     def pack(self) -> bytes:
         return _HEADER.pack(
             MAGIC,
-            self.version,
+            STREAM_VERSION,
             self.num_classes,
             self.image_width,
             self.image_height,
@@ -171,14 +171,16 @@ def write_tensor_stream(
     return len(frames)
 
 
-def _read_exact(fh: BinaryIO, count: int, frame_index: int) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
+def _read_exact(fh: BinaryIO, count: int, frame_index: int, file_size: int) -> bytes:
+    # Checked before reading, so a header that implies a payload larger
+    # than the file never makes the reader allocate it.
+    left = file_size - fh.tell()
+    if count > left:
         raise StreamTruncatedError(
             frame_index,
-            f"stream truncated inside frame {frame_index}: wanted {count} bytes, got {len(buf)}",
+            f"stream truncated inside frame {frame_index}: wanted {count} bytes, got {left}",
         )
-    return buf
+    return fh.read(count)
 
 
 def read_header(path: str | Path) -> TensorStreamHeader:
@@ -202,7 +204,6 @@ def read_header(path: str | Path) -> TensorStreamHeader:
         image_height=height,
         strides=(s0, s1, s2),
         frame_count=frame_count,
-        version=version,
     )
 
 
@@ -219,25 +220,30 @@ def read_tensor_stream(
 
     def frames() -> Iterator[RawTensorSet]:
         with open(path, "rb") as fh:
+            file_size = os.fstat(fh.fileno()).st_size
             fh.seek(_HEADER.size)
             for expected_index in range(header.frame_count):
-                (frame_index,) = _U32.unpack(_read_exact(fh, _U32.size, expected_index))
+                (frame_index,) = _U32.unpack(
+                    _read_exact(fh, _U32.size, expected_index, file_size)
+                )
                 if frame_index != expected_index:
                     raise StreamFormatError(
                         f"frame at position {expected_index} carries index {frame_index}"
                     )
                 outputs = []
                 for level in range(3):
-                    meta = _read_exact(fh, _FRAME_META.size, expected_index)
+                    meta = _read_exact(fh, _FRAME_META.size, expected_index, file_size)
                     grid_h, grid_w, channels = _FRAME_META.unpack(meta)
                     expected_shape = header.grid_shape(level) + (header.channels,)
                     if (grid_h, grid_w, channels) != expected_shape:
-                        raise GeometryError(
+                        raise StreamFormatError(
                             f"frame {frame_index} level {level}: stored shape "
                             f"({grid_h}, {grid_w}, {channels}) does not match header "
                             f"{expected_shape}"
                         )
-                    payload = _read_exact(fh, grid_h * grid_w * channels * 4, expected_index)
+                    payload = _read_exact(
+                        fh, grid_h * grid_w * channels * 4, expected_index, file_size
+                    )
                     arr = np.frombuffer(payload, dtype="<f4").reshape(grid_h, grid_w, channels)
                     outputs.append(arr.copy())
                 yield RawTensorSet(

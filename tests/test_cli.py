@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import numpy as np
 
 from stationwatch import ZoneKind, default_config, load_config, save_config
+from stationwatch.bench import BENCH_CSV_HEADER
 from stationwatch.cli import main
 from stationwatch.scenario import scenario_to_json
 from stationwatch.tensor_stream import read_header, read_tensor_stream, write_tensor_stream
@@ -133,6 +135,27 @@ def test_run_on_the_crossing_scene_raises_critical_alerts(tmp_path):
     assert frames[0] >= 19 and frames[-1] <= 39  # crossing interval +/- 1
 
 
+def test_run_alerts_print_box_and_score_as_their_result_records_do(tmp_path):
+    tensors, _ = simulate(tmp_path)
+    alerts = tmp_path / "alerts.jsonl"
+    results = tmp_path / "results.jsonl"
+    assert run_cli(
+        "run", "--tensors", str(tensors),
+        "--alerts-out", str(alerts), "--results-out", str(results),
+    ) == 0
+    by_frame = {}
+    for line in results.read_text().splitlines():
+        record = json.loads(line)
+        by_frame[record["frame"]] = [
+            json.dumps([d["box"], d["score"]]) for d in record["detections"] if d["class"] == 0
+        ]
+    alert_lines = alerts.read_text().splitlines()
+    assert alert_lines
+    for line in alert_lines:
+        alert = json.loads(line)
+        assert json.dumps([alert["box"], alert["score"]]) in by_frame[alert["frame"]]
+
+
 def test_run_with_an_invalid_config_exits_2_before_writing(tmp_path, capsys):
     tensors, _ = simulate(tmp_path, "empty_platform")
     bad_config = {
@@ -197,6 +220,18 @@ def truncated_stream(tmp_path):
     return path
 
 
+def all_nan_stream(tmp_path):
+    """Three frames of the empty platform scene, each with a NaN objectness cell."""
+    tensors, _ = simulate(tmp_path, "empty_platform")
+    header, frames = read_tensor_stream(tensors)
+    frames = [frame for frame, _ in zip(frames, range(3))]
+    for frame in frames:
+        frame.outputs[0][0, 0, 4] = np.nan
+    path = tmp_path / "all-nan.yxt"
+    write_tensor_stream(path, dataclasses.replace(header, frame_count=3), frames)
+    return path
+
+
 def run_outputs(tmp_path, tensors, *extra):
     alerts = tmp_path / "alerts.jsonl"
     results = tmp_path / "results.jsonl"
@@ -232,6 +267,26 @@ def test_run_and_bench_exit_1_when_a_frame_is_lost(tmp_path, capsys, make_stream
     assert code == 1
     assert last_json(capsys)["errors"] == 1
     assert len(out_csv.read_text().splitlines()) == 1 + 149
+
+
+def test_run_and_bench_exit_1_when_every_frame_is_skipped(tmp_path, capsys):
+    tensors = all_nan_stream(tmp_path)
+    code, alerts, results = run_outputs(tmp_path, tensors)
+    assert code == 1
+    assert last_json(capsys) == {"frames": 0, "alerts": 0, "errors": 3}
+    assert alerts.read_text() == ""
+    assert [json.loads(line) for line in results.read_text().splitlines()] == [
+        {"frame": i, "error": f"frame {i}, level 0: non-finite value at cell (gx=0, gy=0), "
+                              "channel 4"}
+        for i in range(3)
+    ]
+
+    code, out_csv = bench_output(tmp_path, tensors)
+    assert code == 1
+    summary = last_json(capsys)
+    assert summary["errors"] == 3
+    assert summary["latency"] is None and summary["efficiency"] is None
+    assert out_csv.read_text().splitlines() == [",".join(BENCH_CSV_HEADER)]
 
 
 def test_run_and_bench_exit_2_without_outputs_when_a_class_id_does_not_fit(

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 
 from stationwatch import (
+    AlertEvent,
     BoundingBox,
     CameraModel,
     ConfigError,
     DecodeConfig,
+    Detection,
     FrameError,
     FsmConfig,
     GroundTruthFrame,
     GroundTruthObject,
     PipelineConfig,
+    RawTensorSet,
     SequenceBackend,
     Severity,
     SinkWriteError,
@@ -36,6 +39,7 @@ from stationwatch import (
     severity_for,
 )
 from stationwatch.pipeline import config_from_json, config_to_json
+from stationwatch.postprocess import detections_to_record
 from stationwatch.scenario import PERSON_CLASS, TRAIN_CLASS
 
 PERSON_IN_DANGER = BoundingBox(151.0, 80.0, 169.0, 120.0)   # foot (160, 120)
@@ -262,6 +266,69 @@ def test_corrupt_tensor_raises_a_frame_error_with_the_index():
     with pytest.raises(FrameError, match="frame 3") as excinfo:
         process_frame(frame, config, TrainStateMachine(config.fsm))
     assert excinfo.value.frame_index == 3
+
+
+def overflowing(frame):
+    frame.outputs[0][2, 3, :5] = [0.0, 0.0, 1000.0, 0.0, 20.0]
+    frame.outputs[0][2, 3, 5] = 20.0
+    return frame
+
+
+def nan_cell(frame):
+    frame.outputs[1][0, 0, 2] = np.nan
+    return frame
+
+
+def short_grid(frame):
+    return RawTensorSet(3, (frame.outputs[0][:-1],) + frame.outputs[1:], 320, 320)
+
+
+def odd_width(frame):
+    return RawTensorSet(3, frame.outputs, 324, 320)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (nan_cell, "frame 3, level 1: non-finite value at cell (gx=0, gy=0), channel 2"),
+    (overflowing, "frame 3, level 0: box at cell (gx=3, gy=2) overflows: "
+                  "(tx, ty, tw, th) = (0.0, 0.0, 1000.0, 0.0)"),
+    (short_grid, "frame 3 level 0: grid (39, 40) does not match stride 8 over 320x320 "
+                 "(expected (40, 40))"),
+    (odd_width, "frame 3: stride 8 does not divide image 324x320"),
+])
+def test_every_decode_error_names_its_frame_once(corrupt, message):
+    config = default_config()
+    frame = corrupt(scene_frame(3, ()))
+    with pytest.raises(FrameError) as excinfo:
+        process_frame(frame, config, TrainStateMachine(config.fsm))
+    assert str(excinfo.value) == message
+
+
+def test_an_alert_past_the_right_edge_prints_the_box_of_its_result_record():
+    config = default_config()
+    past_edge = BoundingBox(310.0, 80.0, 328.0, 120.0)  # clipped to x2 = 320
+    frame = scene_frame(0, (person_obj(past_edge),))
+    record = process_frame(frame, config, TrainStateMachine(config.fsm)).to_record()
+    (alert,) = record["alerts"]
+    (detection,) = record["detections"]
+    assert json.dumps(alert["box"][2]) == "320.0"
+    assert json.dumps([alert["box"], alert["score"]]) == json.dumps(
+        [detection["box"], detection["score"]]
+    )
+
+
+@pytest.mark.parametrize("number", [np.float64, float])
+def test_alert_records_round_half_way_values_as_result_records_do(number):
+    # Each value lies half-way between two 6-decimal values; numpy's round
+    # of an np.float64 and Python's correctly rounded round() disagree on it.
+    box = BoundingBox(*(number(v) for v in (310.0, 79.9999995, 327.5658395, 120.0)))
+    detection = Detection(box, number(0.8008755), PERSON_CLASS)
+    alert = AlertEvent(0, "yellow-line", TrainState.OFF, Severity.CAUTION, detection)
+    (expected,) = detections_to_record(0, [detection])["detections"]
+    record = alert.to_record()
+    assert json.dumps([record["box"], record["score"]]) == json.dumps(
+        [expected["box"], expected["score"]]
+    )
+    assert json.dumps(record["box"][2]) == "327.565839"
 
 
 def test_frame_result_record_shape():

@@ -195,26 +195,27 @@ def per_cell_decode_head(tensor, stride, conf_threshold):
 
 
 def per_cell_decode_all(frame, config):
+    width, height = frame.image_width, frame.image_height
     return [
-        Detection(det.box.clipped(frame.image_width, frame.image_height), det.score, det.class_id)
+        Detection(
+            BoundingBox(
+                min(max(det.box.x1, 0.0), width),
+                min(max(det.box.y1, 0.0), height),
+                min(max(det.box.x2, 0.0), width),
+                min(max(det.box.y2, 0.0), height),
+            ),
+            det.score,
+            det.class_id,
+        )
         for tensor, stride in zip(frame.outputs, config.strides)
         for det in per_cell_decode_head(tensor, stride, config.conf_threshold)
     ]
 
 
 def assert_same_detections(got, want):
-    """Equal field by field, and each coordinate of the same type.
-
-    Alert records round coordinates with round(), whose result depends on
-    the type: numpy rounds np.float64 differently from Python's float, and
-    an int image edge prints without a decimal point.
-    """
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.class_id == b.class_id and type(a.class_id) is type(b.class_id)
-        assert a.score == b.score and type(a.score) is type(b.score)
-        for x, y in zip(a.box.as_list(), b.box.as_list()):
-            assert x == y and type(x) is type(y)
+    """Equal field by field, and printed the same in a record."""
+    assert got == want
+    assert detections_to_record(0, got) == detections_to_record(0, want)
 
 
 conf_thresholds = st.one_of(
@@ -254,8 +255,8 @@ def test_batch_decode_head_equals_the_per_cell_decode(data, conf_threshold, stri
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), conf_threshold=conf_thresholds)
 def test_batch_decode_all_equals_the_per_cell_decode(data, conf_threshold):
-    # Offsets and sizes push boxes past every image edge, so clipping and
-    # the types it leaves behind are exercised.
+    # Offsets and sizes push boxes past every image edge, so clipping is
+    # exercised.
     offsets = st.floats(min_value=-4.0, max_value=4.0, width=32)
     channels = data.draw(st.integers(6, 9))
     outputs = []
@@ -553,7 +554,7 @@ def test_nms_on_a_fully_live_frame_is_greedy_in_bounded_memory():
     # Greedy characterisation: walking the candidates in visit order, each
     # one is kept exactly when no kept candidate of its class before it
     # overlaps it with IoU above the threshold.
-    boxes = candidates.clipped_boxes()
+    boxes = candidates.boxes
     order = np.lexsort((candidates.class_ids, -candidates.scores))
     kept_boxes = np.empty((len(kept), 4))
     kept_classes = np.empty(len(kept), dtype=np.int64)

@@ -158,7 +158,7 @@ def test_truncation_at_a_frame_boundary_still_reports_the_frame(tmp_path):
     assert excinfo.value.frame_index == 1
 
 
-def test_corrupted_stored_grid_shape_is_a_geometry_error(tmp_path):
+def test_corrupted_stored_grid_shape_is_a_stream_format_error(tmp_path):
     header = small_header(1)
     path = tmp_path / "warped.yxt"
     write_tensor_stream(path, header, random_frames(header))
@@ -168,8 +168,26 @@ def test_corrupted_stored_grid_shape_is_a_geometry_error(tmp_path):
     path.write_bytes(bytes(raw))
 
     _, reader = read_tensor_stream(path)
-    with pytest.raises(GeometryError, match="does not match header"):
+    with pytest.raises(StreamFormatError, match="does not match header"):
         next(reader)
+
+
+def test_payload_larger_than_the_file_is_truncation_not_an_allocation(tmp_path):
+    # 200,000,000 classes on a 32x32 image: the first level alone declares a
+    # 12.8 GB payload, in a file of 116 bytes.
+    header = TensorStreamHeader(
+        num_classes=200_000_000, image_width=32, image_height=32,
+        strides=(8, 16, 32), frame_count=1,
+    )
+    raw = header.pack() + struct.pack("<4I", 0, 4, 4, header.channels) + bytes(64)
+    assert len(raw) == 116
+    path = tmp_path / "huge.yxt"
+    path.write_bytes(raw)
+
+    _, reader = read_tensor_stream(path)
+    with pytest.raises(StreamTruncatedError, match="frame 0") as excinfo:
+        next(reader)
+    assert excinfo.value.frame_index == 0
 
 
 def test_corrupted_frame_index_is_rejected(tmp_path):
@@ -350,3 +368,39 @@ def test_round_trip_property_over_random_geometries(
     assert len(restored) == frame_count
     for a, b in zip(frames, restored):
         assert all(np.array_equal(x, y) for x, y in zip(a.outputs, b.outputs))
+
+
+u32s = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 8, 16, 32, 64, 200_000_000, 2**31, 2**32 - 1]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_damaged_stream_gives_frames_or_a_stream_format_error(tmp_path_factory, data):
+    header = TensorStreamHeader(
+        num_classes=data.draw(st.integers(1, 3)),
+        image_width=32 * data.draw(st.integers(1, 2)),
+        image_height=32,
+        strides=(8, 16, 32),
+        frame_count=data.draw(st.integers(0, 2)),
+    )
+    path = tmp_path_factory.mktemp("damaged") / "stream.yxt"
+    write_tensor_stream(path, header, random_frames(header))
+    raw = bytearray(path.read_bytes())
+    overwrites = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
+    for offset, value in data.draw(st.lists(overwrites, max_size=4)):
+        raw[offset] = value
+    # Header fields after the magic: version, num_classes, width, height,
+    # three strides, frame_count.
+    for field_index in data.draw(st.lists(st.integers(1, 8), max_size=3)):
+        struct.pack_into("<I", raw, 4 * field_index, data.draw(u32s))
+    path.write_bytes(bytes(raw[: data.draw(st.integers(0, len(raw)))]))
+
+    try:
+        restored_header, reader = read_tensor_stream(path)
+        restored = list(reader)
+    except StreamFormatError:
+        return
+    assert len(restored) == restored_header.frame_count
