@@ -1,0 +1,153 @@
+"""Slow, plainly correct references for the frame path, shared by the tests.
+
+Each reference is written for obviousness, not speed: the per-cell decode
+scores every cell and builds one `Detection` per kept cell, the NMS scans
+every kept pair explicitly, and `reference_frame_records` chains them with
+the train state machine and a hand-written ground point into the records
+the pipeline should emit for one frame.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from stationwatch import BoundingBox, Detection, ZoneKind, point_in_polygon
+
+
+def cell_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def per_cell_decode_head(tensor, stride, conf_threshold):
+    """Oracle: the decode as it was before candidates were batched.
+
+    Scores every cell of the tensor, then builds one Detection per cell
+    that reaches the threshold, in row-major order.
+    """
+    arr = np.asarray(tensor).astype(np.float64)
+    obj = cell_sigmoid(arr[..., 4])
+    class_logits = arr[..., 5:]
+    class_ids = np.argmax(class_logits, axis=-1)
+    scores = obj * cell_sigmoid(np.max(class_logits, axis=-1))
+    keep_rows, keep_cols = np.nonzero(scores >= conf_threshold)
+    detections = []
+    for gy, gx in zip(keep_rows, keep_cols):
+        tx, ty, tw, th = arr[gy, gx, 0:4]
+        cx = (gx + tx) * stride
+        cy = (gy + ty) * stride
+        w = math.exp(tw) * stride
+        h = math.exp(th) * stride
+        detections.append(
+            Detection(
+                box=BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
+                score=float(scores[gy, gx]),
+                class_id=int(class_ids[gy, gx]),
+            )
+        )
+    return detections
+
+
+def per_cell_decode_all(frame, config):
+    width, height = frame.image_width, frame.image_height
+    return [
+        Detection(
+            BoundingBox(
+                min(max(det.box.x1, 0.0), width),
+                min(max(det.box.y1, 0.0), height),
+                min(max(det.box.x2, 0.0), width),
+                min(max(det.box.y2, 0.0), height),
+            ),
+            det.score,
+            det.class_id,
+        )
+        for tensor, stride in zip(frame.outputs, config.strides)
+        for det in per_cell_decode_head(tensor, stride, config.conf_threshold)
+    ]
+
+
+def brute_force_nms(dets, threshold):
+    """Independent reference: explicit visit order, explicit pair scan."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].class_id, i))
+    kept = []
+    for i in order:
+        ok = True
+        for j in kept:
+            if dets[j].class_id != dets[i].class_id:
+                continue
+            a, b = dets[j].box, dets[i].box
+            iw = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
+            ih = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+            inter = iw * ih
+            union = a.area() + b.area() - inter
+            overlap = inter / union if union > 0 else 0.0
+            if overlap > threshold:
+                ok = False
+                break
+        if ok:
+            kept.append(i)
+    return [dets[i] for i in kept]
+
+
+class Rejected(Exception):
+    """The reference cannot decode the frame, so the pipeline must skip it."""
+
+
+def _printed(value):
+    return round(float(value), 6)
+
+
+def reference_frame_records(frame, config, fsm):
+    """The result record (without `latency_ms`) and alert records of one frame.
+
+    Raises Rejected when a head value is not finite or a kept cell's box
+    does not fit in a float; `fsm` is then left as it was. Otherwise `fsm`
+    advances on the frame's train rows, as the pipeline's machine does.
+    """
+    for tensor in frame.outputs:
+        if not np.isfinite(tensor).all():
+            raise Rejected("non-finite head value")
+    try:
+        candidates = per_cell_decode_all(frame, config.decode)
+    except (OverflowError, ValueError) as exc:  # math.exp, or a non-finite corner
+        raise Rejected(str(exc)) from exc
+    kept = brute_force_nms(candidates, config.decode.nms_iou_threshold)
+
+    trains = [d for d in kept if d.class_id == config.decode.train_class_id]
+    _, state, _ = fsm.observe_and_step(trains, config.risk_zone)
+
+    alerts = []
+    for det in kept:
+        if det.class_id != config.decode.person_class_id:
+            continue
+        foot_x, foot_y = (det.box.x1 + det.box.x2) / 2.0, det.box.y2
+        for zone in config.zones:
+            if zone.kind is ZoneKind.DANGER and point_in_polygon(foot_x, foot_y, zone.polygon):
+                alerts.append({
+                    "frame": frame.frame_index,
+                    "zone": zone.name,
+                    "state": state.value,
+                    "severity": config.severity_table[(state, ZoneKind.DANGER)].value,
+                    "box": [_printed(v) for v in det.box.as_list()],
+                    "score": _printed(det.score),
+                })
+    result = {
+        "frame": frame.frame_index,
+        "detections": [
+            {
+                "box": [_printed(v) for v in det.box.as_list()],
+                "score": _printed(det.score),
+                "class": det.class_id,
+            }
+            for det in kept
+        ],
+        "state": state.value,
+        "alerts": alerts,
+    }
+    return result, alerts

@@ -28,6 +28,8 @@ from stationwatch.postprocess import (
     detections_to_record,
 )
 
+from reference import brute_force_nms, cell_sigmoid, per_cell_decode_all, per_cell_decode_head
+
 
 def blank_grid(grid_h: int, grid_w: int, channels: int = 6) -> np.ndarray:
     grid = np.zeros((grid_h, grid_w, channels), dtype=np.float32)
@@ -156,62 +158,6 @@ def test_size_terms_of_cells_below_the_threshold_are_never_evaluated():
 
 # --- batch decode against the per-cell decode ---------------------------------
 
-def _cell_sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def per_cell_decode_head(tensor, stride, conf_threshold):
-    """Oracle: the decode as it was before candidates were batched.
-
-    Scores every cell of the tensor, then builds one Detection per cell
-    that reaches the threshold, in row-major order.
-    """
-    arr = np.asarray(tensor).astype(np.float64)
-    obj = _cell_sigmoid(arr[..., 4])
-    class_logits = arr[..., 5:]
-    class_ids = np.argmax(class_logits, axis=-1)
-    scores = obj * _cell_sigmoid(np.max(class_logits, axis=-1))
-    keep_rows, keep_cols = np.nonzero(scores >= conf_threshold)
-    detections = []
-    for gy, gx in zip(keep_rows, keep_cols):
-        tx, ty, tw, th = arr[gy, gx, 0:4]
-        cx = (gx + tx) * stride
-        cy = (gy + ty) * stride
-        w = math.exp(tw) * stride
-        h = math.exp(th) * stride
-        detections.append(
-            Detection(
-                box=BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
-                score=float(scores[gy, gx]),
-                class_id=int(class_ids[gy, gx]),
-            )
-        )
-    return detections
-
-
-def per_cell_decode_all(frame, config):
-    width, height = frame.image_width, frame.image_height
-    return [
-        Detection(
-            BoundingBox(
-                min(max(det.box.x1, 0.0), width),
-                min(max(det.box.y1, 0.0), height),
-                min(max(det.box.x2, 0.0), width),
-                min(max(det.box.y2, 0.0), height),
-            ),
-            det.score,
-            det.class_id,
-        )
-        for tensor, stride in zip(frame.outputs, config.strides)
-        for det in per_cell_decode_head(tensor, stride, config.conf_threshold)
-    ]
-
-
 def assert_same_detections(got, want):
     """Equal field by field, and printed the same in a record."""
     assert got == want
@@ -280,7 +226,7 @@ def test_objectness_cutoff_at_the_ends_of_the_threshold_range():
     # from a logit of about 36.7, so the cut-off must stay finite below it.
     cutoff = _objectness_cutoff(1.0)
     assert 30.0 < cutoff < 36.0
-    assert _cell_sigmoid(np.array([cutoff]))[0] < 1.0
+    assert cell_sigmoid(np.array([cutoff]))[0] < 1.0
 
 
 def test_threshold_zero_keeps_every_cell_and_one_keeps_saturated_cells():
@@ -381,29 +327,6 @@ def test_iou_of_a_box_with_itself_is_one_or_zero(a):
 
 
 # --- NMS --------------------------------------------------------------------
-
-def brute_force_nms(dets, threshold):
-    """Independent reference: explicit visit order, explicit pair scan."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, dets[i].class_id, i))
-    kept = []
-    for i in order:
-        ok = True
-        for j in kept:
-            if dets[j].class_id != dets[i].class_id:
-                continue
-            a, b = dets[j].box, dets[i].box
-            iw = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-            ih = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-            inter = iw * ih
-            union = a.area() + b.area() - inter
-            overlap = inter / union if union > 0 else 0.0
-            if overlap > threshold:
-                ok = False
-                break
-        if ok:
-            kept.append(i)
-    return [dets[i] for i in kept]
-
 
 def test_nms_suppresses_within_a_class_only():
     a = Detection(BoundingBox(0, 0, 10, 10), 0.9, 0)
