@@ -59,7 +59,6 @@ from .pipeline import (
     process_frame,
     run_pipeline,
     save_config,
-    severity_for,
 )
 from .postprocess import (
     BoundingBox,
@@ -68,7 +67,6 @@ from .postprocess import (
     Detections,
     decode_all,
     decode_head,
-    filter_class,
     iou,
     nms,
 )

@@ -11,7 +11,8 @@ Five working commands plus one meta-command:
 
 Exit codes: 0 success, 1 runtime failure (including a `run` or `bench`
 that skipped a corrupt frame or met a stream ending early), 2 invalid
-arguments or configuration, 3 acceptance failure. Logs go to stderr; data
+arguments, configuration or input file (a malformed spec, ground-truth or
+prediction file), 3 acceptance failure. Logs go to stderr; data
 goes to the requested files or stdout. Commands validate their inputs
 before creating any output file, so an exit-2 failure never leaves
 partial outputs.
@@ -171,14 +172,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     predictions = []
     with open(args.pred, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if "detections" not in record:
-                continue  # tolerate error records interleaved in results files
-            predictions.append(detections_from_record(record))
+            try:
+                record = json.loads(line)
+                if "detections" not in record:
+                    continue  # tolerate error records interleaved in results files
+                predictions.append(detections_from_record(record))
+            except (KeyError, TypeError, ValueError) as exc:
+                reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                print(f"evaluate: malformed prediction record at line {number}: {reason}",
+                      file=sys.stderr)
+                return EXIT_USAGE
     with open(args.gt, "r", encoding="utf-8") as fh:
         ground_truth = ground_truth_from_json(json.load(fh))
     result = evaluate_run(

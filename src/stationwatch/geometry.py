@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .postprocess import BoundingBox, Detection
+from .postprocess import BoundingBox
 
 _EDGE_EPS = 1e-9
 
@@ -144,10 +144,10 @@ class Zone:
             raise ValueError(f"zone '{self.name}': polygon is self-intersecting")
 
 
-def ground_point(detection: Detection) -> GroundPoint:
-    """Bottom-centre of the detection box: where the subject stands."""
-    box = detection.box
-    return GroundPoint((box.x1 + box.x2) / 2.0, box.y2)
+def ground_point(box: Sequence[float]) -> GroundPoint:
+    """Bottom-centre of an (x1, y1, x2, y2) box: where the subject stands."""
+    x1, _, x2, y2 = box
+    return GroundPoint((x1 + x2) / 2.0, y2)
 
 
 def _on_edge(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:

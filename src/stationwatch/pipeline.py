@@ -26,15 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, DecodeError, FrameError, GeometryError, SinkWriteError
 from .geometry import CameraModel, Zone, ZoneKind, ground_point, point_in_zone
-from .postprocess import (
-    DecodeConfig,
-    Detection,
-    _round6,
-    decode_all,
-    detections_to_record,
-    filter_class,
-    nms,
-)
+from .postprocess import DecodeConfig, Detections, _round6, decode_all, detections_to_record, nms
 from .scenario import PLATFORM_POLYGON, TRACK_POLYGON, YELLOW_LINE_POLYGON
 from .tensor_stream import InferenceBackend, RawTensorSet
 from .train_fsm import FsmConfig, TrainState, TrainStateMachine
@@ -61,28 +53,20 @@ DEFAULT_SEVERITY_TABLE: dict[tuple[TrainState, ZoneKind], Severity] = {
 }
 
 
-def severity_for(
-    state: TrainState,
-    zone_kind: ZoneKind,
-    table: Mapping[tuple[TrainState, ZoneKind], Severity] | None = None,
-) -> Severity | None:
-    """Alert severity for a person in a zone, or None when no alert is due."""
-    if table is None:
-        table = DEFAULT_SEVERITY_TABLE
-    if zone_kind is not ZoneKind.DANGER:
-        return None
-    return table[(state, zone_kind)]
-
-
 @dataclass(frozen=True)
 class AlertEvent:
-    """One person past the line in one zone on one frame."""
+    """One person past the line in one zone on one frame.
+
+    `box` (x1, y1, x2, y2) and `score` are the person's row of the frame's
+    detections, rounded here as the result record rounds them.
+    """
 
     frame_index: int
     zone: str
     train_state: TrainState
     severity: Severity
-    detection: Detection
+    box: Sequence[float]
+    score: float
 
     def to_record(self) -> dict:
         return {
@@ -90,8 +74,8 @@ class AlertEvent:
             "zone": self.zone,
             "state": self.train_state.value,
             "severity": self.severity.value,
-            "box": [_round6(v) for v in self.detection.box.as_list()],
-            "score": _round6(self.detection.score),
+            "box": [_round6(v) for v in self.box],
+            "score": _round6(self.score),
         }
 
 
@@ -119,7 +103,7 @@ class StageLatencies:
 @dataclass(frozen=True)
 class FrameResult:
     frame_index: int
-    detections: tuple[Detection, ...]
+    detections: Detections
     train_state: TrainState
     alerts: tuple[AlertEvent, ...]
     latency: StageLatencies
@@ -305,33 +289,27 @@ def process_frame(
         raise FrameError(frame.frame_index, str(exc)) from exc
     t1 = time.perf_counter()
 
-    detections = nms(decoded, config.decode.nms_iou_threshold).to_list()
+    detections = nms(decoded, config.decode.nms_iou_threshold)
     t2 = time.perf_counter()
 
-    trains = filter_class(detections, config.decode.train_class_id)
+    # Only the few train rows become Detection objects, for the FSM.
+    trains = detections.take(detections.class_ids == config.decode.train_class_id).to_list()
     _, state, _ = fsm.observe_and_step(trains, config.risk_zone)
     t3 = time.perf_counter()
 
-    persons = filter_class(detections, config.decode.person_class_id)
+    severity = config.severity_table[(state, ZoneKind.DANGER)]
     danger_zones = config.danger_zones
     # MONITOR zones only feed a debug log, so they are tested only when it is on.
     monitor_zones = config.monitor_zones if logger.isEnabledFor(logging.DEBUG) else ()
+    persons = detections.take(detections.class_ids == config.decode.person_class_id)
     alerts: list[AlertEvent] = []
-    for person in persons:
-        foot = ground_point(person)
+    for box, score in zip(persons.boxes.tolist(), persons.scores.tolist()):
+        foot = ground_point(box)
         for zone in danger_zones:
             if point_in_zone(foot, zone):
-                severity = severity_for(state, zone.kind, config.severity_table)
-                if severity is not None:
-                    alerts.append(
-                        AlertEvent(
-                            frame_index=frame.frame_index,
-                            zone=zone.name,
-                            train_state=state,
-                            severity=severity,
-                            detection=person,
-                        )
-                    )
+                alerts.append(
+                    AlertEvent(frame.frame_index, zone.name, state, severity, box, score)
+                )
         for zone in monitor_zones:
             if point_in_zone(foot, zone):
                 logger.debug(
@@ -341,7 +319,7 @@ def process_frame(
 
     return FrameResult(
         frame_index=frame.frame_index,
-        detections=tuple(detections),
+        detections=detections,
         train_state=state,
         alerts=tuple(alerts),
         latency=StageLatencies(

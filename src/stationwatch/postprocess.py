@@ -3,16 +3,16 @@
 Turns raw per-stride grid tensors into scored, class-labelled boxes:
 grid decode with exponential size terms, objectness/class score fusion,
 confidence filtering, and class-aware greedy NMS. Candidates travel from
-decode through NMS as one `Detections` batch of numpy arrays; `Detection`
-objects are built only for the rows NMS keeps. Everything here is a pure
-function; decoding the same tensors twice gives identical results.
+decode through NMS to the result record as one `Detections` batch of
+numpy arrays. Everything here is a pure function; decoding the same
+tensors twice gives identical results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class DecodeConfig:
 
 @dataclass(frozen=True, eq=False)
 class Detections:
-    """Candidates as one struct-of-arrays batch, from decode through NMS.
+    """Candidates as one struct-of-arrays batch, from decode to the records.
 
     Row i is one candidate: `boxes[i]` holds (x1, y1, x2, y2) as float64,
     `scores[i]` its fused confidence and `class_ids[i]` its label.
@@ -127,7 +127,7 @@ class Detections:
         )
 
     def take(self, rows: np.ndarray) -> "Detections":
-        """The batch of the given rows, in the given order."""
+        """The batch of the given rows: indices, in their order, or a boolean mask."""
         return Detections(self.boxes[rows], self.scores[rows], self.class_ids[rows])
 
     def to_list(self) -> list[Detection]:
@@ -274,22 +274,22 @@ def decode_all(frame: RawTensorSet, config: DecodeConfig) -> Detections:
     """
     levels = []
     for level, (tensor, stride) in enumerate(zip(frame.outputs, config.strides)):
+        where = f"frame {frame.frame_index}, level {level}: "
         expected = (frame.image_height // stride, frame.image_width // stride)
         if frame.image_height % stride or frame.image_width % stride:
             raise GeometryError(
-                f"frame {frame.frame_index}: stride {stride} does not divide image "
+                f"{where}stride {stride} does not divide image "
                 f"{frame.image_width}x{frame.image_height}"
             )
         if tensor.shape[:2] != expected:
             raise GeometryError(
-                f"frame {frame.frame_index} level {level}: grid {tensor.shape[:2]} "
-                f"does not match stride {stride} over "
+                f"{where}grid {tensor.shape[:2]} does not match stride {stride} over "
                 f"{frame.image_width}x{frame.image_height} (expected {expected})"
             )
         try:
             levels.append(_candidate_cells(tensor, stride, config.conf_threshold))
         except DecodeError as exc:
-            raise DecodeError(f"frame {frame.frame_index}, level {level}: {exc}") from exc
+            raise DecodeError(f"{where}{exc}") from exc
     sizes = [len(cells) for _, _, cells in levels]
     gy, gx, cells = (np.concatenate(parts) for parts in zip(*levels))
     try:
@@ -358,26 +358,21 @@ def nms(detections: Detections, iou_threshold: float) -> Detections:
     return detections.take(np.array(kept, dtype=np.intp))
 
 
-def filter_class(detections: Iterable[Detection], class_id: int) -> list[Detection]:
-    """Detections of one class, input order preserved."""
-    return [d for d in detections if d.class_id == class_id]
-
-
 def _round6(value: float) -> float:
     return round(float(value), 6)
 
 
-def detections_to_record(frame_index: int, detections: Sequence[Detection]) -> dict:
+def detections_to_record(frame_index: int, detections: Detections) -> dict:
     """JSON-serializable per-frame record; floats rounded to 6 decimals."""
     return {
         "frame": frame_index,
         "detections": [
-            {
-                "box": [_round6(v) for v in det.box.as_list()],
-                "score": _round6(det.score),
-                "class": det.class_id,
-            }
-            for det in detections
+            {"box": [_round6(v) for v in box], "score": _round6(score), "class": class_id}
+            for box, score, class_id in zip(
+                detections.boxes.tolist(),
+                detections.scores.tolist(),
+                detections.class_ids.tolist(),
+            )
         ],
     }
 

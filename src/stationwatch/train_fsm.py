@@ -96,7 +96,7 @@ def observe_train(
 
     present = any(
         box_zone_overlap_area(det.box, risk_zone) > 0.0
-        or point_in_zone(ground_point(det), risk_zone)
+        or point_in_zone(ground_point(det.box.as_list()), risk_zone)
         for det in detections
     )
     if not present:

@@ -402,6 +402,35 @@ def test_evaluate_an_empty_prediction_stream_scores_zero(tmp_path, capsys):
     assert record["fn"] > 0
 
 
+GOOD_PREDICTION = {
+    "frame": 0, "detections": [{"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": 0}],
+}
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('{"frame": 1, "detections": [{"box": [1.0, 2.0], "score": 0.9, "class": 0}]}',
+     "missing 2 required positional arguments"),
+    ('{"frame": 1, "detections": [{"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9}]}',
+     "missing key 'class'"),
+    ('{"frame": 1, "detections": [{"box": [5.0, 2.0, 1.0, 4.0], "score": 0.9, "class": 0}]}',
+     "box corners out of order"),
+    ('{"frame": 1, "detections": [', "Expecting value"),
+], ids=["two_coordinates", "no_class", "corners_out_of_order", "not_json"])
+def test_evaluate_reports_a_malformed_prediction_record_in_one_line(
+    tmp_path, capsys, line, reason
+):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps(GOOD_PREDICTION) + "\n\n" + line + "\n")
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps({"frames": [{"frame": i, "objects": []} for i in range(2)]}))
+    assert run_cli("evaluate", "--pred", str(pred), "--gt", str(gt)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (message,) = captured.err.splitlines()
+    assert message.startswith("evaluate: malformed prediction record at line 3: ")
+    assert reason in message
+
+
 # --- default-config and verify -----------------------------------------------------
 
 def test_default_config_output_loads_back(tmp_path, capsys):

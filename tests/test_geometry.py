@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stationwatch import (
     BoundingBox,
     CameraModel,
-    Detection,
     GroundPoint,
     Zone,
     ZoneKind,
@@ -172,9 +171,9 @@ def test_membership_is_invariant_under_vertex_rotation_and_reversal(
 
 def test_point_in_zone_and_ground_point():
     zone = Zone("test", ZoneKind.DANGER, SQUARE)
-    det = Detection(BoundingBox(1.0, 0.0, 3.0, 4.0), 0.9, 0)
-    foot = ground_point(det)
+    foot = ground_point([1.0, 0.0, 3.0, 4.0])
     assert foot == GroundPoint(2.0, 4.0)
+    assert ground_point((1.0, 0.0, 3.0, 4.0)) == foot
     assert point_in_zone(foot, zone)  # bottom edge of the zone, inclusive
     assert not point_in_zone(GroundPoint(2.0, 4.1), zone)
 

@@ -36,10 +36,9 @@ from stationwatch import (
     process_frame,
     run_pipeline,
     save_config,
-    severity_for,
 )
-from stationwatch.pipeline import config_from_json, config_to_json
-from stationwatch.postprocess import detections_to_record
+from stationwatch.pipeline import DEFAULT_SEVERITY_TABLE, config_from_json, config_to_json
+from stationwatch.postprocess import Detections, detections_to_record
 from stationwatch.scenario import PERSON_CLASS, TRAIN_CLASS
 
 PERSON_IN_DANGER = BoundingBox(151.0, 80.0, 169.0, 120.0)   # foot (160, 120)
@@ -70,16 +69,39 @@ def train_obj(box: BoundingBox, actor_id: int = 1) -> GroundTruthObject:
 # --- severity table ----------------------------------------------------------------
 
 def test_severity_grading_by_train_state():
-    assert severity_for(TrainState.IN, ZoneKind.DANGER) is Severity.CRITICAL
-    assert severity_for(TrainState.ON, ZoneKind.DANGER) is Severity.WARNING
-    assert severity_for(TrainState.OUT, ZoneKind.DANGER) is Severity.WARNING
-    assert severity_for(TrainState.OFF, ZoneKind.DANGER) is Severity.CAUTION
+    assert DEFAULT_SEVERITY_TABLE == {
+        (TrainState.IN, ZoneKind.DANGER): Severity.CRITICAL,
+        (TrainState.ON, ZoneKind.DANGER): Severity.WARNING,
+        (TrainState.OUT, ZoneKind.DANGER): Severity.WARNING,
+        (TrainState.OFF, ZoneKind.DANGER): Severity.CAUTION,
+    }
+    assert default_config().severity_table == DEFAULT_SEVERITY_TABLE
 
 
 def test_only_danger_zones_ever_alert():
-    for state in TrainState:
-        assert severity_for(state, ZoneKind.RISK) is None
-        assert severity_for(state, ZoneKind.MONITOR) is None
+    # Persons in the track (RISK) and platform (MONITOR) zones never alert;
+    # the one past the line alerts in every train state, graded by the table.
+    base = default_config()
+    config = PipelineConfig(
+        decode=base.decode, zones=base.zones, camera=base.camera,
+        fsm=FsmConfig(confirm_frames=1),
+    )
+    fsm = TrainStateMachine(config.fsm)
+    persons = tuple(
+        person_obj(box)
+        for box in (PERSON_IN_DANGER, BoundingBox(151.0, 20.0, 169.0, 60.0), PERSON_ON_PLATFORM)
+    )
+    trains = [(train_obj(TRAIN_IN_TRACK),)] * 2 + [()] * 2
+    graded = []
+    for index, train in enumerate(trains):
+        result = process_frame(scene_frame(index, persons + train), config, fsm)
+        graded.append((result.train_state, [(a.zone, a.severity) for a in result.alerts]))
+    assert graded == [
+        (TrainState.IN, [("yellow-line", Severity.CRITICAL)]),
+        (TrainState.ON, [("yellow-line", Severity.WARNING)]),
+        (TrainState.OUT, [("yellow-line", Severity.WARNING)]),
+        (TrainState.OFF, [("yellow-line", Severity.CAUTION)]),
+    ]
 
 
 # --- config ------------------------------------------------------------------------
@@ -152,9 +174,7 @@ def test_config_json_round_trip_keeps_a_custom_severity_table():
     )
     restored = config_from_json(json.loads(json.dumps(config_to_json(config))))
     assert restored.severity_table == table
-    assert severity_for(TrainState.OFF, ZoneKind.DANGER, restored.severity_table) is (
-        Severity.WARNING
-    )
+    assert restored.severity_table[(TrainState.OFF, ZoneKind.DANGER)] is Severity.WARNING
 
 
 def test_config_without_a_severity_table_gets_the_default():
@@ -220,6 +240,28 @@ def test_alert_severity_downgrades_when_the_train_is_confirmed_stopped():
     # 5 frames approaching (the still count confirms on the 6th frame), then ON.
     assert severities == [[Severity.CRITICAL]] * 5 + [[Severity.WARNING]]
     assert fsm.state is TrainState.ON
+
+
+def test_process_frame_builds_a_detection_only_for_the_train(monkeypatch):
+    import stationwatch.postprocess as postprocess
+
+    built: list[int] = []
+
+    class CountedDetection(postprocess.Detection):
+        def __post_init__(self):
+            built.append(self.class_id)
+            super().__post_init__()
+
+    monkeypatch.setattr(postprocess, "Detection", CountedDetection)
+    config = default_config()
+    persons = tuple(
+        person_obj(BoundingBox(x, 80.0, x + 18.0, 120.0)) for x in (20.0, 120.0, 220.0)
+    )
+    frame = scene_frame(0, persons + (train_obj(TRAIN_IN_TRACK),))
+    result = process_frame(frame, config, TrainStateMachine(config.fsm))
+    assert len(result.detections) == 4
+    assert len(result.alerts) == 3
+    assert built == [TRAIN_CLASS]
 
 
 def test_person_on_the_platform_is_logged_not_alerted(caplog):
@@ -291,9 +333,10 @@ def odd_width(frame):
     (nan_cell, "frame 3, level 1: non-finite value at cell (gx=0, gy=0), channel 2"),
     (overflowing, "frame 3, level 0: box at cell (gx=3, gy=2) overflows: "
                   "(tx, ty, tw, th) = (0.0, 0.0, 1000.0, 0.0)"),
-    (short_grid, "frame 3 level 0: grid (39, 40) does not match stride 8 over 320x320 "
-                 "(expected (40, 40))"),
-    (odd_width, "frame 3: stride 8 does not divide image 324x320"),
+    pytest.param(short_grid, "frame 3, level 0: grid (39, 40) does not match stride 8 over "
+                             "320x320 (expected (40, 40))", id="short_grid"),
+    pytest.param(odd_width, "frame 3, level 0: stride 8 does not divide image 324x320",
+                 id="odd_width"),
 ])
 def test_every_decode_error_names_its_frame_once(corrupt, message):
     config = default_config()
@@ -320,10 +363,11 @@ def test_an_alert_past_the_right_edge_prints_the_box_of_its_result_record():
 def test_alert_records_round_half_way_values_as_result_records_do(number):
     # Each value lies half-way between two 6-decimal values; numpy's round
     # of an np.float64 and Python's correctly rounded round() disagree on it.
-    box = BoundingBox(*(number(v) for v in (310.0, 79.9999995, 327.5658395, 120.0)))
-    detection = Detection(box, number(0.8008755), PERSON_CLASS)
-    alert = AlertEvent(0, "yellow-line", TrainState.OFF, Severity.CAUTION, detection)
-    (expected,) = detections_to_record(0, [detection])["detections"]
+    box = [number(v) for v in (310.0, 79.9999995, 327.5658395, 120.0)]
+    score = number(0.8008755)
+    alert = AlertEvent(0, "yellow-line", TrainState.OFF, Severity.CAUTION, box, score)
+    detection = Detection(BoundingBox(*box), score, PERSON_CLASS)
+    (expected,) = detections_to_record(0, Detections.from_list([detection]))["detections"]
     record = alert.to_record()
     assert json.dumps([record["box"], record["score"]]) == json.dumps(
         [expected["box"], expected["score"]]

@@ -18,7 +18,6 @@ from stationwatch import (
     RawTensorSet,
     decode_all,
     decode_head,
-    filter_class,
     iou,
     nms,
 )
@@ -161,7 +160,9 @@ def test_size_terms_of_cells_below_the_threshold_are_never_evaluated():
 def assert_same_detections(got, want):
     """Equal field by field, and printed the same in a record."""
     assert got == want
-    assert detections_to_record(0, got) == detections_to_record(0, want)
+    assert detections_to_record(0, Detections.from_list(got)) == detections_to_record(
+        0, Detections.from_list(want)
+    )
 
 
 conf_thresholds = st.one_of(
@@ -518,17 +519,6 @@ def test_detections_batch_round_trips_a_list():
     assert len(Detections.from_list([])) == 0
 
 
-def test_filter_class_matches_a_linear_scan():
-    rng = np.random.default_rng(5)
-    dets = [
-        Detection(BoundingBox(0, 0, 1 + i, 1 + i), float(rng.uniform(0.1, 1)), int(rng.integers(0, 4)))
-        for i in range(20)
-    ]
-    for class_id in range(4):
-        expected = [d for d in dets if d.class_id == class_id]
-        assert filter_class(dets, class_id) == expected
-
-
 # --- validation and records ---------------------------------------------------
 
 def test_bounding_box_validation():
@@ -560,7 +550,7 @@ def test_detection_records_round_trip():
         Detection(BoundingBox(1.5, 2.25, 10.0, 20.125), 0.8125, 0),
         Detection(BoundingBox(0.0, 0.0, 5.0, 5.0), 0.5, 6),
     ]
-    record = detections_to_record(42, dets)
+    record = detections_to_record(42, Detections.from_list(dets))
     assert record["frame"] == 42
     frame_index, restored = detections_from_record(record)
     assert frame_index == 42
