@@ -66,7 +66,6 @@ from .postprocess import (
     Detection,
     Detections,
     decode_all,
-    decode_head,
     iou,
     nms,
 )

@@ -111,9 +111,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         frame_count=len(tensors),
     )
     write_tensor_stream(args.out_tensors, header, tensors)
-    with open(args.out_gt, "w", encoding="utf-8") as fh:
-        json.dump(ground_truth_to_json(gt_frames), fh)
-        fh.write("\n")
+    try:
+        with open(args.out_gt, "w", encoding="utf-8") as fh:
+            json.dump(ground_truth_to_json(gt_frames), fh)
+            fh.write("\n")
+    except BaseException:
+        # Leave no stream without its ground truth.
+        Path(args.out_tensors).unlink(missing_ok=True)
+        raise
     logger.info("wrote %d frames to %s", len(tensors), args.out_tensors)
     print(json.dumps({"frames": len(tensors), "tensors": str(args.out_tensors),
                       "ground_truth": str(args.out_gt)}))
@@ -187,7 +192,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return EXIT_USAGE
     with open(args.gt, "r", encoding="utf-8") as fh:
-        ground_truth = ground_truth_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ScenarioError(f"malformed ground truth: {exc}") from exc
+    ground_truth = ground_truth_from_json(data)
     result = evaluate_run(
         predictions, ground_truth, iou_threshold=args.iou, class_id=args.class_id
     )

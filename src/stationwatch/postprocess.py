@@ -187,47 +187,51 @@ def _exp(values: np.ndarray) -> np.ndarray:
         return np.array([_exp_or_inf(v) for v in values.tolist()], dtype=np.float64)
 
 
-def _candidate_cells(tensor: np.ndarray, stride: int, conf_threshold: float):
-    """Validate one level's tensor; return the cells whose objectness could pass.
+def decode_all(frame: RawTensorSet, config: DecodeConfig) -> Detections:
+    """Decode every stride level of a frame, with boxes clipped to the image.
 
-    Returns (gy, gx, cells): grid coordinates in row-major order and the
-    cells' channels as float64.
+    Cell (gx, gy) of a level with stride s, holding raw values (tx, ty, tw,
+    th, obj, class logits...), maps to a box centred at ((gx+tx)*s,
+    (gy+ty)*s) with size (exp(tw)*s, exp(th)*s). The fused score is
+    sigmoid(obj) * sigmoid(best class logit); the class label is the argmax
+    over class logits, lowest id winning ties. Only detections with
+    score >= conf_threshold are returned: stride levels in config order,
+    cells in row-major order within each level. Only the cells whose
+    objectness logit could reach the threshold are scored, those of all
+    levels in one pass.
     """
-    arr = np.asarray(tensor)
-    if arr.ndim != 3 or arr.shape[2] < _CH_CLASSES + 1:
-        raise GeometryError(
-            f"head tensor must be (grid_h, grid_w, >=6 channels), got shape {arr.shape}"
-        )
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    finite = np.isfinite(arr)
-    if not finite.all():
-        gy, gx, ch = (int(i) for i in np.argwhere(~finite)[0])
-        raise DecodeError(
-            f"non-finite value at cell (gx={gx}, gy={gy}), channel {ch}"
-        )
-    gy, gx = np.nonzero(arr[..., _CH_OBJ] >= _objectness_cutoff(conf_threshold))
-    return gy, gx, arr[gy, gx].astype(np.float64)
+    width, height = frame.image_width, frame.image_height
+    cutoff = _objectness_cutoff(config.conf_threshold)
+    parts = []
+    for level, (tensor, stride) in enumerate(zip(frame.outputs, config.strides)):
+        where = f"frame {frame.frame_index}, level {level}: "
+        expected = (height // stride, width // stride)
+        if height % stride or width % stride:
+            raise GeometryError(f"{where}stride {stride} does not divide image {width}x{height}")
+        if tensor.shape[:2] != expected:
+            raise GeometryError(
+                f"{where}grid {tensor.shape[:2]} does not match stride {stride} over "
+                f"{width}x{height} (expected {expected})"
+            )
+        finite = np.isfinite(tensor)
+        if not finite.all():
+            gy, gx, ch = (int(i) for i in np.argwhere(~finite)[0])
+            raise DecodeError(f"{where}non-finite value at cell (gx={gx}, gy={gy}), channel {ch}")
+        gy, gx = np.nonzero(tensor[..., _CH_OBJ] >= cutoff)
+        parts.append((np.full(len(gy), level), gy, gx, tensor[gy, gx]))
+    levels, gy, gx, cells = (np.concatenate(columns) for columns in zip(*parts))
+    cells = cells.astype(np.float64)
 
-
-def _decode_cells(gy, gx, cells, stride, conf_threshold: float, level_sizes=None) -> Detections:
-    """Score candidate cells and box-decode the ones that reach the threshold.
-
-    `stride` is one value or one per cell. `level_sizes` gives the number
-    of cells each level contributed when the cells of several levels are
-    decoded together, so that an error can name the level.
-    """
     obj_and_class = np.empty((2, len(cells)))
     obj_and_class[0] = cells[:, _CH_OBJ]
     obj_and_class[1] = np.max(cells[:, _CH_CLASSES:], axis=-1)
     obj, cls = _sigmoid(obj_and_class)
     scores = obj * cls
-    keep = np.flatnonzero(scores >= conf_threshold)
-    kept = cells[keep]
-    if not np.isscalar(stride):
-        stride = stride[keep]
-    cx = (gx[keep] + kept[:, _CH_TX]) * stride
-    cy = (gy[keep] + kept[:, _CH_TY]) * stride
+    keep = np.flatnonzero(scores >= config.conf_threshold)
+    levels, gy, gx, kept = levels[keep], gy[keep], gx[keep], cells[keep]
+    stride = np.array(config.strides)[levels]
+    cx = (gx + kept[:, _CH_TX]) * stride
+    cy = (gy + kept[:, _CH_TY]) * stride
     with np.errstate(over="ignore"):  # an overflow is reported below
         half_w = _exp(kept[:, _CH_TW]) * stride / 2
         half_h = _exp(kept[:, _CH_TH]) * stride / 2
@@ -237,70 +241,15 @@ def _decode_cells(gy, gx, cells, stride, conf_threshold: float, level_sizes=None
     boxes[:, 2] = cx + half_w
     boxes[:, 3] = cy + half_h
     if not np.isfinite(boxes).all():
-        cell = int(keep[np.argmin(np.isfinite(boxes).all(axis=1))])
-        where = ""
-        if level_sizes is not None:
-            level = int(np.searchsorted(np.cumsum(level_sizes), cell, side="right"))
-            where = f"level {level}: "
+        row = int(np.argmin(np.isfinite(boxes).all(axis=1)))
         raise DecodeError(
-            f"{where}box at cell (gx={gx[cell]}, gy={gy[cell]}) overflows: "
-            f"(tx, ty, tw, th) = {tuple(cells[cell, _CH_TX:_CH_OBJ].tolist())}"
+            f"frame {frame.frame_index}, level {levels[row]}: box at cell "
+            f"(gx={gx[row]}, gy={gy[row]}) overflows: "
+            f"(tx, ty, tw, th) = {tuple(kept[row, _CH_TX:_CH_OBJ].tolist())}"
         )
+    np.minimum(np.maximum(boxes, 0.0), [width, height, width, height], out=boxes)
     class_ids = np.argmax(kept[:, _CH_CLASSES:], axis=-1)
     return Detections(boxes, scores[keep], class_ids.astype(np.int64, copy=False))
-
-
-def decode_head(tensor: np.ndarray, stride: int, conf_threshold: float) -> Detections:
-    """Decode one stride level's grid tensor into a batch of detections.
-
-    Cell (gx, gy) holding raw values (tx, ty, tw, th, obj, class logits...)
-    maps to a box centred at ((gx+tx)*stride, (gy+ty)*stride) with size
-    (exp(tw)*stride, exp(th)*stride). The fused score is
-    sigmoid(obj) * sigmoid(best class logit); the class label is the argmax
-    over class logits, lowest id winning ties. Only detections with
-    score >= conf_threshold are returned, in row-major cell order. Only the
-    cells whose objectness logit could reach the threshold are scored.
-    """
-    gy, gx, cells = _candidate_cells(tensor, stride, conf_threshold)
-    return _decode_cells(gy, gx, cells, stride, conf_threshold)
-
-
-def decode_all(frame: RawTensorSet, config: DecodeConfig) -> Detections:
-    """Decode every stride level of a frame, with boxes clipped to the image.
-
-    Output order is deterministic: stride levels in config order, cells in
-    row-major order within each level. The candidate cells of all levels
-    are scored and box-decoded together.
-    """
-    levels = []
-    for level, (tensor, stride) in enumerate(zip(frame.outputs, config.strides)):
-        where = f"frame {frame.frame_index}, level {level}: "
-        expected = (frame.image_height // stride, frame.image_width // stride)
-        if frame.image_height % stride or frame.image_width % stride:
-            raise GeometryError(
-                f"{where}stride {stride} does not divide image "
-                f"{frame.image_width}x{frame.image_height}"
-            )
-        if tensor.shape[:2] != expected:
-            raise GeometryError(
-                f"{where}grid {tensor.shape[:2]} does not match stride {stride} over "
-                f"{frame.image_width}x{frame.image_height} (expected {expected})"
-            )
-        try:
-            levels.append(_candidate_cells(tensor, stride, config.conf_threshold))
-        except DecodeError as exc:
-            raise DecodeError(f"{where}{exc}") from exc
-    sizes = [len(cells) for _, _, cells in levels]
-    gy, gx, cells = (np.concatenate(parts) for parts in zip(*levels))
-    try:
-        batch = _decode_cells(
-            gy, gx, cells, np.repeat(config.strides, sizes), config.conf_threshold, sizes
-        )
-    except DecodeError as exc:
-        raise DecodeError(f"frame {frame.frame_index}, {exc}") from exc
-    width, height = frame.image_width, frame.image_height
-    np.minimum(np.maximum(batch.boxes, 0.0), [width, height, width, height], out=batch.boxes)
-    return batch
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

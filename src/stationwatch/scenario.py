@@ -233,8 +233,8 @@ def encode_objects_to_tensors(
         stride = config.strides[level]
         grid = outputs[level]
         cx, cy = obj.box.center()
-        gx = min(int(cx // stride), grid.shape[1] - 1)
-        gy = min(int(cy // stride), grid.shape[0] - 1)
+        gx = min(max(int(cx // stride), 0), grid.shape[1] - 1)
+        gy = min(max(int(cy // stride), 0), grid.shape[0] - 1)
         if grid[gy, gx, 4] != _BACKGROUND_LOGIT:
             raise EncodingCollisionError(
                 frame.frame_index,

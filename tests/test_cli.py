@@ -92,6 +92,20 @@ def test_simulate_malformed_spec_file_exits_2(tmp_path):
     assert not (tmp_path / "a.yxt").exists()
 
 
+def test_simulate_leaves_no_stream_when_the_ground_truth_write_fails(tmp_path, capsys):
+    tensors = tmp_path / "a.yxt"
+    gt_dir = tmp_path / "gt"
+    gt_dir.mkdir()
+    code = run_cli(
+        "simulate", "--scenario", "crossing_during_approach",
+        "--out-tensors", str(tensors), "--out-gt", str(gt_dir),
+    )
+    assert code == 1
+    assert not tensors.exists()
+    assert list(gt_dir.iterdir()) == []
+    assert capsys.readouterr().err.startswith("simulate: ")
+
+
 def test_simulate_output_is_byte_identical_across_runs(tmp_path):
     first_dir = tmp_path / "a"
     second_dir = tmp_path / "b"
@@ -428,6 +442,26 @@ def test_evaluate_reports_a_malformed_prediction_record_in_one_line(
     assert captured.out == ""
     (message,) = captured.err.splitlines()
     assert message.startswith("evaluate: malformed prediction record at line 3: ")
+    assert reason in message
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"{\"frames\": [", "Expecting value"),
+    (b"\xff\xfe{}", "can't decode byte 0xff"),
+    (b"{}", "'frames'"),
+], ids=["not_json", "not_utf8", "no_frames"])
+def test_evaluate_reports_a_malformed_ground_truth_file_in_one_line(
+    tmp_path, capsys, content, reason
+):
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps(GOOD_PREDICTION) + "\n")
+    gt = tmp_path / "gt.json"
+    gt.write_bytes(content)
+    assert run_cli("evaluate", "--pred", str(pred), "--gt", str(gt)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (message,) = captured.err.splitlines()
+    assert message.startswith("evaluate: malformed ground truth: ")
     assert reason in message
 
 

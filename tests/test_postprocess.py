@@ -17,7 +17,6 @@ from stationwatch import (
     GeometryError,
     RawTensorSet,
     decode_all,
-    decode_head,
     iou,
     nms,
 )
@@ -27,7 +26,7 @@ from stationwatch.postprocess import (
     detections_to_record,
 )
 
-from reference import brute_force_nms, cell_sigmoid, per_cell_decode_all, per_cell_decode_head
+from reference import brute_force_nms, cell_sigmoid, per_cell_decode_all
 
 
 def blank_grid(grid_h: int, grid_w: int, channels: int = 6) -> np.ndarray:
@@ -40,26 +39,41 @@ def sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-# --- decode_head ------------------------------------------------------------
+def one_live_level(grid: np.ndarray, stride: int, conf_threshold: float):
+    """A frame whose finest level, at `stride`, is `grid`, and its config.
+
+    The two coarser levels, at 2 and 4 times the stride, are blank, so the
+    grid's sides must be multiples of 4.
+    """
+    grid_h, grid_w, channels = grid.shape
+    coarser = (blank_grid(grid_h // 2, grid_w // 2, channels),
+               blank_grid(grid_h // 4, grid_w // 4, channels))
+    frame = RawTensorSet(0, (grid, *coarser), grid_w * stride, grid_h * stride)
+    config = DecodeConfig(strides=(stride, 2 * stride, 4 * stride), conf_threshold=conf_threshold)
+    return frame, config
+
+
+# --- decode_all on one live level ---------------------------------------------
 
 def test_decode_origin_cell_with_saturated_logits():
     grid = blank_grid(4, 4)
     grid[0, 0] = [0.0, 0.0, 0.0, 0.0, 20.0, 20.0]
-    dets = decode_head(grid, stride=8, conf_threshold=0.3).to_list()
+    dets = decode_all(*one_live_level(grid, 8, 0.3)).to_list()
 
     assert len(dets) == 1
     det = dets[0]
-    # center (0,0), size exp(0)*8 = 8: the box straddles the origin.
-    assert (det.box.x1, det.box.y1, det.box.x2, det.box.y2) == (-4.0, -4.0, 4.0, 4.0)
+    # center (0,0), size exp(0)*8 = 8: the box straddles the origin and is
+    # clipped to the image.
+    assert (det.box.x1, det.box.y1, det.box.x2, det.box.y2) == (0.0, 0.0, 4.0, 4.0)
     assert det.class_id == 0
     assert det.score == pytest.approx(1.0, abs=1e-8)
 
 
 def test_decode_matches_scalar_arithmetic():
-    grid = blank_grid(4, 4)
+    grid = blank_grid(8, 8)
     gy, gx = 2, 3
     grid[gy, gx] = [0.5, 0.5, math.log(2.0), math.log(2.0), 0.0, 0.0]
-    dets = decode_head(grid, stride=16, conf_threshold=0.2).to_list()
+    dets = decode_all(*one_live_level(grid, 16, 0.2)).to_list()
 
     assert len(dets) == 1
     det = dets[0]
@@ -73,30 +87,30 @@ def test_decode_matches_scalar_arithmetic():
 
 
 def test_confidence_threshold_is_inclusive():
-    # All-zero logits score exactly sigmoid(0)^2 = 0.25 in every cell.
-    grid = np.zeros((2, 2, 6), dtype=np.float32)
-    assert decode_head(grid, stride=8, conf_threshold=0.3).to_list() == []
-    kept = decode_head(grid, stride=8, conf_threshold=0.25).to_list()
-    assert len(kept) == 4
+    # All-zero logits score exactly sigmoid(0)^2 = 0.25 in every live cell.
+    grid = np.zeros((4, 4, 6), dtype=np.float32)
+    assert decode_all(*one_live_level(grid, 8, 0.3)).to_list() == []
+    kept = decode_all(*one_live_level(grid, 8, 0.25)).to_list()
+    assert len(kept) == 16
     assert all(d.score == 0.25 for d in kept)
 
 
 def test_decode_output_is_row_major_over_cells():
-    grid = blank_grid(3, 3)
-    strong = [0.0, 0.0, 0.0, 0.0, 20.0, 20.0]
+    grid = blank_grid(4, 4)
+    strong = [0.5, 0.5, 0.0, 0.0, 20.0, 20.0]
     grid[1, 0] = strong
     grid[0, 2] = strong
     grid[1, 2] = strong
-    dets = decode_head(grid, stride=8, conf_threshold=0.3).to_list()
+    dets = decode_all(*one_live_level(grid, 8, 0.3)).to_list()
     centers = [d.box.center() for d in dets]
     # (gy, gx) order: (0,2), (1,0), (1,2)
-    assert centers == [(16.0, 0.0), (0.0, 8.0), (16.0, 8.0)]
+    assert centers == [(20.0, 4.0), (4.0, 12.0), (20.0, 12.0)]
 
 
 def test_class_argmax_breaks_ties_toward_the_lowest_id():
-    grid = blank_grid(1, 1, channels=8)
+    grid = blank_grid(4, 4, channels=8)
     grid[0, 0] = [0.0, 0.0, 0.0, 0.0, 20.0, 3.0, 5.0, 5.0]
-    dets = decode_head(grid, stride=8, conf_threshold=0.1).to_list()
+    dets = decode_all(*one_live_level(grid, 8, 0.1)).to_list()
     assert len(dets) == 1
     assert dets[0].class_id == 1  # classes 1 and 2 tie at logit 5
 
@@ -105,34 +119,26 @@ def test_non_finite_cell_is_reported_with_its_coordinates():
     grid = blank_grid(4, 4)
     grid[1, 2, 3] = np.nan
     with pytest.raises(DecodeError, match=r"\(gx=2, gy=1\), channel 3"):
-        decode_head(grid, stride=8, conf_threshold=0.3)
+        decode_all(*one_live_level(grid, 8, 0.3))
     grid = blank_grid(4, 4)
     grid[3, 0, 4] = np.inf
     with pytest.raises(DecodeError, match=r"\(gx=0, gy=3\), channel 4"):
-        decode_head(grid, stride=8, conf_threshold=0.3)
-
-
-def test_decode_head_rejects_bad_shapes_and_strides():
-    with pytest.raises(GeometryError):
-        decode_head(np.zeros((4, 4), dtype=np.float32), 8, 0.3)
-    with pytest.raises(GeometryError):
-        decode_head(np.zeros((4, 4, 5), dtype=np.float32), 8, 0.3)
-    with pytest.raises(ValueError, match="stride"):
-        decode_head(blank_grid(4, 4), 0, 0.3)
+        decode_all(*one_live_level(grid, 8, 0.3))
 
 
 def test_decode_is_deterministic():
     rng = np.random.default_rng(11)
-    grid = rng.normal(size=(6, 6, 7)).astype(np.float32)
-    assert decode_head(grid, 8, 0.1).to_list() == decode_head(grid, 8, 0.1).to_list()
+    grid = rng.normal(size=(8, 8, 7)).astype(np.float32)
+    frame, config = one_live_level(grid, 8, 0.1)
+    assert decode_all(frame, config).to_list() == decode_all(frame, config).to_list()
 
 
 def test_raising_the_threshold_keeps_a_subsequence():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        grid = rng.normal(scale=2.0, size=(5, 5, 8)).astype(np.float32)
-        loose = decode_head(grid, 8, 0.05).to_list()
-        tight = decode_head(grid, 8, 0.4).to_list()
+        grid = rng.normal(scale=2.0, size=(8, 8, 8)).astype(np.float32)
+        loose = decode_all(*one_live_level(grid, 8, 0.05)).to_list()
+        tight = decode_all(*one_live_level(grid, 8, 0.4)).to_list()
         it = iter(loose)
         assert all(det in it for det in tight)  # order-preserving subset
 
@@ -141,18 +147,18 @@ def test_live_cell_whose_size_overflows_is_a_decode_error():
     grid = blank_grid(4, 4)
     grid[2, 3] = [0.0, 0.0, 1000.0, 0.0, 20.0, 20.0]
     with pytest.raises(DecodeError, match=r"box at cell \(gx=3, gy=2\) overflows"):
-        decode_head(grid, stride=8, conf_threshold=0.3)
+        decode_all(*one_live_level(grid, 8, 0.3))
     # exp(708) is finite, but times the stride it is not.
     grid[2, 3, 2] = 0.0
     grid[2, 3, 3] = 708.0
     with pytest.raises(DecodeError, match=r"\(gx=3, gy=2\)"):
-        decode_head(grid, stride=8, conf_threshold=0.3)
+        decode_all(*one_live_level(grid, 8, 0.3))
 
 
 def test_size_terms_of_cells_below_the_threshold_are_never_evaluated():
     grid = blank_grid(4, 4)
     grid[2, 3] = [0.0, 0.0, 1000.0, 1000.0, -20.0, 20.0]
-    assert len(decode_head(grid, stride=8, conf_threshold=0.3)) == 0
+    assert len(decode_all(*one_live_level(grid, 8, 0.3))) == 0
 
 
 # --- batch decode against the per-cell decode ---------------------------------
@@ -189,33 +195,32 @@ def head_grids(draw, conf_threshold, grid_h, grid_w, channels):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), conf_threshold=conf_thresholds, stride=st.sampled_from([1, 8, 32]))
-def test_batch_decode_head_equals_the_per_cell_decode(data, conf_threshold, stride):
-    grid_h, grid_w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-    grid = data.draw(head_grids(conf_threshold, grid_h, grid_w, data.draw(st.integers(6, 9))))
-    assert_same_detections(
-        decode_head(grid, stride, conf_threshold).to_list(),
-        per_cell_decode_head(grid, stride, conf_threshold),
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), conf_threshold=conf_thresholds)
-def test_batch_decode_all_equals_the_per_cell_decode(data, conf_threshold):
-    # Offsets and sizes push boxes past every image edge, so clipping is
-    # exercised.
+@given(
+    data=st.data(),
+    conf_threshold=conf_thresholds,
+    strides=st.sampled_from([(8, 16, 32), (1, 2, 4), (2, 3, 6)]),
+    sides=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+)
+def test_batch_decode_all_equals_the_per_cell_decode(data, conf_threshold, strides, sides):
+    # Each image side is 1 or 2 coarsest strides, so images are square or
+    # not. Box terms are either logits of up to +-40 or offsets and sizes
+    # that push boxes just past every image edge, so clipping is exercised.
     offsets = st.floats(min_value=-4.0, max_value=4.0, width=32)
+    wide_box_terms = data.draw(st.booleans())
     channels = data.draw(st.integers(6, 9))
+    height, width = (n * strides[2] for n in sides)
     outputs = []
-    for side in (4, 2, 1):
-        grid = data.draw(head_grids(conf_threshold, side, side, channels))
-        grid[..., :4] = np.array(
-            data.draw(st.lists(offsets, min_size=side * side * 4, max_size=side * side * 4)),
-            dtype=np.float32,
-        ).reshape(side, side, 4)
+    for stride in strides:
+        grid_h, grid_w = height // stride, width // stride
+        grid = data.draw(head_grids(conf_threshold, grid_h, grid_w, channels))
+        if not wide_box_terms:
+            size = grid_h * grid_w * 4
+            grid[..., :4] = np.array(
+                data.draw(st.lists(offsets, min_size=size, max_size=size)), dtype=np.float32
+            ).reshape(grid_h, grid_w, 4)
         outputs.append(grid)
-    frame = RawTensorSet(5, tuple(outputs), 32, 32)
-    config = DecodeConfig(conf_threshold=conf_threshold)
+    frame = RawTensorSet(5, tuple(outputs), width, height)
+    config = DecodeConfig(strides=strides, conf_threshold=conf_threshold)
     assert_same_detections(
         decode_all(frame, config).to_list(), per_cell_decode_all(frame, config)
     )
@@ -231,15 +236,14 @@ def test_objectness_cutoff_at_the_ends_of_the_threshold_range():
 
 
 def test_threshold_zero_keeps_every_cell_and_one_keeps_saturated_cells():
-    grid = blank_grid(3, 3)
+    grid = blank_grid(4, 4)
     grid[..., 4] = -40.0
     grid[1, 2] = [0.25, 0.5, 0.0, 0.0, 40.0, 40.0]
-    assert_same_detections(
-        decode_head(grid, 8, 0.0).to_list(), per_cell_decode_head(grid, 8, 0.0)
-    )
-    assert len(decode_head(grid, 8, 0.0)) == 9
-    saturated = decode_head(grid, 8, 1.0).to_list()
-    assert_same_detections(saturated, per_cell_decode_head(grid, 8, 1.0))
+    every_cell = decode_all(*one_live_level(grid, 8, 0.0)).to_list()
+    assert_same_detections(every_cell, per_cell_decode_all(*one_live_level(grid, 8, 0.0)))
+    assert len(every_cell) == 16 + 4 + 1  # the live level and both blank ones
+    saturated = decode_all(*one_live_level(grid, 8, 1.0)).to_list()
+    assert_same_detections(saturated, per_cell_decode_all(*one_live_level(grid, 8, 1.0)))
     assert [d.score for d in saturated] == [1.0]
 
 
@@ -283,6 +287,19 @@ def test_decode_all_prefixes_errors_with_frame_and_level():
     frame = RawTensorSet(3, tuple(outputs), 64, 64)
     with pytest.raises(DecodeError, match="frame 3, level 1"):
         decode_all(frame, DecodeConfig())
+
+
+def test_decode_all_names_the_level_of_an_overflowing_box():
+    outputs = frame_with_levels()
+    outputs[0][0, 0] = [0.0, 0.0, 0.0, 0.0, 20.0, 20.0]
+    outputs[2][1, 1] = [0.0, 0.0, 1000.0, 0.0, 20.0, 20.0]
+    frame = RawTensorSet(3, tuple(outputs), 64, 64)
+    with pytest.raises(DecodeError) as excinfo:
+        decode_all(frame, DecodeConfig())
+    assert str(excinfo.value) == (
+        "frame 3, level 2: box at cell (gx=1, gy=1) overflows: "
+        "(tx, ty, tw, th) = (0.0, 0.0, 1000.0, 0.0)"
+    )
 
 
 # --- IoU --------------------------------------------------------------------
@@ -539,6 +556,8 @@ def test_detection_validation():
 def test_decode_config_validation():
     with pytest.raises(ValueError, match="strides"):
         DecodeConfig(strides=(32, 16, 8))
+    with pytest.raises(ValueError, match="strides"):
+        DecodeConfig(strides=(0, 8, 16))
     with pytest.raises(ValueError, match="conf_threshold"):
         DecodeConfig(conf_threshold=1.5)
     with pytest.raises(ValueError, match="differ"):

@@ -124,6 +124,20 @@ def test_encoded_object_decodes_back_to_itself():
     assert det.box.y2 == pytest.approx(box.y2, abs=1e-3)
 
 
+@pytest.mark.parametrize("box, clipped", [
+    ((-10.0, 10.0, 2.0, 40.0), (0.0, 10.0, 2.0, 40.0)),
+    ((10.0, -10.0, 40.0, 2.0), (10.0, 0.0, 40.0, 2.0)),
+], ids=["centre_left_of_image", "centre_above_image"])
+def test_a_centre_outside_the_top_left_edge_decodes_to_its_clipped_box(box, clipped):
+    # The centre's cell is clamped to the first column or row, never wrapped
+    # to the last one.
+    config = DecodeConfig()
+    gt = GroundTruthFrame(0, (GroundTruthObject(PERSON_CLASS, BoundingBox(*box), 0),))
+    tensors = encode_objects_to_tensors(gt, config, 64, 64, 8)
+    (det,) = decode_all(tensors, config).to_list()
+    assert det.box.as_list() == pytest.approx(list(clipped), abs=1e-3)
+
+
 def test_encoder_places_the_object_on_the_best_matching_level():
     config = DecodeConfig()
     # sqrt(18*40) ~ 26.8 is closest to 4*8, so the stride-8 grid gets it.
