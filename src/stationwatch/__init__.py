@@ -63,10 +63,9 @@ from .pipeline import (
 from .postprocess import (
     BoundingBox,
     DecodeConfig,
-    Detection,
     Detections,
     decode_all,
-    iou,
+    iou_matrix,
     nms,
 )
 from .scenario import (

@@ -32,7 +32,7 @@ from .bench import (
 )
 from .geometry import CameraModel, estimate_height, estimate_height_axial
 from .pipeline import Severity, default_config, run_pipeline
-from .postprocess import BoundingBox, DecodeConfig, Detection, Detections, decode_all, nms
+from .postprocess import BoundingBox, DecodeConfig, Detections, decode_all, iou_matrix, nms
 from .scenario import (
     GroundTruthFrame,
     GroundTruthObject,
@@ -97,13 +97,9 @@ def check_hardware_substitution() -> CheckResult:
 
 # --- criterion 3: NMS against a pairwise-matrix reference -----------------
 
-def _reference_nms(detections: Sequence[Detection], threshold: float) -> list[Detection]:
+def _reference_nms(detections: Detections, threshold: float) -> Detections:
     """Matrix-based reimplementation of class-aware greedy suppression."""
-    n = len(detections)
-    if n == 0:
-        return []
-    boxes = np.array([d.box.as_list() for d in detections], dtype=np.float64)
-    x1, y1, x2, y2 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
+    x1, y1, x2, y2 = detections.boxes.T
     areas = (x2 - x1) * (y2 - y1)
     ix1 = np.maximum(x1[:, None], x1[None, :])
     iy1 = np.maximum(y1[:, None], y1[None, :])
@@ -114,15 +110,14 @@ def _reference_nms(detections: Sequence[Detection], threshold: float) -> list[De
     with np.errstate(invalid="ignore", divide="ignore"):
         matrix = np.where(union > 0.0, inter / union, 0.0)
 
-    order = sorted(range(n), key=lambda i: (-detections[i].score, detections[i].class_id, i))
+    scores = detections.scores.tolist()
+    class_ids = detections.class_ids.tolist()
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], class_ids[i], i))
     kept: list[int] = []
     for i in order:
-        if all(
-            detections[j].class_id != detections[i].class_id or matrix[i, j] <= threshold
-            for j in kept
-        ):
+        if all(class_ids[j] != class_ids[i] or matrix[i, j] <= threshold for j in kept):
             kept.append(i)
-    return [detections[i] for i in kept]
+    return detections.take(np.array(kept, dtype=np.intp))
 
 
 def check_nms_reference(instances: int = 1000, seed: int = 20240915) -> CheckResult:
@@ -130,21 +125,26 @@ def check_nms_reference(instances: int = 1000, seed: int = 20240915) -> CheckRes
     thresholds = (0.3, 0.45, 0.6)
     for instance in range(instances):
         count = int(rng.integers(0, 21))
-        detections = []
+        boxes, scores, class_ids = [], [], []
         for _ in range(count):
             xs = np.sort(rng.uniform(0, 100, size=2))
             ys = np.sort(rng.uniform(0, 100, size=2))
-            detections.append(
-                Detection(
-                    box=BoundingBox(xs[0], ys[0], xs[1] + 1.0, ys[1] + 1.0),
-                    score=float(rng.uniform(0.01, 1.0)),
-                    class_id=int(rng.integers(0, 3)),
-                )
-            )
+            boxes.append((xs[0], ys[0], xs[1] + 1.0, ys[1] + 1.0))
+            scores.append(rng.uniform(0.01, 1.0))
+            class_ids.append(rng.integers(0, 3))
+        detections = Detections(
+            np.array(boxes, dtype=np.float64).reshape(-1, 4),
+            np.array(scores, dtype=np.float64),
+            np.array(class_ids, dtype=np.int64),
+        )
         threshold = thresholds[instance % len(thresholds)]
-        got = nms(Detections.from_list(detections), threshold).to_list()
+        got = nms(detections, threshold)
         want = _reference_nms(detections, threshold)
-        if got != want:
+        if not (
+            np.array_equal(got.boxes, want.boxes)
+            and np.array_equal(got.scores, want.scores)
+            and np.array_equal(got.class_ids, want.class_ids)
+        ):
             return _result(
                 3, "nms-vs-reference", False,
                 f"instance {instance} (n={count}, thr={threshold}): kept "
@@ -157,14 +157,6 @@ def check_nms_reference(instances: int = 1000, seed: int = 20240915) -> CheckRes
 
 
 # --- criterion 4: encode/decode round trip ---------------------------------
-
-def _box_iou(a: BoundingBox, b: BoundingBox) -> float:
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    union = a.area() + b.area() - inter
-    return inter / union if union > 0 else 0.0
-
 
 def check_roundtrip(frames: int = 100, seed: int = 771) -> CheckResult:
     rng = random.Random(seed)
@@ -205,7 +197,7 @@ def check_roundtrip(frames: int = 100, seed: int = 771) -> CheckResult:
 
         gt = GroundTruthFrame(frame_index=0, objects=tuple(objects))
         tensors = encode_objects_to_tensors(gt, config, width, height, 8, actor_scores=scores)
-        decoded = decode_all(tensors, config).to_list()
+        decoded = decode_all(tensors, config)
 
         if len(decoded) != len(objects):
             return _result(
@@ -213,22 +205,24 @@ def check_roundtrip(frames: int = 100, seed: int = 771) -> CheckResult:
                 f"frame {frame_index}: {len(objects)} objects in, {len(decoded)} "
                 f"detections out at conf {config.conf_threshold}",
             )
-        remaining = list(decoded)
-        for obj, score in zip(objects, scores):
-            best = max(remaining, key=lambda d: _box_iou(d.box, obj.box))
-            overlap = _box_iou(best.box, obj.box)
+        # Column k: each decoded row's IoU with object k; a claimed row drops to -1.
+        overlaps = iou_matrix(decoded.boxes, np.array([obj.box.as_list() for obj in objects]))
+        for k, (obj, score) in enumerate(zip(objects, scores)):
+            best = int(np.argmax(overlaps[:, k]))
+            overlap = overlaps[best, k]
+            best_class, best_score = int(decoded.class_ids[best]), float(decoded.scores[best])
             if overlap < 0.99:
                 return _result(4, "encode-decode-roundtrip", False,
                                f"frame {frame_index}: best IoU {overlap:.4f} < 0.99")
-            if best.class_id != obj.class_id:
+            if best_class != obj.class_id:
                 return _result(4, "encode-decode-roundtrip", False,
-                               f"frame {frame_index}: class {best.class_id} != {obj.class_id}")
-            if abs(best.score - score) > 1e-5:
+                               f"frame {frame_index}: class {best_class} != {obj.class_id}")
+            if abs(best_score - score) > 1e-5:
                 return _result(
                     4, "encode-decode-roundtrip", False,
-                    f"frame {frame_index}: score {best.score:.7f} vs requested {score:.7f}",
+                    f"frame {frame_index}: score {best_score:.7f} vs requested {score:.7f}",
                 )
-            remaining.remove(best)
+            overlaps[best] = -1.0
     return _result(
         4, "encode-decode-roundtrip", True,
         f"{frames} random frames: all objects recovered with IoU >= 0.99, "
@@ -427,19 +421,27 @@ def check_evaluation_arithmetic() -> CheckResult:
     person = 0
     box = BoundingBox(10.0, 10.0, 30.0, 50.0)
     offset_box = BoundingBox(200.0, 10.0, 220.0, 50.0)
-    predictions: list[tuple[int, list[Detection]]] = []
+
+    def persons(*scored_boxes: tuple[BoundingBox, float]) -> Detections:
+        return Detections(
+            np.array([b.as_list() for b, _ in scored_boxes], dtype=np.float64).reshape(-1, 4),
+            np.array([score for _, score in scored_boxes], dtype=np.float64),
+            np.full(len(scored_boxes), person, dtype=np.int64),
+        )
+
+    predictions: list[tuple[int, Detections]] = []
     ground_truth: list[GroundTruthFrame] = []
 
     for frame in range(7):  # 7 clean hits
-        predictions.append((frame, [Detection(box, 0.9, person)]))
+        predictions.append((frame, persons((box, 0.9))))
         ground_truth.append(GroundTruthFrame(frame, (GroundTruthObject(person, box, 0),)))
     predictions.append(  # 2 false positives on an empty frame
-        (7, [Detection(box, 0.8, person), Detection(offset_box, 0.7, person)])
+        (7, persons((box, 0.8), (offset_box, 0.7)))
     )
     ground_truth.append(GroundTruthFrame(7, ()))
-    predictions.append((8, []))  # 1 miss
+    predictions.append((8, persons()))  # 1 miss
     ground_truth.append(GroundTruthFrame(8, (GroundTruthObject(person, box, 0),)))
-    predictions.append((9, []))
+    predictions.append((9, persons()))
     ground_truth.append(GroundTruthFrame(9, ()))
 
     result = evaluate_run(predictions, ground_truth, iou_threshold=0.5, class_id=person)

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import AlignmentError, InsufficientSamplesError
 from .pipeline import PipelineConfig, RunSummary, StageLatencies, run_pipeline
-from .postprocess import Detection, iou
+from .postprocess import Detections, iou_matrix
 from .scenario import GroundTruthFrame
 from .tensor_stream import InferenceBackend
 
@@ -121,48 +123,45 @@ def percentile_nearest_rank(samples: Sequence[float], percentile: float) -> floa
     return ordered[rank - 1]
 
 
+def _check_iou_threshold(iou_threshold: float) -> None:
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+
+
 def match_detections(
-    predictions: Sequence[Detection],
+    predictions: Detections,
     ground_truth: GroundTruthFrame | Sequence,
     iou_threshold: float,
     class_id: int,
 ) -> tuple[int, int, int]:
     """Greedy per-frame matching for one class; returns (tp, fp, fn).
 
-    Predictions are visited by descending score; each takes the unmatched
-    ground-truth box of the same class with the highest IoU, provided that
-    IoU reaches the threshold. Unmatched predictions are false positives,
-    unmatched ground truth false negatives.
+    Predictions are visited by descending score, ties in row order; each
+    takes the unmatched ground-truth box of the same class with the highest
+    IoU, the lowest index on ties, provided that IoU reaches the threshold.
+    Unmatched predictions are false positives, unmatched ground truth false
+    negatives.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+    _check_iou_threshold(iou_threshold)
     gt_objects = ground_truth.objects if isinstance(ground_truth, GroundTruthFrame) else ground_truth
-    gt_boxes = [obj.box for obj in gt_objects if obj.class_id == class_id]
-    preds = sorted(
-        (d for d in predictions if d.class_id == class_id),
-        key=lambda d: -d.score,
-    )
-
-    unmatched = set(range(len(gt_boxes)))
+    gt_boxes = np.array(
+        [obj.box.as_list() for obj in gt_objects if obj.class_id == class_id], dtype=np.float64
+    ).reshape(-1, 4)
+    rows = np.flatnonzero(predictions.class_ids == class_id)
+    rows = rows[np.argsort(-predictions.scores[rows], kind="stable")]
+    overlap = iou_matrix(predictions.boxes[rows], gt_boxes)
     tp = 0
-    for pred in preds:
-        best_j = -1
-        best_iou = 0.0
-        for j in sorted(unmatched):
-            overlap = iou(pred.box, gt_boxes[j])
-            if overlap > best_iou:
-                best_iou = overlap
-                best_j = j
-        if best_j >= 0 and best_iou >= iou_threshold:
-            unmatched.remove(best_j)
-            tp += 1
-    fp = len(preds) - tp
-    fn = len(unmatched)
-    return tp, fp, fn
+    if len(gt_boxes):
+        for row in overlap:
+            j = int(np.argmax(row))
+            if row[j] >= iou_threshold:
+                overlap[:, j] = -1.0  # claimed: below any IoU from now on
+                tp += 1
+    return tp, len(rows) - tp, len(gt_boxes) - tp
 
 
 def evaluate_run(
-    predictions: Iterable[tuple[int, Sequence[Detection]]],
+    predictions: Iterable[tuple[int, Detections]],
     ground_truth: Iterable[GroundTruthFrame],
     iou_threshold: float = 0.5,
     class_id: int = 0,
@@ -174,6 +173,7 @@ def evaluate_run(
     counts every ground-truth object as missed instead of failing, so
     evaluating a run that produced nothing still yields accuracy 0.
     """
+    _check_iou_threshold(iou_threshold)
     pred_list = list(predictions)
     gt_list = list(ground_truth)
     tp = fp = fn = 0
@@ -294,28 +294,22 @@ def write_bench_csv(path: str | Path, records: Sequence[BenchRecord]) -> None:
 def bench_summary(
     stats: LatencyStats | None,
     power_w: float,
-    eval_result: EvalResult | None = None,
     accuracy_pct: float | None = None,
     latency_ms: float | None = None,
 ) -> dict:
     """Assemble the bench report; efficiency needs an accuracy figure.
 
-    accuracy_pct and latency_ms override the measured values so a run can
-    be scored with externally supplied numbers; without an accuracy from
-    either source the efficiency is reported as null. So is the latency
-    when there are no stats (every frame skipped) and no override.
+    The accuracy comes from outside as accuracy_pct; latency_ms, when given,
+    overrides the measured mean latency. Without an accuracy the efficiency
+    is reported as null. So is the latency when there are no stats (every
+    frame skipped) and no override.
     """
-    if accuracy_pct is None and eval_result is not None:
-        accuracy_pct = eval_result.accuracy * 100.0
     if latency_ms is None and stats is not None:
         latency_ms = stats.mean_ms
     efficiency = None
     if accuracy_pct is not None and latency_ms is not None:
         efficiency = compute_efficiency(accuracy_pct, latency_ms, power_w)
     return {
-        "accuracy": eval_result.accuracy if eval_result else None,
-        "precision": eval_result.precision if eval_result else None,
-        "recall": eval_result.recall if eval_result else None,
         "accuracy_pct": accuracy_pct,
         "latency": stats.to_record() if stats is not None else None,
         "latency_ms": latency_ms,

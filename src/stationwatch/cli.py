@@ -176,17 +176,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     predictions = []
-    with open(args.pred, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(args.pred, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
                 if "detections" not in record:
                     continue  # tolerate error records interleaved in results files
                 predictions.append(detections_from_record(record))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 print(f"evaluate: malformed prediction record at line {number}: {reason}",
                       file=sys.stderr)

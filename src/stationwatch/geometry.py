@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .postprocess import BoundingBox
-
 _EDGE_EPS = 1e-9
 
 
@@ -203,9 +201,11 @@ def polygon_area(vertices: Sequence[tuple[float, float]]) -> float:
 
 
 def clip_polygon_to_box(
-    vertices: Sequence[tuple[float, float]], box: BoundingBox
+    vertices: Sequence[tuple[float, float]], box: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman clip of a polygon against an axis-aligned box."""
+    """Sutherland-Hodgman clip of a polygon against an (x1, y1, x2, y2) box."""
+    x1, y1, x2, y2 = box
+
     def clip_half_plane(points, inside, intersect):
         out = []
         n = len(points)
@@ -236,10 +236,10 @@ def clip_polygon_to_box(
 
     points = list(vertices)
     for inside, intersect in (
-        (lambda p: p[0] >= box.x1, x_cut(box.x1)),
-        (lambda p: p[0] <= box.x2, x_cut(box.x2)),
-        (lambda p: p[1] >= box.y1, y_cut(box.y1)),
-        (lambda p: p[1] <= box.y2, y_cut(box.y2)),
+        (lambda p: p[0] >= x1, x_cut(x1)),
+        (lambda p: p[0] <= x2, x_cut(x2)),
+        (lambda p: p[1] >= y1, y_cut(y1)),
+        (lambda p: p[1] <= y2, y_cut(y2)),
     ):
         points = clip_half_plane(points, inside, intersect)
         if not points:
@@ -247,6 +247,6 @@ def clip_polygon_to_box(
     return points
 
 
-def box_zone_overlap_area(box: BoundingBox, zone: Zone) -> float:
-    """Area of box intersected with the zone polygon."""
+def box_zone_overlap_area(box: Sequence[float], zone: Zone) -> float:
+    """Area of an (x1, y1, x2, y2) box intersected with the zone polygon."""
     return polygon_area(clip_polygon_to_box(zone.polygon, box))

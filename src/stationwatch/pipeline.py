@@ -292,8 +292,7 @@ def process_frame(
     detections = nms(decoded, config.decode.nms_iou_threshold)
     t2 = time.perf_counter()
 
-    # Only the few train rows become Detection objects, for the FSM.
-    trains = detections.take(detections.class_ids == config.decode.train_class_id).to_list()
+    trains = detections.boxes[detections.class_ids == config.decode.train_class_id].tolist()
     _, state, _ = fsm.observe_and_step(trains, config.risk_zone)
     t3 = time.perf_counter()
 

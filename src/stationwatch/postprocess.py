@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -61,21 +60,6 @@ class BoundingBox:
 
 
 @dataclass(frozen=True)
-class Detection:
-    """One decoded object: box, fused confidence, class label."""
-
-    box: BoundingBox
-    score: float
-    class_id: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.score}")
-        if self.class_id < 0:
-            raise ValueError(f"class_id must be >= 0, got {self.class_id}")
-
-
-@dataclass(frozen=True)
 class DecodeConfig:
     """Thresholds and class wiring for post-processing.
 
@@ -118,26 +102,9 @@ class Detections:
     def __len__(self) -> int:
         return len(self.scores)
 
-    @classmethod
-    def from_list(cls, detections: Sequence[Detection]) -> "Detections":
-        return cls(
-            np.array([d.box.as_list() for d in detections], dtype=np.float64).reshape(-1, 4),
-            np.array([d.score for d in detections], dtype=np.float64),
-            np.array([d.class_id for d in detections], dtype=np.int64),
-        )
-
     def take(self, rows: np.ndarray) -> "Detections":
         """The batch of the given rows: indices, in their order, or a boolean mask."""
         return Detections(self.boxes[rows], self.scores[rows], self.class_ids[rows])
-
-    def to_list(self) -> list[Detection]:
-        """One `Detection` per row, in row order."""
-        return [
-            Detection(box=BoundingBox(*box), score=score, class_id=class_id)
-            for box, score, class_id in zip(
-                self.boxes.tolist(), self.scores.tolist(), self.class_ids.tolist()
-            )
-        ]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -252,17 +219,20 @@ def decode_all(frame: RawTensorSet, config: DecodeConfig) -> Detections:
     return Detections(boxes, scores[keep], class_ids.astype(np.int64, copy=False))
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection area over union area; 0 when the union is empty."""
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    inter = max(0.0, ix2 - ix1) * max(0.0, iy2 - iy1)
-    union = a.area() + b.area() - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every (x1, y1, x2, y2) row of `a` with every row of `b`, as (n, m).
+
+    Intersection area over union area, 0 where the union is empty.
+    """
+    lo = np.maximum(a[:, None, :2], b[None, :, :2])
+    hi = np.minimum(a[:, None, 2:], b[None, :, 2:])
+    overlap = np.maximum(hi - lo, 0.0)
+    inter = overlap[..., 0] * overlap[..., 1]
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0.0, inter / union, 0.0)
 
 
 def nms(detections: Detections, iou_threshold: float) -> Detections:
@@ -274,9 +244,9 @@ def nms(detections: Detections, iou_threshold: float) -> Detections:
     the threshold. Suppression never crosses class boundaries. Kept rows
     come back in visit order.
 
-    Each kept box is tested, with the arithmetic of `iou`, against every
-    same-class box still alive after it, so memory stays linear in the
-    number of candidates.
+    Each kept box is tested, with the arithmetic of `iou_matrix`, against
+    every same-class box still alive after it, so memory stays linear in
+    the number of candidates.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
@@ -292,7 +262,7 @@ def nms(detections: Detections, iou_threshold: float) -> Detections:
     kept: list[float] = []
     # With ordered corners the union is never below the intersection, so
     # it is 0 only when both are, and 0 / 0 = nan compares False as the
-    # empty-union rule of `iou` asks.
+    # empty-union rule of `iou_matrix` asks.
     with np.errstate(divide="ignore", invalid="ignore"):
         while live.shape[1]:
             head, rest = live[:, 0], live[:, 1:]
@@ -326,10 +296,29 @@ def detections_to_record(frame_index: int, detections: Detections) -> dict:
     }
 
 
-def detections_from_record(record: dict) -> tuple[int, list[Detection]]:
-    """Inverse of detections_to_record (modulo the 6-decimal rounding)."""
-    detections = [
-        Detection(box=BoundingBox(*entry["box"]), score=entry["score"], class_id=entry["class"])
-        for entry in record["detections"]
-    ]
+def detections_from_record(record: dict) -> tuple[int, Detections]:
+    """Inverse of detections_to_record (modulo the 6-decimal rounding).
+
+    The record comes from outside, so each entry is checked: its corners
+    finite and ordered, its score in [0, 1] and its class a whole number
+    that fits the int64 class ids (6.0 reads as 6, 0.7 is rejected). A bad
+    entry raises KeyError, TypeError, ValueError or, for a corner too large
+    for a float, OverflowError.
+    """
+    boxes, scores, class_ids = [], [], []
+    for entry in record["detections"]:
+        box = BoundingBox(*entry["box"])
+        score, class_id = entry["score"], entry["class"]
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score must lie in [0, 1], got {score}")
+        if not (0 <= class_id < 2**63 and class_id % 1 == 0):
+            raise ValueError(f"class must be a whole number in [0, 2**63), got {class_id}")
+        boxes.append(box.as_list())
+        scores.append(score)
+        class_ids.append(class_id)
+    detections = Detections(
+        np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        np.array(scores, dtype=np.float64),
+        np.array(class_ids, dtype=np.int64),
+    )
     return int(record["frame"]), detections

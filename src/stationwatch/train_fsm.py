@@ -26,7 +26,6 @@ from enum import Enum
 from typing import Sequence
 
 from .geometry import Zone, ZoneKind, box_zone_overlap_area, ground_point, point_in_zone
-from .postprocess import Detection
 
 
 class TrainState(Enum):
@@ -81,29 +80,30 @@ class FsmCounters:
 
 
 def observe_train(
-    detections: Sequence[Detection],
+    trains: Sequence[Sequence[float]],
     risk_zone: Zone,
     previous: TrainObservation | None = None,
 ) -> TrainObservation:
     """Summarize train evidence for one frame.
 
-    `detections` must already be filtered to the train class; every box is
-    treated as a train. A train is present when at least one box touches
-    the zone, either by its ground point or by box overlap.
+    `trains` holds the (x1, y1, x2, y2) boxes of the train class; every box
+    is treated as a train. A train is present when at least one box touches
+    the zone, either by its ground point or by box overlap. The largest box,
+    the first of maximal area, gives the centroid.
     """
     if risk_zone.kind is not ZoneKind.RISK:
         raise ValueError(f"train observation needs a RISK zone, got {risk_zone.kind}")
 
     present = any(
-        box_zone_overlap_area(det.box, risk_zone) > 0.0
-        or point_in_zone(ground_point(det.box.as_list()), risk_zone)
-        for det in detections
+        box_zone_overlap_area(box, risk_zone) > 0.0
+        or point_in_zone(ground_point(box), risk_zone)
+        for box in trains
     )
     if not present:
         return TrainObservation(present=False)
 
-    largest = max(detections, key=lambda d: d.box.area())
-    centroid = largest.box.center()
+    x1, y1, x2, y2 = max(trains, key=lambda box: (box[2] - box[0]) * (box[3] - box[1]))
+    centroid = ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
     if previous is not None and previous.centroid is not None:
         displacement = math.dist(centroid, previous.centroid)
     else:
@@ -169,10 +169,10 @@ class TrainStateMachine:
         self.last_observation: TrainObservation | None = None
 
     def observe_and_step(
-        self, train_detections: Sequence[Detection], risk_zone: Zone
+        self, trains: Sequence[Sequence[float]], risk_zone: Zone
     ) -> tuple[TrainState, TrainState, TrainObservation]:
         """Observe one frame and advance; returns (before, after, observation)."""
-        observation = observe_train(train_detections, risk_zone, self.last_observation)
+        observation = observe_train(trains, risk_zone, self.last_observation)
         before = self.state
         self.state, self.counters = step_fsm(self.state, observation, self.config, self.counters)
         self.last_observation = observation

@@ -1,19 +1,43 @@
 """Slow, plainly correct references for the frame path, shared by the tests.
 
 Each reference is written for obviousness, not speed: the per-cell decode
-scores every cell and builds one `Detection` per kept cell, the NMS scans
-every kept pair explicitly, and `reference_frame_records` chains them with
-the train state machine and a hand-written ground point into the records
-the pipeline should emit for one frame.
+scores every cell and builds one `Det` record per kept cell, the NMS scans
+every kept pair explicitly, `greedy_match` computes one scalar IoU per
+pair, and `reference_frame_records` chains decode and NMS with the train
+state machine and a hand-written ground point into the records the
+pipeline should emit for one frame.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
-from stationwatch import BoundingBox, Detection, ZoneKind, point_in_polygon
+from stationwatch import BoundingBox, Detections, ZoneKind, point_in_polygon
+
+# One detection as a plain record: a BoundingBox, a score and a class id.
+Det = namedtuple("Det", "box score class_id")
+
+
+def to_batch(dets):
+    """The `Detections` batch holding `dets`, one row each, in order."""
+    return Detections(
+        np.array([d.box.as_list() for d in dets], dtype=np.float64).reshape(-1, 4),
+        np.array([d.score for d in dets], dtype=np.float64),
+        np.array([d.class_id for d in dets], dtype=np.int64),
+    )
+
+
+def from_batch(batch):
+    """One `Det` per row of a `Detections` batch, in row order."""
+    return [
+        Det(BoundingBox(*box), score, class_id)
+        for box, score, class_id in zip(
+            batch.boxes.tolist(), batch.scores.tolist(), batch.class_ids.tolist()
+        )
+    ]
 
 
 def cell_sigmoid(x):
@@ -28,7 +52,7 @@ def cell_sigmoid(x):
 def per_cell_decode_head(tensor, stride, conf_threshold):
     """Oracle: the decode as it was before candidates were batched.
 
-    Scores every cell of the tensor, then builds one Detection per cell
+    Scores every cell of the tensor, then builds one Det per cell
     that reaches the threshold, in row-major order.
     """
     arr = np.asarray(tensor).astype(np.float64)
@@ -45,7 +69,7 @@ def per_cell_decode_head(tensor, stride, conf_threshold):
         w = math.exp(tw) * stride
         h = math.exp(th) * stride
         detections.append(
-            Detection(
+            Det(
                 box=BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
                 score=float(scores[gy, gx]),
                 class_id=int(class_ids[gy, gx]),
@@ -57,7 +81,7 @@ def per_cell_decode_head(tensor, stride, conf_threshold):
 def per_cell_decode_all(frame, config):
     width, height = frame.image_width, frame.image_height
     return [
-        Detection(
+        Det(
             BoundingBox(
                 min(max(det.box.x1, 0.0), width),
                 min(max(det.box.y1, 0.0), height),
@@ -95,6 +119,47 @@ def brute_force_nms(dets, threshold):
     return [dets[i] for i in kept]
 
 
+def scalar_iou(a, b):
+    """Intersection area over union area of two BoundingBoxes; 0 when the union is empty."""
+    ix1 = max(a.x1, b.x1)
+    iy1 = max(a.y1, b.y1)
+    ix2 = min(a.x2, b.x2)
+    iy2 = min(a.y2, b.y2)
+    inter = max(0.0, ix2 - ix1) * max(0.0, iy2 - iy1)
+    union = a.area() + b.area() - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def greedy_match(predictions, ground_truth, iou_threshold, class_id):
+    """(tp, fp, fn) of one frame by the matching loop, one scalar IoU per pair.
+
+    Predictions are `Det` records, visited by descending score; each takes
+    the unmatched ground-truth box of its class with the highest IoU, the
+    lowest index on ties, if that IoU reaches the threshold.
+    """
+    gt_boxes = [obj.box for obj in ground_truth.objects if obj.class_id == class_id]
+    preds = sorted(
+        (d for d in predictions if d.class_id == class_id),
+        key=lambda d: -d.score,
+    )
+    unmatched = set(range(len(gt_boxes)))
+    tp = 0
+    for pred in preds:
+        best_j = -1
+        best_iou = 0.0
+        for j in sorted(unmatched):
+            overlap = scalar_iou(pred.box, gt_boxes[j])
+            if overlap > best_iou:
+                best_iou = overlap
+                best_j = j
+        if best_j >= 0 and best_iou >= iou_threshold:
+            unmatched.remove(best_j)
+            tp += 1
+    return tp, len(preds) - tp, len(unmatched)
+
+
 class Rejected(Exception):
     """The reference cannot decode the frame, so the pipeline must skip it."""
 
@@ -119,7 +184,7 @@ def reference_frame_records(frame, config, fsm):
         raise Rejected(str(exc)) from exc
     kept = brute_force_nms(candidates, config.decode.nms_iou_threshold)
 
-    trains = [d for d in kept if d.class_id == config.decode.train_class_id]
+    trains = [d.box.as_list() for d in kept if d.class_id == config.decode.train_class_id]
     _, state, _ = fsm.observe_and_step(trains, config.risk_zone)
 
     alerts = []

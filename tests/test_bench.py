@@ -6,12 +6,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stationwatch import (
     AlignmentError,
     BoundingBox,
     ConfigError,
-    Detection,
     EvalResult,
     GroundTruthFrame,
     GroundTruthObject,
@@ -28,6 +29,8 @@ from stationwatch import (
     write_bench_csv,
 )
 from stationwatch.bench import BENCH_CSV_HEADER, bench_summary
+
+from reference import Det, greedy_match, to_batch
 
 PERSON = 0
 UNIT = BoundingBox(10.0, 10.0, 30.0, 50.0)
@@ -87,41 +90,42 @@ def test_latency_stats_from_samples():
 # --- matching ---------------------------------------------------------------------
 
 def test_exact_hit_is_a_true_positive():
-    preds = [Detection(UNIT, 0.9, PERSON)]
+    preds = to_batch([Det(UNIT, 0.9, PERSON)])
     assert match_detections(preds, gt_frame(0, UNIT), 0.5, PERSON) == (1, 0, 0)
 
 
 def test_poor_overlap_is_both_fp_and_fn():
-    preds = [Detection(FAR, 0.9, PERSON)]
+    preds = to_batch([Det(FAR, 0.9, PERSON)])
     assert match_detections(preds, gt_frame(0, UNIT), 0.5, PERSON) == (0, 1, 1)
 
 
 def test_iou_exactly_at_threshold_matches():
-    pred = Detection(BoundingBox(0, 0, 3, 1), 0.9, PERSON)
+    preds = to_batch([Det(BoundingBox(0, 0, 3, 1), 0.9, PERSON)])
     gt = gt_frame(0, BoundingBox(1, 0, 4, 1))  # IoU exactly 0.5
-    assert match_detections([pred], gt, 0.5, PERSON) == (1, 0, 0)
-    assert match_detections([pred], gt, 0.51, PERSON) == (0, 1, 1)
+    assert match_detections(preds, gt, 0.5, PERSON) == (1, 0, 0)
+    assert match_detections(preds, gt, 0.51, PERSON) == (0, 1, 1)
 
 
 def test_a_ground_truth_box_can_only_be_claimed_once():
-    preds = [Detection(UNIT, 0.9, PERSON), Detection(UNIT, 0.8, PERSON)]
+    preds = to_batch([Det(UNIT, 0.9, PERSON), Det(UNIT, 0.8, PERSON)])
     assert match_detections(preds, gt_frame(0, UNIT), 0.5, PERSON) == (1, 1, 0)
 
 
 def test_each_prediction_takes_its_highest_iou_ground_truth():
     near = BoundingBox(10.0, 10.0, 30.0, 46.0)   # IoU 0.9 with UNIT
     off = BoundingBox(10.0, 18.0, 30.0, 58.0)    # IoU 2/3 with UNIT
-    pred = Detection(UNIT, 0.9, PERSON)
-    tp, fp, fn = match_detections([pred], gt_frame(0, near, off), 0.5, PERSON)
+    pred = Det(UNIT, 0.9, PERSON)
+    tp, fp, fn = match_detections(to_batch([pred]), gt_frame(0, near, off), 0.5, PERSON)
     assert (tp, fp, fn) == (1, 0, 1)
     # The claimed box is the nearer one: a second identical pred can still
     # match `off` because `near` is taken.
-    second = Detection(off, 0.5, PERSON)
-    assert match_detections([pred, second], gt_frame(0, near, off), 0.5, PERSON) == (2, 0, 0)
+    second = Det(off, 0.5, PERSON)
+    preds = to_batch([pred, second])
+    assert match_detections(preds, gt_frame(0, near, off), 0.5, PERSON) == (2, 0, 0)
 
 
 def test_other_classes_are_invisible_to_the_match():
-    preds = [Detection(UNIT, 0.9, 3)]
+    preds = to_batch([Det(UNIT, 0.9, 3)])
     gt = gt_frame(0, UNIT, class_id=3)
     assert match_detections(preds, gt, 0.5, PERSON) == (0, 0, 0)
     assert match_detections(preds, gt, 0.5, 3) == (1, 0, 0)
@@ -129,7 +133,69 @@ def test_other_classes_are_invisible_to_the_match():
 
 def test_match_threshold_validation():
     with pytest.raises(ValueError, match="iou_threshold"):
-        match_detections([], gt_frame(0), 0.0, PERSON)
+        match_detections(to_batch([]), gt_frame(0), 0.0, PERSON)
+    # Checked before the shortcut for a run that predicted nothing.
+    for threshold in (0.0, 5.0, math.nan):
+        with pytest.raises(ValueError, match="iou_threshold"):
+            evaluate_run([], [gt_frame(0, UNIT)], iou_threshold=threshold)
+        with pytest.raises(ValueError, match="iou_threshold"):
+            evaluate_run([], [], iou_threshold=threshold)
+
+
+# Boxes on a small integer grid: zero-area boxes and IoUs of exactly 1/3,
+# 1/2 and 1 come up often. Predictions also copy or shift a ground-truth
+# box by one step, so ties in IoU and competition for one box are common,
+# and scores tie too.
+grid_boxes = st.builds(
+    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+    st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.integers(0, 3),
+)
+classes = st.integers(min_value=0, max_value=2)
+
+
+def shifted(box: BoundingBox, dx: int, dy: int) -> BoundingBox:
+    return BoundingBox(box.x1 + dx, box.y1 + dy, box.x2 + dx, box.y2 + dy)
+
+
+@st.composite
+def matching_frames(draw):
+    """(predictions as Det records, ground-truth objects), 0-7 of each."""
+    gts = draw(st.lists(st.builds(GroundTruthObject, classes, grid_boxes, st.just(0)),
+                        max_size=7))
+    boxes = grid_boxes
+    if gts:
+        steps = st.integers(-1, 1)
+        near = st.builds(shifted, st.sampled_from([obj.box for obj in gts]), steps, steps)
+        boxes = st.one_of(grid_boxes, near)
+    scores = st.sampled_from([0.25, 0.5, 1.0])
+    preds = draw(st.lists(st.builds(Det, boxes, scores, classes), max_size=7))
+    return preds, gts
+
+
+# X and Y are ground truth; MIDDLE overlaps each with IoU exactly 1/3.
+X, Y, MIDDLE = BoundingBox(0, 0, 2, 2), BoundingBox(2, 0, 4, 2), BoundingBox(1, 0, 3, 2)
+X_AND_Y = [GroundTruthObject(PERSON, X, 0), GroundTruthObject(PERSON, Y, 1)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(frame=matching_frames(), threshold=st.sampled_from([1e-9, 1 / 3, 0.5, 1.0]),
+       class_id=classes)
+# Visit order decides the count: MIDDLE first claims X, so the exact copy
+# of X finds nothing left (tp 1); the other way round both match (tp 2).
+@example(frame=([Det(MIDDLE, 0.5, PERSON), Det(X, 1.0, PERSON)], X_AND_Y),
+         threshold=1 / 3, class_id=PERSON)
+@example(frame=([Det(MIDDLE, 0.5, PERSON), Det(X, 0.5, PERSON)], X_AND_Y),
+         threshold=1 / 3, class_id=PERSON)
+# The tie between X and Y goes to X, the lower index, which leaves Y for
+# its exact copy.
+@example(frame=([Det(MIDDLE, 1.0, PERSON), Det(Y, 0.5, PERSON)], X_AND_Y),
+         threshold=1 / 3, class_id=PERSON)
+def test_match_detections_equals_the_scalar_greedy_loop(frame, threshold, class_id):
+    preds, gts = frame
+    truth = GroundTruthFrame(0, tuple(gts))
+    assert match_detections(to_batch(preds), truth, threshold, class_id) == greedy_match(
+        preds, truth, threshold, class_id
+    )
 
 
 def optimal_tp(preds, gts, threshold):
@@ -157,10 +223,10 @@ def test_greedy_matching_never_beats_the_optimal_assignment():
             x1, y1 = rng.uniform(0, 40), rng.uniform(0, 40)
             return BoundingBox(x1, y1, x1 + rng.uniform(5, 25), y1 + rng.uniform(5, 25))
 
-        preds = [Detection(random_box(), rng.uniform(0.1, 1.0), PERSON) for _ in range(rng.randint(0, 4))]
+        preds = [Det(random_box(), rng.uniform(0.1, 1.0), PERSON) for _ in range(rng.randint(0, 4))]
         gts = [GroundTruthObject(PERSON, random_box(), i) for i in range(rng.randint(0, 4))]
         frame = GroundTruthFrame(0, tuple(gts))
-        tp, fp, fn = match_detections(preds, frame, 0.5, PERSON)
+        tp, fp, fn = match_detections(to_batch(preds), frame, 0.5, PERSON)
         assert tp + fp == len(preds)
         assert tp + fn == len(gts)
         assert tp <= optimal_tp(preds, gts, 0.5)
@@ -172,13 +238,13 @@ def planted_fixture():
     predictions = []
     ground_truth = []
     for frame in range(7):
-        predictions.append((frame, [Detection(UNIT, 0.9, PERSON)]))
+        predictions.append((frame, to_batch([Det(UNIT, 0.9, PERSON)])))
         ground_truth.append(gt_frame(frame, UNIT))
-    predictions.append((7, [Detection(UNIT, 0.8, PERSON), Detection(FAR, 0.7, PERSON)]))
+    predictions.append((7, to_batch([Det(UNIT, 0.8, PERSON), Det(FAR, 0.7, PERSON)])))
     ground_truth.append(gt_frame(7))
-    predictions.append((8, []))
+    predictions.append((8, to_batch([])))
     ground_truth.append(gt_frame(8, UNIT))
-    predictions.append((9, []))
+    predictions.append((9, to_batch([])))
     ground_truth.append(gt_frame(9))
     return predictions, ground_truth
 
@@ -199,7 +265,7 @@ def test_mismatched_stream_lengths_are_an_alignment_error():
 
 
 def test_mismatched_frame_indices_are_an_alignment_error():
-    predictions = [(0, []), (2, [])]
+    predictions = [(0, to_batch([])), (2, to_batch([]))]
     ground_truth = [gt_frame(0), gt_frame(1)]
     with pytest.raises(AlignmentError, match="predictions at 2, ground truth at 1"):
         evaluate_run(predictions, ground_truth)
@@ -385,10 +451,10 @@ def test_bench_csv_round_trips_through_the_csv_module(tmp_path, background_frame
 
 def test_bench_summary_prefers_overrides_and_tolerates_missing_accuracy():
     stats = LatencyStats.from_samples([10.0, 10.0, 10.0])
-    eval_result = EvalResult.from_counts(1, 1, 0, 0.5)  # accuracy 0.5
 
-    summary = bench_summary(stats, power_w=2.0, eval_result=eval_result)
+    summary = bench_summary(stats, power_w=2.0, accuracy_pct=50.0)
     assert summary["accuracy_pct"] == 50.0
+    assert summary["latency_ms"] == 10.0
     assert summary["efficiency"] == 50.0 / (10.0 * 2.0)
 
     hypothetical = bench_summary(
@@ -399,4 +465,5 @@ def test_bench_summary_prefers_overrides_and_tolerates_missing_accuracy():
 
     bare = bench_summary(stats, power_w=2.0)
     assert bare["efficiency"] is None
-    assert bare["accuracy"] is None
+    assert bare["accuracy_pct"] is None
+    assert set(bare) == {"accuracy_pct", "latency", "latency_ms", "power_w", "efficiency"}

@@ -445,6 +445,75 @@ def test_evaluate_reports_a_malformed_prediction_record_in_one_line(
     assert reason in message
 
 
+def write_two_empty_frames(gt):
+    gt.write_text(json.dumps({"frames": [{"frame": i, "objects": []} for i in range(2)]}))
+
+
+@pytest.mark.parametrize("field", [
+    '"box": ["a", 2.0, 3.0, 4.0], "score": 0.9, "class": 0',
+    '"box": [NaN, 2.0, 3.0, 4.0], "score": 0.9, "class": 0',
+    '"box": [1.0, 2.0, Infinity, 4.0], "score": 0.9, "class": 0',
+    '"box": [1.0, 4.0, 3.0, 2.0], "score": 0.9, "class": 0',
+    '"box": [1.0, 2.0, 3.0, 1' + "0" * 400 + '], "score": 0.9, "class": 0',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": "0.9", "class": 0',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": NaN, "class": 0',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": 1.5, "class": 0',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": -0.1, "class": 0',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": -1',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": 0.7',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": "0"',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": NaN',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": Infinity',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": 1e300',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": 9223372036854775808',
+], ids=[
+    "corner_not_a_number", "corner_nan", "corner_infinite", "corners_out_of_order",
+    "corner_past_float",
+    "score_not_a_number", "score_nan", "score_above_one", "score_below_zero",
+    "class_negative", "class_fractional", "class_not_a_number", "class_nan",
+    "class_infinite", "class_huge_float", "class_past_int64",
+])
+def test_evaluate_rejects_a_bad_prediction_field(tmp_path, capsys, field):
+    pred = tmp_path / "pred.jsonl"
+    bad = '{"frame": 1, "detections": [{' + field + '}]}'
+    pred.write_text(json.dumps(GOOD_PREDICTION) + "\n\n" + bad + "\n")
+    gt = tmp_path / "gt.json"
+    write_two_empty_frames(gt)
+    assert run_cli("evaluate", "--pred", str(pred), "--gt", str(gt)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (message,) = captured.err.splitlines()
+    assert message.startswith("evaluate: malformed prediction record at line 3: ")
+
+
+def test_evaluate_reports_a_prediction_file_that_is_not_utf8_as_a_malformed_record(
+    tmp_path, capsys
+):
+    pred = tmp_path / "pred.jsonl"
+    good = json.dumps(GOOD_PREDICTION).encode()
+    gt = tmp_path / "gt.json"
+    write_two_empty_frames(gt)
+    for content, number in ((b"\xff\xfe" + good + b"\n", 1), (good + b"\n\xff\n", 2)):
+        pred.write_bytes(content)
+        assert run_cli("evaluate", "--pred", str(pred), "--gt", str(gt)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (message,) = captured.err.splitlines()
+        assert message.startswith(f"evaluate: malformed prediction record at line {number}: ")
+        assert "can't decode byte 0xff" in message
+
+
+def test_evaluate_rejects_a_bad_iou_threshold_even_without_predictions(tmp_path, capsys):
+    gt = tmp_path / "gt.json"
+    write_two_empty_frames(gt)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert run_cli("evaluate", "--pred", str(empty), "--gt", str(gt), "--iou", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "iou_threshold must lie in (0, 1], got 5.0" in captured.err
+
+
 @pytest.mark.parametrize("content, reason", [
     (b"{\"frames\": [", "Expecting value"),
     (b"\xff\xfe{}", "can't decode byte 0xff"),

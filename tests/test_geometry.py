@@ -211,22 +211,22 @@ def test_polygon_area_known_values():
 
 
 def test_clip_polygon_to_box_shrinks_to_the_intersection():
-    box = BoundingBox(2.0, 2.0, 8.0, 8.0)
+    box = (2.0, 2.0, 8.0, 8.0)
     big = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
     assert polygon_area(clip_polygon_to_box(big, box)) == 36.0
 
 
 def test_clip_polygon_disjoint_and_containment_cases():
-    assert clip_polygon_to_box(SQUARE, BoundingBox(10, 10, 20, 20)) == []
-    inside_box = BoundingBox(-5, -5, 5, 5)
+    assert clip_polygon_to_box(SQUARE, (10, 10, 20, 20)) == []
+    inside_box = (-5, -5, 5, 5)
     assert polygon_area(clip_polygon_to_box(SQUARE, inside_box)) == 16.0
-    tiny_box = BoundingBox(1, 1, 2, 2)
+    tiny_box = (1, 1, 2, 2)
     assert polygon_area(clip_polygon_to_box(SQUARE, tiny_box)) == 1.0
 
 
 def test_clip_triangle_against_a_half_plane_cut():
     triangle = ((0.0, 0.0), (10.0, 0.0), (0.0, 10.0))
-    clipped = clip_polygon_to_box(triangle, BoundingBox(0, 0, 10, 5))
+    clipped = clip_polygon_to_box(triangle, (0, 0, 10, 5))
     # Removed cap is the similar triangle above y=5 with area 12.5.
     assert polygon_area(clipped) == pytest.approx(37.5)
 
@@ -239,7 +239,7 @@ def test_clipped_vertices_stay_inside_the_box():
     for _ in range(200):
         x1, y1 = rng.uniform(-2, 6), rng.uniform(-2, 6)
         box = BoundingBox(x1, y1, x1 + rng.uniform(0.5, 6), y1 + rng.uniform(0.5, 6))
-        clipped = clip_polygon_to_box(polygon, box)
+        clipped = clip_polygon_to_box(polygon, box.as_list())
         area = polygon_area(clipped)
         assert 0.0 <= area <= min(polygon_area(polygon), box.area()) + 1e-9
         for px, py in clipped:
@@ -249,6 +249,6 @@ def test_clipped_vertices_stay_inside_the_box():
 
 def test_box_zone_overlap_area():
     zone = Zone("square", ZoneKind.RISK, SQUARE)
-    assert box_zone_overlap_area(BoundingBox(2, 0, 6, 4), zone) == 8.0
-    assert box_zone_overlap_area(BoundingBox(10, 10, 12, 12), zone) == 0.0
-    assert box_zone_overlap_area(BoundingBox(-1, -1, 5, 5), zone) == 16.0
+    assert box_zone_overlap_area((2, 0, 6, 4), zone) == 8.0
+    assert box_zone_overlap_area((10, 10, 12, 12), zone) == 0.0
+    assert box_zone_overlap_area((-1, -1, 5, 5), zone) == 16.0

@@ -12,7 +12,6 @@ from stationwatch import (
     CameraModel,
     ConfigError,
     DecodeConfig,
-    Detection,
     FrameError,
     FsmConfig,
     GroundTruthFrame,
@@ -242,28 +241,6 @@ def test_alert_severity_downgrades_when_the_train_is_confirmed_stopped():
     assert fsm.state is TrainState.ON
 
 
-def test_process_frame_builds_a_detection_only_for_the_train(monkeypatch):
-    import stationwatch.postprocess as postprocess
-
-    built: list[int] = []
-
-    class CountedDetection(postprocess.Detection):
-        def __post_init__(self):
-            built.append(self.class_id)
-            super().__post_init__()
-
-    monkeypatch.setattr(postprocess, "Detection", CountedDetection)
-    config = default_config()
-    persons = tuple(
-        person_obj(BoundingBox(x, 80.0, x + 18.0, 120.0)) for x in (20.0, 120.0, 220.0)
-    )
-    frame = scene_frame(0, persons + (train_obj(TRAIN_IN_TRACK),))
-    result = process_frame(frame, config, TrainStateMachine(config.fsm))
-    assert len(result.detections) == 4
-    assert len(result.alerts) == 3
-    assert built == [TRAIN_CLASS]
-
-
 def test_person_on_the_platform_is_logged_not_alerted(caplog):
     config = default_config()
     fsm = TrainStateMachine(config.fsm)
@@ -366,8 +343,8 @@ def test_alert_records_round_half_way_values_as_result_records_do(number):
     box = [number(v) for v in (310.0, 79.9999995, 327.5658395, 120.0)]
     score = number(0.8008755)
     alert = AlertEvent(0, "yellow-line", TrainState.OFF, Severity.CAUTION, box, score)
-    detection = Detection(BoundingBox(*box), score, PERSON_CLASS)
-    (expected,) = detections_to_record(0, Detections.from_list([detection]))["detections"]
+    detection = Detections(np.array([box]), np.array([score]), np.array([PERSON_CLASS]))
+    (expected,) = detections_to_record(0, detection)["detections"]
     record = alert.to_record()
     assert json.dumps([record["box"], record["score"]]) == json.dumps(
         [expected["box"], expected["score"]]

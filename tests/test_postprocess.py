@@ -12,12 +12,10 @@ from stationwatch import (
     BoundingBox,
     DecodeConfig,
     DecodeError,
-    Detection,
-    Detections,
     GeometryError,
     RawTensorSet,
     decode_all,
-    iou,
+    iou_matrix,
     nms,
 )
 from stationwatch.postprocess import (
@@ -26,7 +24,15 @@ from stationwatch.postprocess import (
     detections_to_record,
 )
 
-from reference import brute_force_nms, cell_sigmoid, per_cell_decode_all
+from reference import (
+    Det,
+    brute_force_nms,
+    cell_sigmoid,
+    from_batch,
+    per_cell_decode_all,
+    scalar_iou,
+    to_batch,
+)
 
 
 def blank_grid(grid_h: int, grid_w: int, channels: int = 6) -> np.ndarray:
@@ -58,7 +64,7 @@ def one_live_level(grid: np.ndarray, stride: int, conf_threshold: float):
 def test_decode_origin_cell_with_saturated_logits():
     grid = blank_grid(4, 4)
     grid[0, 0] = [0.0, 0.0, 0.0, 0.0, 20.0, 20.0]
-    dets = decode_all(*one_live_level(grid, 8, 0.3)).to_list()
+    dets = from_batch(decode_all(*one_live_level(grid, 8, 0.3)))
 
     assert len(dets) == 1
     det = dets[0]
@@ -73,7 +79,7 @@ def test_decode_matches_scalar_arithmetic():
     grid = blank_grid(8, 8)
     gy, gx = 2, 3
     grid[gy, gx] = [0.5, 0.5, math.log(2.0), math.log(2.0), 0.0, 0.0]
-    dets = decode_all(*one_live_level(grid, 16, 0.2)).to_list()
+    dets = from_batch(decode_all(*one_live_level(grid, 16, 0.2)))
 
     assert len(dets) == 1
     det = dets[0]
@@ -89,8 +95,8 @@ def test_decode_matches_scalar_arithmetic():
 def test_confidence_threshold_is_inclusive():
     # All-zero logits score exactly sigmoid(0)^2 = 0.25 in every live cell.
     grid = np.zeros((4, 4, 6), dtype=np.float32)
-    assert decode_all(*one_live_level(grid, 8, 0.3)).to_list() == []
-    kept = decode_all(*one_live_level(grid, 8, 0.25)).to_list()
+    assert from_batch(decode_all(*one_live_level(grid, 8, 0.3))) == []
+    kept = from_batch(decode_all(*one_live_level(grid, 8, 0.25)))
     assert len(kept) == 16
     assert all(d.score == 0.25 for d in kept)
 
@@ -101,7 +107,7 @@ def test_decode_output_is_row_major_over_cells():
     grid[1, 0] = strong
     grid[0, 2] = strong
     grid[1, 2] = strong
-    dets = decode_all(*one_live_level(grid, 8, 0.3)).to_list()
+    dets = from_batch(decode_all(*one_live_level(grid, 8, 0.3)))
     centers = [d.box.center() for d in dets]
     # (gy, gx) order: (0,2), (1,0), (1,2)
     assert centers == [(20.0, 4.0), (4.0, 12.0), (20.0, 12.0)]
@@ -110,7 +116,7 @@ def test_decode_output_is_row_major_over_cells():
 def test_class_argmax_breaks_ties_toward_the_lowest_id():
     grid = blank_grid(4, 4, channels=8)
     grid[0, 0] = [0.0, 0.0, 0.0, 0.0, 20.0, 3.0, 5.0, 5.0]
-    dets = decode_all(*one_live_level(grid, 8, 0.1)).to_list()
+    dets = from_batch(decode_all(*one_live_level(grid, 8, 0.1)))
     assert len(dets) == 1
     assert dets[0].class_id == 1  # classes 1 and 2 tie at logit 5
 
@@ -130,15 +136,15 @@ def test_decode_is_deterministic():
     rng = np.random.default_rng(11)
     grid = rng.normal(size=(8, 8, 7)).astype(np.float32)
     frame, config = one_live_level(grid, 8, 0.1)
-    assert decode_all(frame, config).to_list() == decode_all(frame, config).to_list()
+    assert from_batch(decode_all(frame, config)) == from_batch(decode_all(frame, config))
 
 
 def test_raising_the_threshold_keeps_a_subsequence():
     rng = np.random.default_rng(23)
     for _ in range(20):
         grid = rng.normal(scale=2.0, size=(8, 8, 8)).astype(np.float32)
-        loose = decode_all(*one_live_level(grid, 8, 0.05)).to_list()
-        tight = decode_all(*one_live_level(grid, 8, 0.4)).to_list()
+        loose = from_batch(decode_all(*one_live_level(grid, 8, 0.05)))
+        tight = from_batch(decode_all(*one_live_level(grid, 8, 0.4)))
         it = iter(loose)
         assert all(det in it for det in tight)  # order-preserving subset
 
@@ -166,8 +172,8 @@ def test_size_terms_of_cells_below_the_threshold_are_never_evaluated():
 def assert_same_detections(got, want):
     """Equal field by field, and printed the same in a record."""
     assert got == want
-    assert detections_to_record(0, Detections.from_list(got)) == detections_to_record(
-        0, Detections.from_list(want)
+    assert detections_to_record(0, to_batch(got)) == detections_to_record(
+        0, to_batch(want)
     )
 
 
@@ -222,7 +228,7 @@ def test_batch_decode_all_equals_the_per_cell_decode(data, conf_threshold, strid
     frame = RawTensorSet(5, tuple(outputs), width, height)
     config = DecodeConfig(strides=strides, conf_threshold=conf_threshold)
     assert_same_detections(
-        decode_all(frame, config).to_list(), per_cell_decode_all(frame, config)
+        from_batch(decode_all(frame, config)), per_cell_decode_all(frame, config)
     )
 
 
@@ -239,10 +245,10 @@ def test_threshold_zero_keeps_every_cell_and_one_keeps_saturated_cells():
     grid = blank_grid(4, 4)
     grid[..., 4] = -40.0
     grid[1, 2] = [0.25, 0.5, 0.0, 0.0, 40.0, 40.0]
-    every_cell = decode_all(*one_live_level(grid, 8, 0.0)).to_list()
+    every_cell = from_batch(decode_all(*one_live_level(grid, 8, 0.0)))
     assert_same_detections(every_cell, per_cell_decode_all(*one_live_level(grid, 8, 0.0)))
     assert len(every_cell) == 16 + 4 + 1  # the live level and both blank ones
-    saturated = decode_all(*one_live_level(grid, 8, 1.0)).to_list()
+    saturated = from_batch(decode_all(*one_live_level(grid, 8, 1.0)))
     assert_same_detections(saturated, per_cell_decode_all(*one_live_level(grid, 8, 1.0)))
     assert [d.score for d in saturated] == [1.0]
 
@@ -258,7 +264,7 @@ def test_decode_all_concatenates_levels_in_stride_order():
     outputs[0][0, 0] = [0.0, 0.0, 0.0, 0.0, 20.0, 20.0]
     outputs[2][1, 1] = [0.5, 0.5, 0.0, 0.0, 20.0, 20.0]
     frame = RawTensorSet(0, tuple(outputs), 64, 64)
-    dets = decode_all(frame, DecodeConfig()).to_list()
+    dets = from_batch(decode_all(frame, DecodeConfig()))
     assert len(dets) == 2
     # stride-8 hit first, then the stride-32 one at center (48, 48).
     assert dets[1].box.center() == (48.0, 48.0)
@@ -268,7 +274,7 @@ def test_decode_all_clips_boxes_to_the_image():
     outputs = frame_with_levels()
     outputs[0][0, 0] = [0.0, 0.0, 0.0, 0.0, 20.0, 20.0]
     frame = RawTensorSet(0, tuple(outputs), 64, 64)
-    det = decode_all(frame, DecodeConfig()).to_list()[0]
+    det = from_batch(decode_all(frame, DecodeConfig()))[0]
     assert (det.box.x1, det.box.y1) == (0.0, 0.0)  # raw corner was (-4, -4)
     assert (det.box.x2, det.box.y2) == (4.0, 4.0)
 
@@ -304,17 +310,26 @@ def test_decode_all_names_the_level_of_an_overflowing_box():
 
 # --- IoU --------------------------------------------------------------------
 
+def rows(*boxes: BoundingBox) -> np.ndarray:
+    return np.array([box.as_list() for box in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 def test_iou_known_values():
     a = BoundingBox(0, 0, 2, 2)
-    assert iou(a, a) == 1.0
-    assert iou(a, BoundingBox(5, 5, 7, 7)) == 0.0
-    assert iou(a, BoundingBox(2, 0, 4, 2)) == 0.0  # touching edges, zero area
-    assert iou(a, BoundingBox(1, 1, 3, 3)) == 1.0 / 7.0
+    others = rows(
+        a,
+        BoundingBox(5, 5, 7, 7),
+        BoundingBox(2, 0, 4, 2),  # touching edges, zero area
+        BoundingBox(1, 1, 3, 3),
+    )
+    assert iou_matrix(rows(a), others).tolist() == [[1.0, 0.0, 0.0, 1.0 / 7.0]]
+    assert iou_matrix(rows(), others).shape == (0, 4)
+    assert iou_matrix(others, rows()).shape == (4, 0)
 
 
 def test_iou_of_degenerate_boxes_is_zero():
-    point = BoundingBox(1, 1, 1, 1)
-    assert iou(point, point) == 0.0
+    point = rows(BoundingBox(1, 1, 1, 1))
+    assert iou_matrix(point, point).tolist() == [[0.0]]
 
 
 coordinate = st.floats(
@@ -330,54 +345,56 @@ def boxes(draw):
 
 
 @settings(max_examples=200)
-@given(a=boxes(), b=boxes())
+@given(a=st.lists(boxes(), max_size=4), b=st.lists(boxes(), max_size=4))
 def test_iou_is_symmetric_and_bounded(a, b):
-    forward = iou(a, b)
-    assert forward == iou(b, a)
-    assert 0.0 <= forward <= 1.0
+    forward = iou_matrix(rows(*a), rows(*b))
+    assert np.array_equal(forward, iou_matrix(rows(*b), rows(*a)).T)
+    assert ((0.0 <= forward) & (forward <= 1.0)).all()
+    # Entry (i, j) is the scalar IoU of a[i] and b[j], to the last bit.
+    assert forward.tolist() == [[scalar_iou(x, y) for y in b] for x in a]
 
 
 @settings(max_examples=100)
 @given(a=boxes())
 def test_iou_of_a_box_with_itself_is_one_or_zero(a):
-    value = iou(a, a)
+    value = iou_matrix(rows(a), rows(a))[0, 0]
     assert value == (1.0 if a.area() > 0 else 0.0)
 
 
 # --- NMS --------------------------------------------------------------------
 
 def test_nms_suppresses_within_a_class_only():
-    a = Detection(BoundingBox(0, 0, 10, 10), 0.9, 0)
-    b = Detection(BoundingBox(1, 1, 11, 11), 0.8, 0)   # IoU with a ~ 0.68
-    c = Detection(BoundingBox(1, 1, 11, 11), 0.8, 1)   # same box, other class
-    assert nms(Detections.from_list([a, b, c]), 0.45).to_list() == [a, c]
+    a = Det(BoundingBox(0, 0, 10, 10), 0.9, 0)
+    b = Det(BoundingBox(1, 1, 11, 11), 0.8, 0)   # IoU with a ~ 0.68
+    c = Det(BoundingBox(1, 1, 11, 11), 0.8, 1)   # same box, other class
+    assert from_batch(nms(to_batch([a, b, c]), 0.45)) == [a, c]
 
 
 def test_nms_keeps_overlap_exactly_at_the_threshold():
     # IoU of these two is exactly 0.5: inter 2, union 4.
-    a = Detection(BoundingBox(0, 0, 3, 1), 0.9, 0)
-    b = Detection(BoundingBox(1, 0, 4, 1), 0.8, 0)
-    assert iou(a.box, b.box) == 0.5
-    assert nms(Detections.from_list([a, b]), 0.5).to_list() == [a, b]  # strictly-greater rule
-    assert nms(Detections.from_list([a, b]), 0.49).to_list() == [a]
+    a = Det(BoundingBox(0, 0, 3, 1), 0.9, 0)
+    b = Det(BoundingBox(1, 0, 4, 1), 0.8, 0)
+    assert scalar_iou(a.box, b.box) == 0.5
+    assert from_batch(nms(to_batch([a, b]), 0.5)) == [a, b]  # strictly-greater rule
+    assert from_batch(nms(to_batch([a, b]), 0.49)) == [a]
 
 
 def test_nms_tie_breaks_by_class_then_input_position():
     box = BoundingBox(0, 0, 10, 10)
-    first = Detection(box, 0.8, 0)
-    second = Detection(box, 0.8, 0)
-    assert nms(Detections.from_list([first, second]), 0.45).to_list() == [first]
+    first = Det(box, 0.8, 0)
+    second = Det(box, 0.8, 0)
+    assert from_batch(nms(to_batch([first, second]), 0.45)) == [first]
 
-    lower_class = Detection(BoundingBox(50, 50, 60, 60), 0.8, 1)
-    higher_class = Detection(BoundingBox(50, 50, 60, 60), 0.8, 2)
-    kept = nms(Detections.from_list([higher_class, lower_class]), 0.45).to_list()
+    lower_class = Det(BoundingBox(50, 50, 60, 60), 0.8, 1)
+    higher_class = Det(BoundingBox(50, 50, 60, 60), 0.8, 2)
+    kept = from_batch(nms(to_batch([higher_class, lower_class]), 0.45))
     assert kept == [lower_class, higher_class]  # class 1 visited first
 
 
 def test_nms_empty_input_and_threshold_validation():
-    assert nms(Detections.from_list([]), 0.45).to_list() == []
+    assert from_batch(nms(to_batch([]), 0.45)) == []
     with pytest.raises(ValueError, match="iou_threshold"):
-        nms(Detections.from_list([]), 1.5)
+        nms(to_batch([]), 1.5)
 
 
 def test_nms_matches_brute_force_on_random_instances():
@@ -389,19 +406,19 @@ def test_nms_matches_brute_force_on_random_instances():
             x1, y1 = rng.uniform(0, 50, size=2)
             w, h = rng.uniform(1, 30, size=2)
             dets.append(
-                Detection(
+                Det(
                     BoundingBox(float(x1), float(y1), float(x1 + w), float(y1 + h)),
                     float(rng.uniform(0.01, 1.0)),
                     int(rng.integers(0, 3)),
                 )
             )
         threshold = (0.3, 0.45, 0.6)[trial % 3]
-        kept = nms(Detections.from_list(dets), threshold).to_list()
+        kept = from_batch(nms(to_batch(dets), threshold))
         assert kept == brute_force_nms(dets, threshold), f"trial {trial}"
 
 
 det_strategy = st.builds(
-    Detection,
+    Det,
     box=st.builds(
         lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
         st.floats(0, 40), st.floats(0, 40),
@@ -415,18 +432,18 @@ det_strategy = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(dets=st.lists(det_strategy, max_size=12), threshold=st.sampled_from([0.3, 0.45, 0.6]))
 def test_nms_properties(dets, threshold):
-    kept = nms(Detections.from_list(dets), threshold).to_list()
+    kept = from_batch(nms(to_batch(dets), threshold))
     assert kept == brute_force_nms(dets, threshold)
     # Soundness: no kept same-class pair overlaps beyond the threshold.
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
             if a.class_id == b.class_id:
-                assert iou(a.box, b.box) <= threshold
+                assert scalar_iou(a.box, b.box) <= threshold
     # Completeness: every input is kept or blamed on a kept same-class box.
     for det in dets:
         if det not in kept:
             assert any(
-                k.class_id == det.class_id and iou(k.box, det.box) > threshold
+                k.class_id == det.class_id and scalar_iou(k.box, det.box) > threshold
                 for k in kept
             )
 
@@ -444,7 +461,7 @@ def tied_detections(draw):
     classes = draw(st.integers(min_value=1, max_value=3))
     return draw(st.lists(
         st.builds(
-            Detection,
+            Det,
             box=grid_boxes,
             score=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
             class_id=st.integers(min_value=0, max_value=classes - 1),
@@ -456,11 +473,11 @@ def tied_detections(draw):
 @settings(max_examples=400, deadline=None)
 @given(dets=tied_detections(), threshold=st.sampled_from([0.0, 1 / 3, 0.45, 0.5, 1.0]))
 @example(
-    dets=[Detection(BoundingBox(0, 0, 3, 1), 0.5, 0), Detection(BoundingBox(1, 0, 4, 1), 0.5, 0)],
+    dets=[Det(BoundingBox(0, 0, 3, 1), 0.5, 0), Det(BoundingBox(1, 0, 4, 1), 0.5, 0)],
     threshold=0.5,
 )
 def test_batch_nms_equals_brute_force_on_ties_duplicates_and_degenerate_boxes(dets, threshold):
-    kept = nms(Detections.from_list(dets), threshold).to_list()
+    kept = from_batch(nms(to_batch(dets), threshold))
     assert kept == brute_force_nms(dets, threshold)
 
 
@@ -507,9 +524,7 @@ def test_nms_on_a_fully_live_frame_is_greedy_in_bounded_memory():
             (np.minimum(prior[:, 2], box[2]) > np.maximum(prior[:, 0], box[0]))
             & (np.minimum(prior[:, 3], box[3]) > np.maximum(prior[:, 1], box[1]))
         ]
-        blocked = any(
-            iou(BoundingBox(*other), BoundingBox(*box)) > threshold for other in touching
-        )
+        blocked = bool((iou_matrix(touching, box[None]) > threshold).any())
         is_kept = (
             count < len(kept)
             and np.array_equal(kept.boxes[count], candidates.boxes[row])
@@ -523,17 +538,17 @@ def test_nms_on_a_fully_live_frame_is_greedy_in_bounded_memory():
     assert count == len(kept)
 
 
-def test_detections_batch_round_trips_a_list():
+def test_detections_take_selects_rows():
     dets = [
-        Detection(BoundingBox(1.5, 2.25, 10.0, 20.125), 0.8125, 0),
-        Detection(BoundingBox(0.0, 0.0, 5.0, 5.0), 0.5, 6),
+        Det(BoundingBox(1.5, 2.25, 10.0, 20.125), 0.8125, 0),
+        Det(BoundingBox(0.0, 0.0, 5.0, 5.0), 0.5, 6),
     ]
-    batch = Detections.from_list(dets)
+    batch = to_batch(dets)
     assert len(batch) == 2
     assert batch.boxes.shape == (2, 4)
-    assert batch.to_list() == dets
-    assert batch.take(np.array([1])).to_list() == dets[1:]
-    assert len(Detections.from_list([])) == 0
+    assert from_batch(batch.take(np.array([1]))) == dets[1:]
+    assert from_batch(batch.take(np.array([False, True]))) == dets[1:]
+    assert len(batch.take(np.array([], dtype=np.intp))) == 0
 
 
 # --- validation and records ---------------------------------------------------
@@ -543,14 +558,6 @@ def test_bounding_box_validation():
         BoundingBox(5, 0, 1, 2)
     with pytest.raises(ValueError, match="not finite"):
         BoundingBox(0, math.nan, 1, 2)
-
-
-def test_detection_validation():
-    box = BoundingBox(0, 0, 1, 1)
-    with pytest.raises(ValueError, match="score"):
-        Detection(box, 1.5, 0)
-    with pytest.raises(ValueError, match="class_id"):
-        Detection(box, 0.5, -1)
 
 
 def test_decode_config_validation():
@@ -566,11 +573,20 @@ def test_decode_config_validation():
 
 def test_detection_records_round_trip():
     dets = [
-        Detection(BoundingBox(1.5, 2.25, 10.0, 20.125), 0.8125, 0),
-        Detection(BoundingBox(0.0, 0.0, 5.0, 5.0), 0.5, 6),
+        Det(BoundingBox(1.5, 2.25, 10.0, 20.125), 0.8125, 0),
+        Det(BoundingBox(0.0, 0.0, 5.0, 5.0), 0.5, 6),
     ]
-    record = detections_to_record(42, Detections.from_list(dets))
+    record = detections_to_record(42, to_batch(dets))
     assert record["frame"] == 42
     frame_index, restored = detections_from_record(record)
     assert frame_index == 42
-    assert restored == dets  # all values exact at 6 decimals
+    assert from_batch(restored) == dets  # all values exact at 6 decimals
+    assert (restored.boxes.dtype, restored.scores.dtype, restored.class_ids.dtype) == (
+        np.float64, np.float64, np.int64
+    )
+
+
+def test_a_record_class_written_as_a_whole_float_reads_as_its_integer():
+    entry = {"box": [0, 0, 1, 1], "score": 1, "class": 6.0}
+    _, restored = detections_from_record({"frame": 3, "detections": [entry]})
+    assert restored.class_ids.tolist() == [6]

@@ -115,13 +115,13 @@ def test_encoded_object_decodes_back_to_itself():
     gt = GroundTruthFrame(0, (GroundTruthObject(PERSON_CLASS, box, 0),))
     tensors = encode_objects_to_tensors(gt, config, 320, 320, 8, score_level=0.9)
 
-    dets = decode_all(tensors, config).to_list()
+    dets = decode_all(tensors, config)
     assert len(dets) == 1
-    det = dets[0]
-    assert det.class_id == PERSON_CLASS
-    assert det.score == pytest.approx(0.9, abs=1e-6)
-    assert det.box.x1 == pytest.approx(box.x1, abs=1e-3)
-    assert det.box.y2 == pytest.approx(box.y2, abs=1e-3)
+    assert dets.class_ids[0] == PERSON_CLASS
+    assert dets.scores[0] == pytest.approx(0.9, abs=1e-6)
+    x1, _, _, y2 = dets.boxes[0]
+    assert x1 == pytest.approx(box.x1, abs=1e-3)
+    assert y2 == pytest.approx(box.y2, abs=1e-3)
 
 
 @pytest.mark.parametrize("box, clipped", [
@@ -134,8 +134,8 @@ def test_a_centre_outside_the_top_left_edge_decodes_to_its_clipped_box(box, clip
     config = DecodeConfig()
     gt = GroundTruthFrame(0, (GroundTruthObject(PERSON_CLASS, BoundingBox(*box), 0),))
     tensors = encode_objects_to_tensors(gt, config, 64, 64, 8)
-    (det,) = decode_all(tensors, config).to_list()
-    assert det.box.as_list() == pytest.approx(list(clipped), abs=1e-3)
+    (decoded,) = decode_all(tensors, config).boxes.tolist()
+    assert decoded == pytest.approx(list(clipped), abs=1e-3)
 
 
 def test_encoder_places_the_object_on_the_best_matching_level():
@@ -159,9 +159,9 @@ def test_score_level_one_is_clamped_but_round_trips_within_tolerance():
     box = BoundingBox(100.0, 100.0, 140.0, 140.0)
     gt = GroundTruthFrame(0, (GroundTruthObject(0, box, 0),))
     tensors = encode_objects_to_tensors(gt, config, 320, 320, 8, score_level=1.0)
-    det = decode_all(tensors, config).to_list()[0]
-    assert det.score <= 1.0
-    assert det.score == pytest.approx(1.0, abs=1e-5)
+    score = decode_all(tensors, config).scores[0]
+    assert score <= 1.0
+    assert score == pytest.approx(1.0, abs=1e-5)
 
 
 def test_two_objects_in_one_cell_raise_a_collision_error():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from stationwatch import (
     BoundingBox,
-    Detection,
     FsmConfig,
     FsmCounters,
     TrainObservation,
@@ -37,8 +36,8 @@ ALLOWED = {
 }
 
 
-def train(box: BoundingBox) -> Detection:
-    return Detection(box, 0.95, 6)
+def train(box: BoundingBox) -> list[float]:
+    return box.as_list()
 
 
 # --- observe_train ------------------------------------------------------------
