@@ -53,7 +53,6 @@ from .pipeline import (
     PipelineConfig,
     RunSummary,
     Severity,
-    StageLatencies,
     default_config,
     load_config,
     process_frame,
@@ -85,7 +84,6 @@ from .tensor_stream import (
     RawTensorSet,
     SequenceBackend,
     TensorStreamHeader,
-    read_tensor_stream,
     write_tensor_stream,
 )
 from .train_fsm import (

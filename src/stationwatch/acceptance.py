@@ -551,7 +551,7 @@ def check_latency_harness() -> CheckResult:
                 f"20 ms paced playback measured p50 {paced_stats.p50_ms:.3f} ms, "
                 "expected within [20, 40]",
             )
-        if any(r.end_to_end_ms < r.stages.max_ms() for r in paced_records):
+        if any(r.end_to_end_ms < max(r.stages.values()) for r in paced_records):
             return _result(
                 9, "latency-harness", False,
                 "a frame's end-to-end time undercut one of its stage times",

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import AlignmentError, InsufficientSamplesError
-from .pipeline import PipelineConfig, RunSummary, StageLatencies, run_pipeline
+from .pipeline import PipelineConfig, RunSummary, run_pipeline
 from .postprocess import Detections, iou_matrix
 from .scenario import GroundTruthFrame
 from .tensor_stream import InferenceBackend
@@ -109,7 +109,7 @@ class BenchRecord:
 
     frame_index: int
     end_to_end_ms: float
-    stages: StageLatencies
+    stages: dict[str, float]  # the result record's latency_ms
 
 
 def percentile_nearest_rank(samples: Sequence[float], percentile: float) -> float:
@@ -247,20 +247,8 @@ def measure_latency(
             return
         processed += 1
         if processed > warmup_frames:
-            latency = record["latency_ms"]
             samples.append(elapsed_ms)
-            records.append(
-                BenchRecord(
-                    frame_index=record["frame"],
-                    end_to_end_ms=elapsed_ms,
-                    stages=StageLatencies(
-                        decode_ms=latency["decode"],
-                        nms_ms=latency["nms"],
-                        geometry_ms=latency["geometry"],
-                        fsm_ms=latency["fsm"],
-                    ),
-                )
-            )
+            records.append(BenchRecord(record["frame"], elapsed_ms, record["latency_ms"]))
 
     summary = run_pipeline(backend, config, result_sink=time_record)
     if samples:
@@ -283,10 +271,10 @@ def write_bench_csv(path: str | Path, records: Sequence[BenchRecord]) -> None:
                 [
                     record.frame_index,
                     f"{record.end_to_end_ms:.6f}",
-                    f"{stages.decode_ms:.6f}",
-                    f"{stages.nms_ms:.6f}",
-                    f"{stages.geometry_ms:.6f}",
-                    f"{stages.fsm_ms:.6f}",
+                    f"{stages['decode']:.6f}",
+                    f"{stages['nms']:.6f}",
+                    f"{stages['geometry']:.6f}",
+                    f"{stages['fsm']:.6f}",
                 ]
             )
 

@@ -80,39 +80,18 @@ class AlertEvent:
 
 
 @dataclass(frozen=True)
-class StageLatencies:
-    """Per-stage wall-clock cost of one frame, in milliseconds."""
-
-    decode_ms: float
-    nms_ms: float
-    geometry_ms: float
-    fsm_ms: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "decode": self.decode_ms,
-            "nms": self.nms_ms,
-            "geometry": self.geometry_ms,
-            "fsm": self.fsm_ms,
-        }
-
-    def max_ms(self) -> float:
-        return max(self.decode_ms, self.nms_ms, self.geometry_ms, self.fsm_ms)
-
-
-@dataclass(frozen=True)
 class FrameResult:
     frame_index: int
     detections: Detections
     train_state: TrainState
     alerts: tuple[AlertEvent, ...]
-    latency: StageLatencies
+    latency: dict[str, float]  # stage -> wall-clock ms: decode, nms, geometry, fsm
 
     def to_record(self) -> dict:
         record = detections_to_record(self.frame_index, self.detections)
         record["state"] = self.train_state.value
         record["alerts"] = [alert.to_record() for alert in self.alerts]
-        record["latency_ms"] = {k: round(v, 6) for k, v in self.latency.as_dict().items()}
+        record["latency_ms"] = {k: round(v, 6) for k, v in self.latency.items()}
         return record
 
 
@@ -321,12 +300,12 @@ def process_frame(
         detections=detections,
         train_state=state,
         alerts=tuple(alerts),
-        latency=StageLatencies(
-            decode_ms=(t1 - t0) * 1000.0,
-            nms_ms=(t2 - t1) * 1000.0,
-            geometry_ms=(t4 - t3) * 1000.0,
-            fsm_ms=(t3 - t2) * 1000.0,
-        ),
+        latency={
+            "decode": (t1 - t0) * 1000.0,
+            "nms": (t2 - t1) * 1000.0,
+            "geometry": (t4 - t3) * 1000.0,
+            "fsm": (t3 - t2) * 1000.0,
+        },
     )
 
 

@@ -296,29 +296,39 @@ def detections_to_record(frame_index: int, detections: Detections) -> dict:
     }
 
 
+def whole_number(value, name: str) -> int:
+    """Read a number from outside input that must be a whole number in [0, 2**63).
+
+    6.0 reads as 6; 1.5, "3", NaN and infinities raise ValueError, so
+    nothing is truncated or parsed from text.
+    """
+    if not (isinstance(value, (int, float)) and 0 <= value < 2**63 and value % 1 == 0):
+        raise ValueError(f"{name} must be a whole number in [0, 2**63), got {value!r}")
+    return int(value)
+
+
 def detections_from_record(record: dict) -> tuple[int, Detections]:
     """Inverse of detections_to_record (modulo the 6-decimal rounding).
 
-    The record comes from outside, so each entry is checked: its corners
-    finite and ordered, its score in [0, 1] and its class a whole number
-    that fits the int64 class ids (6.0 reads as 6, 0.7 is rejected). A bad
-    entry raises KeyError, TypeError, ValueError or, for a corner too large
-    for a float, OverflowError.
+    The record comes from outside, so it is checked: its frame a whole
+    number, and each entry's corners finite and ordered, its score in
+    [0, 1] and its class a whole number that fits the int64 class ids (see
+    whole_number). A bad record raises KeyError, TypeError, ValueError or,
+    for a corner too large for a float, OverflowError.
     """
+    frame_index = whole_number(record["frame"], "frame")
     boxes, scores, class_ids = [], [], []
     for entry in record["detections"]:
         box = BoundingBox(*entry["box"])
-        score, class_id = entry["score"], entry["class"]
+        score = entry["score"]
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {score}")
-        if not (0 <= class_id < 2**63 and class_id % 1 == 0):
-            raise ValueError(f"class must be a whole number in [0, 2**63), got {class_id}")
         boxes.append(box.as_list())
         scores.append(score)
-        class_ids.append(class_id)
+        class_ids.append(whole_number(entry["class"], "class"))
     detections = Detections(
         np.array(boxes, dtype=np.float64).reshape(-1, 4),
         np.array(scores, dtype=np.float64),
         np.array(class_ids, dtype=np.int64),
     )
-    return int(record["frame"]), detections
+    return frame_index, detections

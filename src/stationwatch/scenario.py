@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EncodingCollisionError, ScenarioError
-from .postprocess import BoundingBox, DecodeConfig, _round6
+from .postprocess import BoundingBox, DecodeConfig, _round6, whole_number
 from .tensor_stream import RawTensorSet
 
 _BACKGROUND_LOGIT = -20.0  # sigmoid(-20) ~ 2e-9: dead cell at any sane threshold
@@ -175,7 +175,6 @@ def encode_objects_to_tensors(
     image_width: int,
     image_height: int,
     num_classes: int,
-    score_level: float | None = None,
     actor_scores: Sequence[float] | None = None,
 ) -> RawTensorSet:
     """Render ground truth objects into decodable head tensors.
@@ -189,7 +188,7 @@ def encode_objects_to_tensors(
     raise EncodingCollisionError.
 
     Per-object scores come from actor_scores (indexed by position in
-    frame.objects) or a shared score_level; the default is 0.9.
+    frame.objects); without it every object scores 0.9.
     """
     if num_classes < 1:
         raise ScenarioError(f"num_classes must be >= 1, got {num_classes}")
@@ -220,12 +219,7 @@ def encode_objects_to_tensors(
             raise ScenarioError(
                 f"frame {frame.frame_index}: zero-size box cannot be encoded"
             )
-        if actor_scores is not None:
-            score = actor_scores[position]
-        elif score_level is not None:
-            score = score_level
-        else:
-            score = 0.9
+        score = 0.9 if actor_scores is None else actor_scores[position]
         if not 0.0 < score <= 1.0:
             raise ScenarioError(f"score must lie in (0, 1], got {score}")
 
@@ -414,10 +408,10 @@ def ground_truth_from_json(data: dict) -> list[GroundTruthFrame]:
     try:
         return [
             GroundTruthFrame(
-                frame_index=int(entry["frame"]),
+                frame_index=whole_number(entry["frame"], "frame"),
                 objects=tuple(
                     GroundTruthObject(
-                        class_id=int(obj["class"]),
+                        class_id=whole_number(obj["class"], "class"),
                         box=BoundingBox(*obj["box"]),
                         actor_id=int(obj.get("actor", -1)),
                     )
@@ -426,5 +420,5 @@ def ground_truth_from_json(data: dict) -> list[GroundTruthFrame]:
             )
             for entry in data["frames"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed ground truth: {exc}") from exc

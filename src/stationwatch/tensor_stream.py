@@ -22,9 +22,9 @@ import os
 import struct
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -171,18 +171,6 @@ def write_tensor_stream(
     return len(frames)
 
 
-def _read_exact(fh: BinaryIO, count: int, frame_index: int, file_size: int) -> bytes:
-    # Checked before reading, so a header that implies a payload larger
-    # than the file never makes the reader allocate it.
-    left = file_size - fh.tell()
-    if count > left:
-        raise StreamTruncatedError(
-            frame_index,
-            f"stream truncated inside frame {frame_index}: wanted {count} bytes, got {left}",
-        )
-    return fh.read(count)
-
-
 def read_header(path: str | Path) -> TensorStreamHeader:
     """Parse and validate just the stream header."""
     with open(path, "rb") as fh:
@@ -205,55 +193,6 @@ def read_header(path: str | Path) -> TensorStreamHeader:
         strides=(s0, s1, s2),
         frame_count=frame_count,
     )
-
-
-def read_tensor_stream(
-    path: str | Path,
-) -> tuple[TensorStreamHeader, Iterator[RawTensorSet]]:
-    """Open a stream file; returns its header and a lazy frame iterator.
-
-    The header is parsed and validated before any frame is touched. Frames
-    are yielded in stored order; each one is checked against the header
-    geometry as it is read.
-    """
-    header = read_header(path)
-
-    def frames() -> Iterator[RawTensorSet]:
-        with open(path, "rb") as fh:
-            file_size = os.fstat(fh.fileno()).st_size
-            fh.seek(_HEADER.size)
-            for expected_index in range(header.frame_count):
-                (frame_index,) = _U32.unpack(
-                    _read_exact(fh, _U32.size, expected_index, file_size)
-                )
-                if frame_index != expected_index:
-                    raise StreamFormatError(
-                        f"frame at position {expected_index} carries index {frame_index}"
-                    )
-                outputs = []
-                for level in range(3):
-                    meta = _read_exact(fh, _FRAME_META.size, expected_index, file_size)
-                    grid_h, grid_w, channels = _FRAME_META.unpack(meta)
-                    expected_shape = header.grid_shape(level) + (header.channels,)
-                    if (grid_h, grid_w, channels) != expected_shape:
-                        raise StreamFormatError(
-                            f"frame {frame_index} level {level}: stored shape "
-                            f"({grid_h}, {grid_w}, {channels}) does not match header "
-                            f"{expected_shape}"
-                        )
-                    payload = _read_exact(
-                        fh, grid_h * grid_w * channels * 4, expected_index, file_size
-                    )
-                    arr = np.frombuffer(payload, dtype="<f4").reshape(grid_h, grid_w, channels)
-                    outputs.append(arr.copy())
-                yield RawTensorSet(
-                    frame_index=frame_index,
-                    outputs=tuple(outputs),
-                    image_width=header.image_width,
-                    image_height=header.image_height,
-                )
-
-    return header, frames()
 
 
 class InferenceBackend(ABC):
@@ -281,9 +220,17 @@ class InferenceBackend(ABC):
 class PlaybackBackend(InferenceBackend):
     """Replays a recorded stream file, optionally looped and paced.
 
+    This is the package's only frame reader. The header is parsed once. A
+    frame then has the size the header implies, 4 + sum(12 + 4*h*w*c) bytes;
+    that size is checked against the bytes left in the file before anything
+    is allocated, and the frame is read with one readinto call into its own
+    buffer. The stored index and shapes are checked against the header, and
+    the three tensors are writable views of that buffer, so no two frames
+    share memory.
+
     Looping renumbers frames so indices keep increasing: a 3-frame file
     played with loop_count=2 yields indices 0..5. Each instance opens its
-    own handles, so distinct instances over one file may run in parallel.
+    own handle, so distinct instances over one file may run in parallel.
     """
 
     def __init__(self, path: str | Path, loop_count: int = 1, simulated_delay_ms: float = 0.0):
@@ -303,20 +250,60 @@ class PlaybackBackend(InferenceBackend):
         return self._header
 
     def _generate(self) -> Iterator[RawTensorSet]:
-        per_loop = self._header.frame_count
-        for loop in range(self._loop_count):
-            _, frames = read_tensor_stream(self._path)
-            for frame in frames:
-                if self._delay_s > 0:
-                    time.sleep(self._delay_s)
-                if loop == 0:
-                    yield frame
-                else:
+        header = self._header
+        # (offset of the stored shape, shape, float count) per level.
+        levels = []
+        frame_size = _U32.size
+        for level in range(3):
+            shape = header.grid_shape(level) + (header.channels,)
+            count = shape[0] * shape[1] * shape[2]
+            levels.append((frame_size, shape, count))
+            frame_size += _FRAME_META.size + 4 * count
+
+        with open(self._path, "rb") as fh:
+            file_size = os.fstat(fh.fileno()).st_size
+            for loop in range(self._loop_count):
+                fh.seek(_HEADER.size)
+                for position in range(header.frame_count):
+                    frame_index = loop * header.frame_count + position
+                    # `got` is the bytes left until a read replaces it. Testing
+                    # it before allocating means a header that implies a frame
+                    # larger than the file never costs that memory; the same
+                    # test catches a short read from a file that shrank.
+                    got = file_size - fh.tell()
+                    if frame_size <= got:
+                        buf = bytearray(frame_size)
+                        got = fh.readinto(buf)
+                    if got < frame_size:
+                        raise StreamTruncatedError(
+                            frame_index,
+                            f"stream truncated inside frame {frame_index}: "
+                            f"wanted {frame_size} bytes, got {got}",
+                        )
+                    (stored_index,) = _U32.unpack_from(buf)
+                    if stored_index != position:
+                        raise StreamFormatError(
+                            f"frame at position {position} carries index {stored_index}"
+                        )
+                    outputs = []
+                    for level, (offset, shape, count) in enumerate(levels):
+                        stored = _FRAME_META.unpack_from(buf, offset)
+                        if stored != shape:
+                            raise StreamFormatError(
+                                f"frame {stored_index} level {level}: stored shape "
+                                f"{stored} does not match header {shape}"
+                            )
+                        payload = np.frombuffer(
+                            buf, dtype="<f4", count=count, offset=offset + _FRAME_META.size
+                        )
+                        outputs.append(payload.reshape(shape))
+                    if self._delay_s > 0:
+                        time.sleep(self._delay_s)
                     yield RawTensorSet(
-                        frame_index=loop * per_loop + frame.frame_index,
-                        outputs=frame.outputs,
-                        image_width=frame.image_width,
-                        image_height=frame.image_height,
+                        frame_index=frame_index,
+                        outputs=tuple(outputs),
+                        image_width=header.image_width,
+                        image_height=header.image_height,
                     )
 
     def next_frame(self) -> RawTensorSet | None:

@@ -11,7 +11,7 @@ from stationwatch import ZoneKind, default_config, load_config, save_config
 from stationwatch.bench import BENCH_CSV_HEADER
 from stationwatch.cli import main
 from stationwatch.scenario import scenario_to_json
-from stationwatch.tensor_stream import read_header, read_tensor_stream, write_tensor_stream
+from stationwatch.tensor_stream import PlaybackBackend, read_header, write_tensor_stream
 
 
 def run_cli(*argv: str) -> int:
@@ -218,7 +218,8 @@ def test_run_loops_renumber_frames(tmp_path):
 def nan_stream(tmp_path):
     """The 150-frame empty platform scene with one NaN cell in frame 7."""
     tensors, _ = simulate(tmp_path, "empty_platform")
-    header, frames = read_tensor_stream(tensors)
+    frames = PlaybackBackend(tensors)
+    header = frames.header
     frames = list(frames)
     frames[7].outputs[0][0, 0, 4] = np.nan
     path = tmp_path / "nan.yxt"
@@ -237,7 +238,8 @@ def truncated_stream(tmp_path):
 def all_nan_stream(tmp_path):
     """Three frames of the empty platform scene, each with a NaN objectness cell."""
     tensors, _ = simulate(tmp_path, "empty_platform")
-    header, frames = read_tensor_stream(tensors)
+    frames = PlaybackBackend(tensors)
+    header = frames.header
     frames = [frame for frame, _ in zip(frames, range(3))]
     for frame in frames:
         frame.outputs[0][0, 0, 4] = np.nan
@@ -429,7 +431,10 @@ GOOD_PREDICTION = {
     ('{"frame": 1, "detections": [{"box": [5.0, 2.0, 1.0, 4.0], "score": 0.9, "class": 0}]}',
      "box corners out of order"),
     ('{"frame": 1, "detections": [', "Expecting value"),
-], ids=["two_coordinates", "no_class", "corners_out_of_order", "not_json"])
+    ('{"frame": 1.5, "detections": []}', "frame must be a whole number"),
+    ('{"frame": "1", "detections": []}', "frame must be a whole number"),
+], ids=["two_coordinates", "no_class", "corners_out_of_order", "not_json",
+        "frame_fractional", "frame_not_a_number"])
 def test_evaluate_reports_a_malformed_prediction_record_in_one_line(
     tmp_path, capsys, line, reason
 ):
@@ -518,7 +523,14 @@ def test_evaluate_rejects_a_bad_iou_threshold_even_without_predictions(tmp_path,
     (b"{\"frames\": [", "Expecting value"),
     (b"\xff\xfe{}", "can't decode byte 0xff"),
     (b"{}", "'frames'"),
-], ids=["not_json", "not_utf8", "no_frames"])
+    (b'{"frames": [{"frame": 0, "objects": [{"class": 0, "box": [1.0, 2.0, 3.0, 1'
+     + b"0" * 400 + b"]}]}]}", "too large to convert to float"),
+    (b'{"frames": [{"frame": 0.5, "objects": []}]}', "frame must be a whole number"),
+    (b'{"frames": [{"frame": "0", "objects": []}]}', "frame must be a whole number"),
+    (b'{"frames": [{"frame": 0, "objects": [{"class": 0.7, "box": [1.0, 2.0, 3.0, 4.0]}]}]}',
+     "class must be a whole number"),
+], ids=["not_json", "not_utf8", "no_frames", "corner_past_float", "frame_fractional",
+        "frame_not_a_number", "class_fractional"])
 def test_evaluate_reports_a_malformed_ground_truth_file_in_one_line(
     tmp_path, capsys, content, reason
 ):

@@ -47,7 +47,7 @@ TRAIN_IN_TRACK = BoundingBox(40.0, 30.0, 100.0, 90.0)
 
 def scene_frame(index: int, objects: tuple[GroundTruthObject, ...]):
     gt = GroundTruthFrame(index, objects)
-    return encode_objects_to_tensors(gt, DecodeConfig(), 320, 320, 8, score_level=0.9)
+    return encode_objects_to_tensors(gt, DecodeConfig(), 320, 320, 8)
 
 
 def scene_header(frame_count: int) -> TensorStreamHeader:

@@ -113,7 +113,7 @@ def test_encoded_object_decodes_back_to_itself():
     config = DecodeConfig()
     box = BoundingBox(71.0, 100.0, 89.0, 140.0)  # 18x40 person at (80, 120)
     gt = GroundTruthFrame(0, (GroundTruthObject(PERSON_CLASS, box, 0),))
-    tensors = encode_objects_to_tensors(gt, config, 320, 320, 8, score_level=0.9)
+    tensors = encode_objects_to_tensors(gt, config, 320, 320, 8)
 
     dets = decode_all(tensors, config)
     assert len(dets) == 1
@@ -158,7 +158,7 @@ def test_score_level_one_is_clamped_but_round_trips_within_tolerance():
     config = DecodeConfig()
     box = BoundingBox(100.0, 100.0, 140.0, 140.0)
     gt = GroundTruthFrame(0, (GroundTruthObject(0, box, 0),))
-    tensors = encode_objects_to_tensors(gt, config, 320, 320, 8, score_level=1.0)
+    tensors = encode_objects_to_tensors(gt, config, 320, 320, 8, actor_scores=[1.0])
     score = decode_all(tensors, config).scores[0]
     assert score <= 1.0
     assert score == pytest.approx(1.0, abs=1e-5)

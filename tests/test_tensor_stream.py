@@ -17,7 +17,6 @@ from stationwatch import (
     StreamTruncatedError,
     TensorStreamHeader,
     UnsupportedVersionError,
-    read_tensor_stream,
     write_tensor_stream,
 )
 from stationwatch.tensor_stream import MAGIC, STREAM_VERSION, read_header
@@ -65,7 +64,8 @@ def test_round_trip_is_bitwise_exact(tmp_path):
     written = write_tensor_stream(path, header, frames)
     assert written == 3
 
-    read_back_header, reader = read_tensor_stream(path)
+    reader = PlaybackBackend(path)
+    read_back_header = reader.header
     assert read_back_header == header
     read_frames = list(reader)
     assert len(read_frames) == 3
@@ -89,7 +89,8 @@ def test_empty_stream_round_trips(tmp_path):
     header = small_header(0)
     path = tmp_path / "empty.yxt"
     assert write_tensor_stream(path, header, []) == 0
-    restored, reader = read_tensor_stream(path)
+    reader = PlaybackBackend(path)
+    restored = reader.header
     assert restored.frame_count == 0
     assert list(reader) == []
 
@@ -136,7 +137,7 @@ def test_truncation_mid_frame_reports_the_frame_index(tmp_path):
     assert len(data) == HEADER_SIZE + 2 * per_frame
     path.write_bytes(data[: HEADER_SIZE + per_frame + 100])
 
-    _, reader = read_tensor_stream(path)
+    reader = iter(PlaybackBackend(path))
     first = next(reader)
     assert np.array_equal(first.outputs[0], frames[0].outputs[0])
     with pytest.raises(StreamTruncatedError) as excinfo:
@@ -151,7 +152,7 @@ def test_truncation_at_a_frame_boundary_still_reports_the_frame(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: HEADER_SIZE + frame_size_bytes(header)])
 
-    _, reader = read_tensor_stream(path)
+    reader = iter(PlaybackBackend(path))
     next(reader)
     with pytest.raises(StreamTruncatedError) as excinfo:
         next(reader)
@@ -167,7 +168,7 @@ def test_corrupted_stored_grid_shape_is_a_stream_format_error(tmp_path):
     struct.pack_into("<I", raw, HEADER_SIZE + 4, 99)
     path.write_bytes(bytes(raw))
 
-    _, reader = read_tensor_stream(path)
+    reader = iter(PlaybackBackend(path))
     with pytest.raises(StreamFormatError, match="does not match header"):
         next(reader)
 
@@ -184,7 +185,7 @@ def test_payload_larger_than_the_file_is_truncation_not_an_allocation(tmp_path):
     path = tmp_path / "huge.yxt"
     path.write_bytes(raw)
 
-    _, reader = read_tensor_stream(path)
+    reader = iter(PlaybackBackend(path))
     with pytest.raises(StreamTruncatedError, match="frame 0") as excinfo:
         next(reader)
     assert excinfo.value.frame_index == 0
@@ -198,7 +199,7 @@ def test_corrupted_frame_index_is_rejected(tmp_path):
     struct.pack_into("<I", raw, HEADER_SIZE, 7)
     path.write_bytes(bytes(raw))
 
-    _, reader = read_tensor_stream(path)
+    reader = iter(PlaybackBackend(path))
     with pytest.raises(StreamFormatError, match="carries index 7"):
         next(reader)
 
@@ -298,6 +299,20 @@ def test_playback_loop_renumbers_frames(tmp_path):
         assert np.array_equal(repeat.outputs[1], original.outputs[1])
 
 
+def test_playback_frames_are_writable_and_share_no_memory(tmp_path):
+    header = small_header(2)
+    frames = random_frames(header)
+    path = tmp_path / "own.yxt"
+    write_tensor_stream(path, header, frames)
+
+    first, second, first_again, _ = PlaybackBackend(path, loop_count=2)
+    for out in first.outputs:
+        out[...] = np.nan
+    for replayed, original in ((second, frames[1]), (first_again, frames[0])):
+        for a, b in zip(replayed.outputs, original.outputs):
+            assert np.array_equal(a, b)
+
+
 def test_playback_simulated_delay_paces_frames(tmp_path):
     header = small_header(3)
     path = tmp_path / "paced.yxt"
@@ -362,7 +377,8 @@ def test_round_trip_property_over_random_geometries(
     frames = random_frames(header, seed=seed)
     path = tmp_path_factory.mktemp("prop") / "stream.yxt"
     write_tensor_stream(path, header, frames)
-    restored_header, reader = read_tensor_stream(path)
+    reader = PlaybackBackend(path)
+    restored_header = reader.header
     restored = list(reader)
     assert restored_header == header
     assert len(restored) == frame_count
@@ -399,7 +415,8 @@ def test_any_damaged_stream_gives_frames_or_a_stream_format_error(tmp_path_facto
     path.write_bytes(bytes(raw[: data.draw(st.integers(0, len(raw)))]))
 
     try:
-        restored_header, reader = read_tensor_stream(path)
+        reader = PlaybackBackend(path)
+        restored_header = reader.header
         restored = list(reader)
     except StreamFormatError:
         return
