@@ -23,7 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -70,6 +72,41 @@ class _JsonlWriter:
 
     def __call__(self, record: dict) -> None:
         self._fh.write(json.dumps(record) + "\n")
+
+
+@contextmanager
+def _outputs(*paths: str):
+    """Text files that show at `paths` only once the block completes.
+
+    Each is written to a temporary file next to its path; after the last
+    one is closed, all are moved onto their paths with os.replace. On any
+    failure the temporary files are removed, so no path is created and a
+    file already there keeps its content. A path that exists and is not a
+    regular file, such as /dev/null, is written in place.
+    """
+    staged = []  # (handle, the path it writes, target path)
+    try:
+        for number, path in enumerate(paths):
+            target = Path(path).resolve()
+            if target.exists() and not target.is_file():
+                staged.append((open(target, "w", encoding="utf-8"), target, target))
+            else:
+                temp = target.with_name(f".{target.name}.{os.getpid()}-{number}.tmp")
+                try:
+                    staged.append((open(temp, "x", encoding="utf-8"), temp, target))
+                except OSError as exc:  # name the path asked for, not the temporary one
+                    raise OSError(exc.errno, exc.strerror, path) from exc
+        yield [fh for fh, _, _ in staged]
+        for fh, _, _ in staged:
+            fh.close()
+        for _, temp, target in staged:
+            if temp != target:
+                os.replace(temp, target)
+    finally:
+        for fh, temp, target in staged:
+            fh.close()
+            if temp != target:
+                temp.unlink(missing_ok=True)
 
 
 def _load_pipeline_config(path: str | None):
@@ -130,8 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     backend = PlaybackBackend(args.tensors, loop_count=args.loop,
                               simulated_delay_ms=args.delay_ms)
     check_backend_geometry(backend, config)
-    with open(args.alerts_out, "w", encoding="utf-8") as alerts_fh, \
-            open(args.results_out, "w", encoding="utf-8") as results_fh:
+    with _outputs(args.alerts_out, args.results_out) as (alerts_fh, results_fh):
         summary = run_pipeline(
             backend,
             config,

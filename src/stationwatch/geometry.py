@@ -20,7 +20,7 @@ height = height_m * (1 - axial_dist_m / z0_m). Both forms are exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -129,6 +129,8 @@ class Zone:
     name: str
     kind: ZoneKind
     polygon: tuple[tuple[float, float], ...]
+    # (x1, y1, x2, y2): no point outside it is in the polygon; see __post_init__.
+    reach: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         polygon = tuple((float(x), float(y)) for x, y in self.polygon)
@@ -140,6 +142,13 @@ class Zone:
                 raise ValueError(f"zone '{self.name}': polygon vertex not finite")
         if not _polygon_is_simple(polygon):
             raise ValueError(f"zone '{self.name}': polygon is self-intersecting")
+        # The bounding box, widened because `_on_edge` accepts points up to
+        # _EDGE_EPS beyond an edge's range and a ray crossing may round up
+        # to a dozen ulps of the largest coordinate past its edge.
+        xs, ys = zip(*polygon)
+        pad = _EDGE_EPS + 16 * math.ulp(max(map(abs, xs + ys)))
+        reach = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+        object.__setattr__(self, "reach", reach)
 
 
 def ground_point(box: Sequence[float]) -> GroundPoint:
@@ -184,6 +193,10 @@ def point_in_polygon(x: float, y: float, vertices: Sequence[tuple[float, float]]
 
 
 def point_in_zone(point: GroundPoint, zone: Zone) -> bool:
+    """`point_in_polygon` of the zone, False at once for a point outside its reach."""
+    x1, y1, x2, y2 = zone.reach
+    if not (x1 <= point.x <= x2 and y1 <= point.y <= y2):
+        return False
     return point_in_polygon(point.x, point.y, zone.polygon)
 
 

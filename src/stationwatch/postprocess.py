@@ -235,6 +235,60 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(union > 0.0, inter / union, 0.0)
 
 
+# NMS walks the visit order in blocks of this many rows and makes candidate
+# pairs in chunks of about this many, so its scratch memory is bounded
+# however the boxes lie.
+_NMS_BLOCK = 1024
+_NMS_CHUNK = 2**17
+
+
+def _windows(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, prior: np.ndarray | None):
+    """Sort-and-sweep windows on one axis, as (a, starts, counts, b) tuples.
+
+    Row a[r] may overlap rows b[starts[r]:starts[r] + counts[r]] on this
+    axis. Every pair whose ranges overlap by a positive length lies in
+    exactly one window: without `prior`, the pairs within `rows`; with it,
+    the pairs of a row and a prior row.
+    """
+    rows = rows[lo[rows].argsort()]
+    rows_lo = lo[rows]
+    if prior is None:
+        # After a row: the rows whose low edge lies below its high edge.
+        starts = np.arange(1, len(rows) + 1)
+        windows = [(rows, starts, rows_lo.searchsorted(hi[rows]), rows)]
+    else:
+        # Prior rows whose low edge lies in [lo, hi) of a row, and rows
+        # whose low edge lies in (lo, hi) of a prior row.
+        prior = prior[lo[prior].argsort()]
+        prior_lo = lo[prior]
+        windows = [
+            (rows, prior_lo.searchsorted(rows_lo), prior_lo.searchsorted(hi[rows]), prior),
+            (prior, rows_lo.searchsorted(prior_lo, "right"), rows_lo.searchsorted(hi[prior]), rows),
+        ]
+    return [(a, starts, np.maximum(stops - starts, 0), b) for a, starts, stops, b in windows]
+
+
+def _candidate_pairs(edges, rows: np.ndarray, prior: np.ndarray | None = None):
+    """Chunks of (earlier, later) rows that may overlap, from the sweep with fewer pairs.
+
+    `edges` holds the (low, high) edges of the x and the y axis.
+    """
+    sweeps = [_windows(lo, hi, rows, prior) for lo, hi in edges]
+    totals = [sum(int(counts.sum()) for _, _, counts, _ in windows) for windows in sweeps]
+    for a, starts, counts, b in sweeps[totals.index(min(totals))]:
+        # Cut the rows where the running pair count passes a multiple of
+        # _NMS_CHUNK: a chunk holds at most that many pairs plus one row's.
+        ends = counts.cumsum()
+        before = ends - counts
+        cuts = ends.searchsorted(np.arange(0, counts.sum(), _NMS_CHUNK)).tolist()
+        for lo, hi in zip(cuts, [*cuts[1:], len(a)]):
+            window = counts[lo:hi]
+            first = a[lo:hi].repeat(window)
+            shift = (starts[lo:hi] + before[lo] - before[lo:hi]).repeat(window)
+            second = b[np.arange(len(first)) + shift]
+            yield np.minimum(first, second), np.maximum(first, second)
+
+
 def nms(detections: Detections, iou_threshold: float) -> Detections:
     """Class-aware greedy non-maximum suppression.
 
@@ -244,37 +298,66 @@ def nms(detections: Detections, iou_threshold: float) -> Detections:
     the threshold. Suppression never crosses class boundaries. Kept rows
     come back in visit order.
 
-    Each kept box is tested, with the arithmetic of `iou_matrix`, against
-    every same-class box still alive after it, so memory stays linear in
-    the number of candidates.
+    The work goes by overlapping pair, not by kept row. The visit order is
+    taken in blocks of `_NMS_BLOCK` rows. A block first loses the rows that
+    a kept row of an earlier block suppresses; then the suppressing pairs
+    within the block are found and walked once, in visit order, with one
+    step per row that has a later partner. Pairs come from a sort-and-sweep
+    on x or y, whichever gives fewer, in chunks of about `_NMS_CHUNK`, and
+    are scored with the arithmetic of `iou_matrix`. Scratch memory is
+    linear in the number of candidates, plus the suppressing pairs within
+    one block (at most `_NMS_BLOCK`**2 / 2), however the boxes lie.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")
     # lexsort is stable: equal keys keep input order.
     order = np.lexsort((detections.class_ids, -detections.scores))
-    # Rows: x1, y1, x2, y2, area, class id, input row; columns: the
-    # candidates still alive, in visit order.
-    live = np.empty((7, len(order)))
-    live[:4] = detections.boxes[order].T
-    live[4] = (live[2] - live[0]) * (live[3] - live[1])
-    live[5] = detections.class_ids[order]
-    live[6] = order
-    kept: list[float] = []
-    # With ordered corners the union is never below the intersection, so
-    # it is 0 only when both are, and 0 / 0 = nan compares False as the
-    # empty-union rule of `iou_matrix` asks.
+    count = len(order)
+    if count < 2:
+        return detections.take(order)
+    x1, y1, x2, y2 = detections.boxes[order].T.copy()
+    areas = (x2 - x1) * (y2 - y1)
+    classes = detections.class_ids[order]
+    edges = ((x1, x2), (y1, y2))
+
+    def suppressing(pairs):
+        # IoU is symmetric: max, min and the sum of the two areas commute.
+        # With ordered corners the union is never below the intersection,
+        # so it is 0 only when both are, and 0 / 0 = nan compares False as
+        # the empty-union rule of `iou_matrix` asks.
+        for first, second in pairs:
+            same = classes[first] == classes[second]
+            first, second = first[same], second[same]
+            iw = np.minimum(x2[first], x2[second]) - np.maximum(x1[first], x1[second])
+            ih = np.minimum(y2[first], y2[second]) - np.maximum(y1[first], y1[second])
+            inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+            hit = inter / (areas[first] + areas[second] - inter) > iou_threshold
+            yield first[hit], second[hit]
+
+    kept = np.zeros(count, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        while live.shape[1]:
-            head, rest = live[:, 0], live[:, 1:]
-            kept.append(head[6])
-            lo = np.maximum(head[:2, None], rest[:2])
-            hi = np.minimum(head[2:4, None], rest[2:4])
-            iw, ih = np.maximum(hi - lo, 0.0)
-            inter = iw * ih
-            overlap = inter / (head[4] + rest[4] - inter)
-            suppressed = (overlap > iou_threshold) & (rest[5] == head[5])
-            live = rest[:, ~suppressed] if suppressed.any() else rest
-    return detections.take(np.array(kept, dtype=np.intp))
+        for start in range(0, count, _NMS_BLOCK):
+            stop = min(start + _NMS_BLOCK, count)
+            kept[start:stop] = True
+            rows = np.arange(start, stop)
+            if start:
+                prior = np.flatnonzero(kept[:start])
+                for _, later in suppressing(_candidate_pairs(edges, rows, prior)):
+                    kept[later] = False
+                rows = rows[kept[start:stop]]
+            pairs = [pair for pair in suppressing(_candidate_pairs(edges, rows)) if len(pair[0])]
+            if not pairs:
+                continue
+            first, second = (np.concatenate(side) for side in zip(*pairs))
+            by_first = first.argsort()
+            first, second = first[by_first], second[by_first]
+            # Walk the rows with a later partner in visit order; a row still
+            # kept when its turn comes suppresses all of its partners.
+            bounds = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), len(first)]
+            for head, lo, hi in zip(first[bounds[:-1]].tolist(), bounds, bounds[1:]):
+                if kept[head]:
+                    kept[second[lo:hi]] = False
+    return detections.take(order[kept])
 
 
 def _round6(value: float) -> float:

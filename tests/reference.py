@@ -2,7 +2,8 @@
 
 Each reference is written for obviousness, not speed: the per-cell decode
 scores every cell and builds one `Det` record per kept cell, the NMS scans
-every kept pair explicitly, `greedy_match` computes one scalar IoU per
+every kept pair explicitly, `row_by_row_nms` tests one kept row at a
+time against every alive candidate, `greedy_match` computes one scalar IoU per
 pair, and `reference_frame_records` chains decode and NMS with the train
 state machine and a hand-written ground point into the records the
 pipeline should emit for one frame.
@@ -117,6 +118,36 @@ def brute_force_nms(dets, threshold):
         if ok:
             kept.append(i)
     return [dets[i] for i in kept]
+
+
+def row_by_row_nms(detections, iou_threshold):
+    """The batch NMS as it was before pairs were found in bulk, on a `Detections` batch.
+
+    One kept row at a time: the head of the alive candidates, in visit
+    order, is kept and every alive same-class candidate whose IoU with it,
+    by the arithmetic of `iou_matrix`, is above the threshold is dropped.
+    """
+    order = np.lexsort((detections.class_ids, -detections.scores))
+    # Rows: x1, y1, x2, y2, area, class id, input row; columns: the
+    # candidates still alive, in visit order.
+    live = np.empty((7, len(order)))
+    live[:4] = detections.boxes[order].T
+    live[4] = (live[2] - live[0]) * (live[3] - live[1])
+    live[5] = detections.class_ids[order]
+    live[6] = order
+    kept = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.shape[1]:
+            head, rest = live[:, 0], live[:, 1:]
+            kept.append(head[6])
+            lo = np.maximum(head[:2, None], rest[:2])
+            hi = np.minimum(head[2:4, None], rest[2:4])
+            iw, ih = np.maximum(hi - lo, 0.0)
+            inter = iw * ih
+            overlap = inter / (head[4] + rest[4] - inter)
+            suppressed = (overlap > iou_threshold) & (rest[5] == head[5])
+            live = rest[:, ~suppressed] if suppressed.any() else rest
+    return detections.take(np.array(kept, dtype=np.intp))
 
 
 def scalar_iou(a, b):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from stationwatch import ZoneKind, default_config, load_config, save_config
 from stationwatch.bench import BENCH_CSV_HEADER
+from stationwatch import cli
 from stationwatch.cli import main
 from stationwatch.scenario import scenario_to_json
 from stationwatch.tensor_stream import PlaybackBackend, read_header, write_tensor_stream
@@ -211,6 +213,72 @@ def test_run_loops_renumber_frames(tmp_path):
     lines = results.read_text().splitlines()
     assert len(lines) == 300
     assert json.loads(lines[-1])["frame"] == 299
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new_paths", "existing_files"])
+def test_run_leaves_no_partial_output_when_a_sink_fails_mid_run(
+    tmp_path, capsys, monkeypatch, existing
+):
+    tensors, _ = simulate(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    alerts, results = out / "alerts.jsonl", out / "results.jsonl"
+    if existing:
+        alerts.write_text("old alerts\n")
+        results.write_text("old results\n")
+    write = cli._JsonlWriter.__call__
+
+    def write_until_frame_27(sink, record):
+        # Alerts of the crossing start at frame 19, so both files have lines by then.
+        if "detections" in record and record["frame"] == 27:
+            raise OSError(28, "No space left on device")
+        write(sink, record)
+
+    monkeypatch.setattr(cli._JsonlWriter, "__call__", write_until_frame_27)
+    code = run_cli(
+        "run", "--tensors", str(tensors),
+        "--alerts-out", str(alerts), "--results-out", str(results),
+    )
+    assert code == 1
+    assert "output sink failed" in capsys.readouterr().err
+    if existing:
+        assert alerts.read_text() == "old alerts\n"
+        assert results.read_text() == "old results\n"
+        assert sorted(path.name for path in out.iterdir()) == ["alerts.jsonl", "results.jsonl"]
+    else:
+        assert list(out.iterdir()) == []
+
+
+def test_run_into_a_missing_directory_names_the_path_and_writes_nothing(tmp_path, capsys):
+    tensors, _ = simulate(tmp_path, "empty_platform")
+    alerts = tmp_path / "alerts.jsonl"
+    results = tmp_path / "missing" / "results.jsonl"
+    code = run_cli(
+        "run", "--tensors", str(tensors),
+        "--alerts-out", str(alerts), "--results-out", str(results),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"run: [Errno 2] No such file or directory: '{results}'\n"
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "empty_platform-gt.json", "empty_platform.yxt"
+    ]
+
+
+def test_run_replaces_existing_outputs_and_writes_a_device_in_place(tmp_path, capsys):
+    tensors, _ = simulate(tmp_path, "empty_platform")
+    results = tmp_path / "results.jsonl"
+    results.write_text("old results\n")
+    assert run_cli(
+        "run", "--tensors", str(tensors),
+        "--alerts-out", "/dev/null", "--results-out", str(results),
+    ) == 0
+    assert len(results.read_text().splitlines()) == 150
+    assert Path("/dev/null").is_char_device()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "empty_platform-gt.json", "empty_platform.yxt", "results.jsonl"
+    ]
 
 
 # --- bad inputs: run and bench agree -------------------------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from stationwatch import (
@@ -176,6 +176,50 @@ def test_point_in_zone_and_ground_point():
     assert ground_point((1.0, 0.0, 3.0, 4.0)) == foot
     assert point_in_zone(foot, zone)  # bottom edge of the zone, inclusive
     assert not point_in_zone(GroundPoint(2.0, 4.1), zone)
+
+
+@st.composite
+def polygons_and_points_near_their_box(draw):
+    """A zone polygon and a point within 1e-8 of an edge or corner of its bounding box."""
+    corners = draw(st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=7, unique=True
+    ))
+    # Sorted by angle about their mean, the corners make a star-shaped polygon.
+    mean_x = sum(x for x, _ in corners) / len(corners)
+    mean_y = sum(y for _, y in corners) / len(corners)
+    corners.sort(key=lambda c: math.atan2(c[1] - mean_y, c[0] - mean_x))
+    scale = draw(st.sampled_from([1.0, 1 / 3, 640.0, 1e6]))
+    polygon = tuple((x * scale, y * scale) for x, y in corners)
+    try:
+        Zone("z", ZoneKind.DANGER, polygon)
+    except ValueError:
+        reject()
+
+    # Nudges of any size up to 1e-8, and multiples of 5e-10 around the
+    # 1e-9 tolerance of `_on_edge`.
+    nudges = st.one_of(st.floats(-1e-8, 1e-8), st.integers(-20, 20).map(lambda k: k * 5e-10))
+
+    def near(lo, hi):
+        at_an_edge = st.tuples(st.sampled_from([lo, hi]), nudges).map(sum)
+        return st.one_of(at_an_edge, st.floats(lo, hi))
+
+    xs, ys = zip(*polygon)
+    return polygon, draw(near(min(xs), max(xs))), draw(near(min(ys), max(ys)))
+
+
+SQUARE_0_10 = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=polygons_and_points_near_their_box())
+# Within _EDGE_EPS of an edge's range counts as on the edge, so both points
+# are in the square though they lie outside its bounding box.
+@example(case=(SQUARE_0_10, 10 + 5e-10, 5.0))
+@example(case=(SQUARE_0_10, -5e-10, -5e-10))
+def test_point_in_zone_agrees_with_point_in_polygon_at_the_zone_box(case):
+    polygon, x, y = case
+    zone = Zone("z", ZoneKind.DANGER, polygon)
+    assert point_in_zone(GroundPoint(x, y), zone) == point_in_polygon(x, y, polygon)
 
 
 # --- zone validation ------------------------------------------------------------

@@ -12,6 +12,7 @@ from stationwatch import (
     BoundingBox,
     DecodeConfig,
     DecodeError,
+    Detections,
     GeometryError,
     RawTensorSet,
     decode_all,
@@ -30,6 +31,7 @@ from reference import (
     cell_sigmoid,
     from_batch,
     per_cell_decode_all,
+    row_by_row_nms,
     scalar_iou,
     to_batch,
 )
@@ -536,6 +538,74 @@ def test_nms_on_a_fully_live_frame_is_greedy_in_bounded_memory():
             kept_boxes[count], kept_classes[count] = box, class_id
             count += 1
     assert count == len(kept)
+
+
+def assert_same_batch(actual, expected):
+    for name in ("boxes", "scores", "class_ids"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def test_nms_equals_the_row_by_row_nms_on_batches_of_several_blocks():
+    # Integer-grid boxes, tied scores and 3 classes; small grids make the
+    # boxes pile up, large ones keep most of them, and 1,000-3,500 boxes
+    # span up to four blocks of the visit order.
+    rng = np.random.default_rng(1024)
+    for trial in range(30):
+        count = int(rng.integers(1000, 3501))
+        span = int(rng.integers(8, 200))
+        corners = rng.integers(0, span, (count, 2))
+        sizes = rng.integers(0, 12, (count, 2))
+        batch = Detections(
+            np.hstack([corners, corners + sizes]).astype(np.float64),
+            rng.choice([0.25, 0.5, 0.75, 1.0], count),
+            rng.integers(0, 3, count),
+        )
+        threshold = (0.0, 1 / 3, 0.5, 1.0)[trial % 4]
+        assert_same_batch(nms(batch, threshold), row_by_row_nms(batch, threshold))
+
+
+def full_width_frame(rng, height_logit):
+    """A fully live 640x640 frame of two classes whose boxes all span the image width.
+
+    Each cell's width term is so large that its box clips to x = 0..640;
+    `height_logit(stride)` is its height term.
+    """
+    outputs = []
+    for stride in (8, 16, 32):
+        side = 640 // stride
+        grid = np.empty((side, side, 7), dtype=np.float32)
+        grid[..., 0:2] = rng.uniform(0.0, 1.0, (side, side, 2))
+        grid[..., 2] = 10.0
+        grid[..., 3] = height_logit(stride)
+        grid[..., 4] = 20.0
+        grid[..., 5:] = rng.uniform(0.0, 4.0, (side, side, 2))
+        outputs.append(grid)
+    return RawTensorSet(0, tuple(outputs), 640, 640)
+
+
+@pytest.mark.parametrize(
+    "height_logit, threshold",
+    [
+        (lambda stride: 10.0, 0.45),  # every box clips to the whole image
+        (lambda stride: math.log(1 / stride), 0.0),  # strips one pixel high
+    ],
+    ids=["whole_image", "one_pixel_strips"],
+)
+def test_nms_on_a_hostile_frame_stays_in_bounded_memory(height_logit, threshold):
+    frame = full_width_frame(np.random.default_rng(640), height_logit)
+    tracemalloc.start()
+    try:
+        candidates = decode_all(frame, DecodeConfig())
+        kept = nms(candidates, threshold)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(candidates) == 8400
+    assert (candidates.boxes[:, [0, 2]] == [0.0, 640.0]).all()
+    assert peak < 64 * 2**20
+    assert_same_batch(kept, row_by_row_nms(candidates, threshold))
 
 
 def test_detections_take_selects_rows():
