@@ -48,8 +48,6 @@ from .geometry import (
     polygon_area,
 )
 from .pipeline import (
-    AlertEvent,
-    FrameResult,
     PipelineConfig,
     RunSummary,
     Severity,

@@ -18,8 +18,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -261,22 +260,22 @@ def measure_latency(
     )
 
 
-def write_bench_csv(path: str | Path, records: Sequence[BenchRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_CSV_HEADER)
-        for record in records:
-            stages = record.stages
-            writer.writerow(
-                [
-                    record.frame_index,
-                    f"{record.end_to_end_ms:.6f}",
-                    f"{stages['decode']:.6f}",
-                    f"{stages['nms']:.6f}",
-                    f"{stages['geometry']:.6f}",
-                    f"{stages['fsm']:.6f}",
-                ]
-            )
+def write_bench_csv(fh: IO[str], records: Sequence[BenchRecord]) -> None:
+    """Write the bench CSV to `fh`, a text handle opened with newline=""."""
+    writer = csv.writer(fh)
+    writer.writerow(BENCH_CSV_HEADER)
+    for record in records:
+        stages = record.stages
+        writer.writerow(
+            [
+                record.frame_index,
+                f"{record.end_to_end_ms:.6f}",
+                f"{stages['decode']:.6f}",
+                f"{stages['nms']:.6f}",
+                f"{stages['geometry']:.6f}",
+                f"{stages['fsm']:.6f}",
+            ]
+        )
 
 
 def bench_summary(

@@ -82,18 +82,20 @@ def _outputs(*paths: str):
     one is closed, all are moved onto their paths with os.replace. On any
     failure the temporary files are removed, so no path is created and a
     file already there keeps its content. A path that exists and is not a
-    regular file, such as /dev/null, is written in place.
+    regular file, such as /dev/null, is written in place. Text is written
+    as given, with no newline translation, so the csv module's CRLF line
+    endings survive.
     """
     staged = []  # (handle, the path it writes, target path)
     try:
         for number, path in enumerate(paths):
             target = Path(path).resolve()
             if target.exists() and not target.is_file():
-                staged.append((open(target, "w", encoding="utf-8"), target, target))
+                staged.append((open(target, "w", encoding="utf-8", newline=""), target, target))
             else:
                 temp = target.with_name(f".{target.name}.{os.getpid()}-{number}.tmp")
                 try:
-                    staged.append((open(temp, "x", encoding="utf-8"), temp, target))
+                    staged.append((open(temp, "x", encoding="utf-8", newline=""), temp, target))
                 except OSError as exc:  # name the path asked for, not the temporary one
                     raise OSError(exc.errno, exc.strerror, path) from exc
         yield [fh for fh, _, _ in staged]
@@ -163,6 +165,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if Path(args.alerts_out).resolve() == Path(args.results_out).resolve():
+        print(
+            f"run: --alerts-out and --results-out name the same file: {args.results_out}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     config = _load_pipeline_config(args.config)
     backend = PlaybackBackend(args.tensors, loop_count=args.loop,
                               simulated_delay_ms=args.delay_ms)
@@ -197,8 +205,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    stats, records, run = measure_latency(backend, config, warmup_frames=args.warmup)
-    write_bench_csv(args.out_csv, records)
+    check_backend_geometry(backend, config)
+    with _outputs(args.out_csv) as (csv_fh,):
+        stats, records, run = measure_latency(backend, config, warmup_frames=args.warmup)
+        write_bench_csv(csv_fh, records)
     summary = bench_summary(
         stats,
         power_w=args.power_w,

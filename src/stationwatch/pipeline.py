@@ -22,11 +22,13 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
+
+import numpy as np
 
 from .errors import ConfigError, DecodeError, FrameError, GeometryError, SinkWriteError
 from .geometry import CameraModel, Zone, ZoneKind, ground_point, point_in_zone
-from .postprocess import DecodeConfig, Detections, _round6, decode_all, detections_to_record, nms
+from .postprocess import DecodeConfig, decode_all, detections_to_record, nms
 from .scenario import PLATFORM_POLYGON, TRACK_POLYGON, YELLOW_LINE_POLYGON
 from .tensor_stream import InferenceBackend, RawTensorSet
 from .train_fsm import FsmConfig, TrainState, TrainStateMachine
@@ -51,48 +53,6 @@ DEFAULT_SEVERITY_TABLE: dict[tuple[TrainState, ZoneKind], Severity] = {
     (TrainState.OUT, ZoneKind.DANGER): Severity.WARNING,
     (TrainState.OFF, ZoneKind.DANGER): Severity.CAUTION,
 }
-
-
-@dataclass(frozen=True)
-class AlertEvent:
-    """One person past the line in one zone on one frame.
-
-    `box` (x1, y1, x2, y2) and `score` are the person's row of the frame's
-    detections, rounded here as the result record rounds them.
-    """
-
-    frame_index: int
-    zone: str
-    train_state: TrainState
-    severity: Severity
-    box: Sequence[float]
-    score: float
-
-    def to_record(self) -> dict:
-        return {
-            "frame": self.frame_index,
-            "zone": self.zone,
-            "state": self.train_state.value,
-            "severity": self.severity.value,
-            "box": [_round6(v) for v in self.box],
-            "score": _round6(self.score),
-        }
-
-
-@dataclass(frozen=True)
-class FrameResult:
-    frame_index: int
-    detections: Detections
-    train_state: TrainState
-    alerts: tuple[AlertEvent, ...]
-    latency: dict[str, float]  # stage -> wall-clock ms: decode, nms, geometry, fsm
-
-    def to_record(self) -> dict:
-        record = detections_to_record(self.frame_index, self.detections)
-        record["state"] = self.train_state.value
-        record["alerts"] = [alert.to_record() for alert in self.alerts]
-        record["latency_ms"] = {k: round(v, 6) for k, v in self.latency.items()}
-        return record
 
 
 @dataclass(frozen=True)
@@ -134,6 +94,12 @@ class PipelineConfig:
         names = [z.name for z in self.zones]
         if len(set(names)) != len(names):
             raise ConfigError(f"zone names must be unique, got {names}")
+        for state, kind in self.severity_table:
+            if kind is not ZoneKind.DANGER:
+                raise ConfigError(
+                    f"severity table entry ({state.value}, {kind.value}) is never read: "
+                    "only DANGER zones alert"
+                )
         for state in TrainState:
             if (state, ZoneKind.DANGER) not in self.severity_table:
                 raise ConfigError(f"severity table misses entry for ({state.value}, DANGER)")
@@ -253,13 +219,20 @@ def process_frame(
     frame: RawTensorSet,
     config: PipelineConfig,
     fsm: TrainStateMachine,
-) -> FrameResult:
-    """Run the full per-frame analysis; advances `fsm` as a side effect.
+) -> dict:
+    """Run the full per-frame analysis and return the frame's result record.
 
-    The FSM steps before person evaluation, so alert severities use the
-    state the train reached on this very frame. Decode problems raise
-    FrameError carrying the frame index and the decode message, which
-    already names the frame; the caller decides whether the run continues.
+    The record's keys are "frame" and "detections" (as from
+    `detections_to_record`), "state", "alerts" and "latency_ms" (wall-clock
+    ms per stage). "alerts" has one entry per person and DANGER zone the
+    person's ground point lies in, person-major, whose box and score are
+    the person's detection entry's.
+
+    Advances `fsm` as a side effect. The FSM steps before person
+    evaluation, so alert severities use the state the train reached on
+    this very frame. Decode problems raise FrameError carrying the frame
+    index and the decode message, which already names the frame; the
+    caller decides whether the run continues.
     """
     t0 = time.perf_counter()
     try:
@@ -275,19 +248,16 @@ def process_frame(
     _, state, _ = fsm.observe_and_step(trains, config.risk_zone)
     t3 = time.perf_counter()
 
-    severity = config.severity_table[(state, ZoneKind.DANGER)]
     danger_zones = config.danger_zones
     # MONITOR zones only feed a debug log, so they are tested only when it is on.
     monitor_zones = config.monitor_zones if logger.isEnabledFor(logging.DEBUG) else ()
-    persons = detections.take(detections.class_ids == config.decode.person_class_id)
-    alerts: list[AlertEvent] = []
-    for box, score in zip(persons.boxes.tolist(), persons.scores.tolist()):
+    rows = np.flatnonzero(detections.class_ids == config.decode.person_class_id)
+    hits: list[tuple[int, str]] = []  # (detection row, DANGER zone name), person-major
+    for row, box in zip(rows.tolist(), detections.boxes[rows].tolist()):
         foot = ground_point(box)
         for zone in danger_zones:
             if point_in_zone(foot, zone):
-                alerts.append(
-                    AlertEvent(frame.frame_index, zone.name, state, severity, box, score)
-                )
+                hits.append((row, zone.name))
         for zone in monitor_zones:
             if point_in_zone(foot, zone):
                 logger.debug(
@@ -295,18 +265,28 @@ def process_frame(
                 )
     t4 = time.perf_counter()
 
-    return FrameResult(
-        frame_index=frame.frame_index,
-        detections=detections,
-        train_state=state,
-        alerts=tuple(alerts),
-        latency={
-            "decode": (t1 - t0) * 1000.0,
-            "nms": (t2 - t1) * 1000.0,
-            "geometry": (t4 - t3) * 1000.0,
-            "fsm": (t3 - t2) * 1000.0,
-        },
-    )
+    record = detections_to_record(frame.frame_index, detections)
+    entries = record["detections"]
+    record["state"] = state.value
+    severity = config.severity_table[(state, ZoneKind.DANGER)].value
+    record["alerts"] = [
+        {
+            "frame": frame.frame_index,
+            "zone": zone,
+            "state": state.value,
+            "severity": severity,
+            "box": entries[row]["box"],
+            "score": entries[row]["score"],
+        }
+        for row, zone in hits
+    ]
+    record["latency_ms"] = {
+        "decode": round((t1 - t0) * 1000.0, 6),
+        "nms": round((t2 - t1) * 1000.0, 6),
+        "geometry": round((t4 - t3) * 1000.0, 6),
+        "fsm": round((t3 - t2) * 1000.0, 6),
+    }
+    return record
 
 
 def check_backend_geometry(backend: InferenceBackend, config: PipelineConfig) -> None:
@@ -341,6 +321,10 @@ def run_pipeline(
     mid-stream is counted and ends the run, since the source cannot
     continue past it. A sink raising aborts the run with SinkWriteError
     carrying the partial summary. Sinks see records in frame order.
+
+    Sinks get the records themselves and must not modify them: each alert
+    record is also an entry of its frame's result record's "alerts", and
+    shares its box list with that frame's detection entry.
     """
     check_backend_geometry(backend, config)
     fsm = TrainStateMachine(config.fsm)
@@ -372,7 +356,7 @@ def run_pipeline(
 
         before = fsm.state
         try:
-            result = process_frame(frame, config, fsm)
+            record = process_frame(frame, config, fsm)
         except FrameError as exc:
             error_count += 1
             logger.warning("skipping frame %d: %s", exc.frame_index, exc)
@@ -380,14 +364,15 @@ def run_pipeline(
             continue
 
         frames_processed += 1
-        if result.train_state is not before:
+        if fsm.state is not before:
             emit(
                 log_sink,
-                {"frame": result.frame_index, "from": before.value, "to": result.train_state.value},
+                {"frame": record["frame"], "from": before.value, "to": fsm.state.value},
             )
-        for alert in result.alerts:
-            emit(alert_sink, alert.to_record())
-        alerts_emitted += len(result.alerts)
-        emit(result_sink, result.to_record())
+        alerts = record["alerts"]
+        for alert in alerts:
+            emit(alert_sink, alert)
+        alerts_emitted += len(alerts)
+        emit(result_sink, record)
 
     return RunSummary(frames_processed, alerts_emitted, error_count)

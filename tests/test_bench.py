@@ -437,7 +437,8 @@ def test_bench_csv_round_trips_through_the_csv_module(tmp_path, background_frame
         backend, default_config(), clock=ScriptedClock(dyadic_timeline(3))
     )
     path = tmp_path / "bench.csv"
-    write_bench_csv(path, records)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_bench_csv(fh, records)
 
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))

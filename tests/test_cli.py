@@ -410,6 +410,7 @@ def test_bench_reports_hypothetical_efficiency(tmp_path, capsys):
     assert summary["power_w"] == 10.737
     assert summary["errors"] == 0
     assert len(out_csv.read_text().splitlines()) == 151  # header + 150 frames
+    assert out_csv.read_bytes().count(b"\r\n") == out_csv.read_bytes().count(b"\n") == 151
 
 
 def test_bench_without_accuracy_reports_null_efficiency(tmp_path, capsys):
@@ -441,6 +442,77 @@ def test_bench_rejects_bad_power_and_warmup_without_writing(tmp_path, capsys):
     ) == 2
     assert not out_csv.exists()
     assert "insufficient samples" in capsys.readouterr().err
+
+
+def test_bench_keeps_an_existing_csv_when_writing_it_fails_part_way(
+    tmp_path, capsys, monkeypatch
+):
+    tensors, _ = simulate(tmp_path, "empty_platform")
+    out_csv = tmp_path / "bench.csv"
+    out_csv.write_bytes(b"old,csv\r\n")
+    write = cli.write_bench_csv
+
+    def write_ten_rows_then_fail(fh, records):
+        write(fh, records[:10])
+        fh.flush()
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_bench_csv", write_ten_rows_then_fail)
+    code = run_cli(
+        "bench", "--tensors", str(tensors), "--power-w", "9.1", "--out-csv", str(out_csv),
+    )
+    assert code == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert out_csv.read_bytes() == b"old,csv\r\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "bench.csv", "empty_platform-gt.json", "empty_platform.yxt"
+    ]
+
+
+# --- no partial outputs: run and bench ------------------------------------------
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in root.rglob("*") if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("command, case, code, message", [
+    ("run", "bad_config", 2, "exactly one RISK zone"),
+    ("run", "equal_paths", 2, "--alerts-out and --results-out name the same file: ./old.out"),
+    ("run", "missing_directory", 1, "No such file or directory: 'missing/new.out'"),
+    ("bench", "bad_config", 2, "exactly one RISK zone"),
+    ("bench", "missing_directory", 1, "No such file or directory: 'missing/new.out'"),
+], ids=["run-bad_config", "run-equal_paths", "run-missing_directory",
+        "bench-bad_config", "bench-missing_directory"])
+def test_a_failed_command_creates_no_file_and_keeps_existing_outputs(
+    tmp_path, capsys, monkeypatch, command, case, code, message
+):
+    tensors, _ = simulate(tmp_path, "empty_platform")
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "old.out").write_bytes(b"old output\r\n")
+    (work / "config.json").write_text(
+        json.dumps({"zones": [], "camera": {"height_m": 3.0, "z0_m": 12.0}})
+    )
+    monkeypatch.chdir(work)
+
+    def no_frame(*args):
+        pytest.fail("a frame was processed")
+
+    monkeypatch.setattr("stationwatch.pipeline.process_frame", no_frame)
+    new = {"bad_config": "new.out", "equal_paths": "./old.out",
+           "missing_directory": "missing/new.out"}[case]
+    config = ["--config", "config.json"] if case == "bad_config" else []
+    if command == "run":
+        outputs = ["--alerts-out", "old.out", "--results-out", new]
+    else:
+        outputs = ["--power-w", "9.1", "--out-csv", "old.out" if case == "bad_config" else new]
+    before = files_under(work)
+    assert run_cli(command, "--tensors", str(tensors), *config, *outputs) == code
+    assert message in capsys.readouterr().err
+    assert files_under(work) == before
 
 
 # --- evaluate --------------------------------------------------------------------

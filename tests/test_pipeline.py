@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from stationwatch import (
-    AlertEvent,
     BoundingBox,
     CameraModel,
     ConfigError,
@@ -93,13 +92,13 @@ def test_only_danger_zones_ever_alert():
     trains = [(train_obj(TRAIN_IN_TRACK),)] * 2 + [()] * 2
     graded = []
     for index, train in enumerate(trains):
-        result = process_frame(scene_frame(index, persons + train), config, fsm)
-        graded.append((result.train_state, [(a.zone, a.severity) for a in result.alerts]))
+        record = process_frame(scene_frame(index, persons + train), config, fsm)
+        graded.append((record["state"], [(a["zone"], a["severity"]) for a in record["alerts"]]))
     assert graded == [
-        (TrainState.IN, [("yellow-line", Severity.CRITICAL)]),
-        (TrainState.ON, [("yellow-line", Severity.WARNING)]),
-        (TrainState.OUT, [("yellow-line", Severity.WARNING)]),
-        (TrainState.OFF, [("yellow-line", Severity.CAUTION)]),
+        ("IN", [("yellow-line", "CRITICAL")]),
+        ("ON", [("yellow-line", "WARNING")]),
+        ("OUT", [("yellow-line", "WARNING")]),
+        ("OFF", [("yellow-line", "CAUTION")]),
     ]
 
 
@@ -155,6 +154,23 @@ def test_config_requires_a_total_severity_table():
         )
 
 
+def test_config_rejects_a_severity_entry_no_decision_reads():
+    base = default_config()
+    table = dict(base.severity_table)
+    table[(TrainState.ON, ZoneKind.MONITOR)] = Severity.CRITICAL
+    with pytest.raises(ConfigError, match=r"severity table entry \(ON, MONITOR\) is never read"):
+        PipelineConfig(
+            decode=base.decode, zones=base.zones, camera=base.camera,
+            fsm=base.fsm, severity_table=table,
+        )
+    data = config_to_json(base)
+    data["severity_table"].append(
+        {"state": "OFF", "zone_kind": "RISK", "severity": "CAUTION"}
+    )
+    with pytest.raises(ConfigError, match=r"severity table entry \(OFF, RISK\) is never read"):
+        config_from_json(data)
+
+
 def test_config_json_round_trip(tmp_path):
     config = default_config()
     assert config_to_json(config_from_json(config_to_json(config))) == config_to_json(config)
@@ -207,14 +223,14 @@ def test_load_config_rejects_bad_files(tmp_path):
 def test_person_past_the_line_with_no_train_is_a_caution():
     config = default_config()
     fsm = TrainStateMachine(config.fsm)
-    result = process_frame(scene_frame(0, (person_obj(PERSON_IN_DANGER),)), config, fsm)
+    record = process_frame(scene_frame(0, (person_obj(PERSON_IN_DANGER),)), config, fsm)
 
-    assert result.train_state is TrainState.OFF
-    assert len(result.alerts) == 1
-    alert = result.alerts[0]
-    assert alert.severity is Severity.CAUTION
-    assert alert.zone == "yellow-line"
-    assert alert.train_state is TrainState.OFF
+    assert record["state"] == "OFF"
+    assert len(record["alerts"]) == 1
+    alert = record["alerts"][0]
+    assert alert["severity"] == "CAUTION"
+    assert alert["zone"] == "yellow-line"
+    assert alert["state"] == "OFF"
 
 
 def test_fsm_advances_before_persons_are_evaluated():
@@ -223,9 +239,9 @@ def test_fsm_advances_before_persons_are_evaluated():
     config = default_config()
     fsm = TrainStateMachine(config.fsm)
     frame = scene_frame(0, (person_obj(PERSON_IN_DANGER), train_obj(TRAIN_IN_TRACK)))
-    result = process_frame(frame, config, fsm)
-    assert result.train_state is TrainState.IN
-    assert [a.severity for a in result.alerts] == [Severity.CRITICAL]
+    record = process_frame(frame, config, fsm)
+    assert record["state"] == "IN"
+    assert [a["severity"] for a in record["alerts"]] == ["CRITICAL"]
 
 
 def test_alert_severity_downgrades_when_the_train_is_confirmed_stopped():
@@ -234,10 +250,10 @@ def test_alert_severity_downgrades_when_the_train_is_confirmed_stopped():
     severities = []
     for index in range(6):
         frame = scene_frame(index, (person_obj(PERSON_IN_DANGER), train_obj(TRAIN_IN_TRACK)))
-        result = process_frame(frame, config, fsm)
-        severities.append([a.severity for a in result.alerts])
+        record = process_frame(frame, config, fsm)
+        severities.append([a["severity"] for a in record["alerts"]])
     # 5 frames approaching (the still count confirms on the 6th frame), then ON.
-    assert severities == [[Severity.CRITICAL]] * 5 + [[Severity.WARNING]]
+    assert severities == [["CRITICAL"]] * 5 + [["WARNING"]]
     assert fsm.state is TrainState.ON
 
 
@@ -245,8 +261,8 @@ def test_person_on_the_platform_is_logged_not_alerted(caplog):
     config = default_config()
     fsm = TrainStateMachine(config.fsm)
     with caplog.at_level(logging.DEBUG, logger="stationwatch.pipeline"):
-        result = process_frame(scene_frame(0, (person_obj(PERSON_ON_PLATFORM),)), config, fsm)
-    assert result.alerts == ()
+        record = process_frame(scene_frame(0, (person_obj(PERSON_ON_PLATFORM),)), config, fsm)
+    assert record["alerts"] == []
     assert any("platform" in record.message for record in caplog.records)
 
 
@@ -274,8 +290,8 @@ def test_person_in_the_track_zone_is_not_an_alert():
     config = default_config()
     fsm = TrainStateMachine(config.fsm)
     on_track = BoundingBox(151.0, 20.0, 169.0, 60.0)  # foot (160, 60): RISK zone
-    result = process_frame(scene_frame(0, (person_obj(on_track),)), config, fsm)
-    assert result.alerts == ()
+    record = process_frame(scene_frame(0, (person_obj(on_track),)), config, fsm)
+    assert record["alerts"] == []
 
 
 def test_corrupt_tensor_raises_a_frame_error_with_the_index():
@@ -327,7 +343,7 @@ def test_an_alert_past_the_right_edge_prints_the_box_of_its_result_record():
     config = default_config()
     past_edge = BoundingBox(310.0, 80.0, 328.0, 120.0)  # clipped to x2 = 320
     frame = scene_frame(0, (person_obj(past_edge),))
-    record = process_frame(frame, config, TrainStateMachine(config.fsm)).to_record()
+    record = process_frame(frame, config, TrainStateMachine(config.fsm))
     (alert,) = record["alerts"]
     (detection,) = record["detections"]
     assert json.dumps(alert["box"][2]) == "320.0"
@@ -340,29 +356,30 @@ def test_an_alert_past_the_right_edge_prints_the_box_of_its_result_record():
 def test_alert_records_round_half_way_values_as_result_records_do(number):
     # Each value lies half-way between two 6-decimal values; numpy's round
     # of an np.float64 and Python's correctly rounded round() disagree on it.
+    # Result records, and the alerts that take their box and score from
+    # them, round through detections_to_record alone.
     box = [number(v) for v in (310.0, 79.9999995, 327.5658395, 120.0)]
     score = number(0.8008755)
-    alert = AlertEvent(0, "yellow-line", TrainState.OFF, Severity.CAUTION, box, score)
     detection = Detections(np.array([box]), np.array([score]), np.array([PERSON_CLASS]))
-    (expected,) = detections_to_record(0, detection)["detections"]
-    record = alert.to_record()
-    assert json.dumps([record["box"], record["score"]]) == json.dumps(
-        [expected["box"], expected["score"]]
+    (entry,) = detections_to_record(0, detection)["detections"]
+    assert json.dumps([entry["box"], entry["score"]]) == json.dumps(
+        [[round(float(v), 6) for v in box], round(float(score), 6)]
     )
-    assert json.dumps(record["box"][2]) == "327.565839"
+    assert json.dumps(entry["box"][2]) == "327.565839"
 
 
 def test_frame_result_record_shape():
     config = default_config()
     fsm = TrainStateMachine(config.fsm)
-    result = process_frame(scene_frame(0, (person_obj(PERSON_IN_DANGER),)), config, fsm)
-    record = result.to_record()
+    record = process_frame(scene_frame(0, (person_obj(PERSON_IN_DANGER),)), config, fsm)
+    assert list(record) == ["frame", "detections", "state", "alerts", "latency_ms"]
     assert record["frame"] == 0
     assert record["state"] == "OFF"
     assert len(record["detections"]) == 1
     assert set(record["latency_ms"]) == {"decode", "nms", "geometry", "fsm"}
     assert all(v >= 0.0 for v in record["latency_ms"].values())
     (alert_record,) = record["alerts"]
+    assert list(alert_record) == ["frame", "zone", "state", "severity", "box", "score"]
     assert alert_record["zone"] == "yellow-line"
     assert alert_record["severity"] == "CAUTION"
     assert "height_m" not in alert_record
@@ -399,6 +416,27 @@ def test_run_pipeline_over_the_crossing_scene():
         {"frame": 135, "from": "OUT", "to": "OFF"},
     ]
     assert summary.to_record() == {"frames": 150, "alerts": len(alerts), "errors": 0}
+
+
+@pytest.mark.parametrize("scenario", sorted(builtin_scenarios()))
+def test_alert_sink_records_are_the_result_records_alerts(scenario):
+    config = default_config()
+    _, tensors = encode_scenario(builtin_scenarios()[scenario], config.decode)
+    alerts: list[dict] = []
+    results: list[dict] = []
+    run_pipeline(
+        SequenceBackend(scene_header(len(tensors)), tensors), config,
+        alert_sink=alerts.append, result_sink=results.append,
+    )
+    assert alerts == [alert for record in results for alert in record["alerts"]]
+    for record in results:
+        persons = [
+            [d["box"], d["score"]] for d in record["detections"] if d["class"] == PERSON_CLASS
+        ]
+        for alert in record["alerts"]:
+            assert alert["frame"] == record["frame"]
+            assert alert["state"] == record["state"]
+            assert [alert["box"], alert["score"]] in persons
 
 
 def test_run_pipeline_skips_corrupt_frames_and_keeps_going(background_frame):
