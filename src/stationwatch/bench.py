@@ -198,14 +198,25 @@ def evaluate_run(
     return EvalResult.from_counts(tp, fp, fn, iou_threshold)
 
 
+def check_efficiency_input(name: str, value: float, label: str | None = None) -> None:
+    """Raise ValueError unless compute_efficiency takes `value` as its `name`.
+
+    Every input must be finite; accuracy_pct >= 0, latency_ms and power_w
+    > 0. The message names `label` (a command-line flag), else `name`.
+    """
+    if name == "accuracy_pct":
+        rule, ok = ">= 0", value >= 0
+    else:
+        rule, ok = "> 0", value > 0
+    if not (math.isfinite(value) and ok):
+        raise ValueError(f"{label or name} must be {rule}, got {value}")
+
+
 def compute_efficiency(accuracy_pct: float, latency_ms: float, power_w: float) -> float:
     """Accuracy percent per (millisecond x watt); higher is better."""
-    if not math.isfinite(accuracy_pct) or accuracy_pct < 0:
-        raise ValueError(f"accuracy_pct must be >= 0, got {accuracy_pct}")
-    if not math.isfinite(latency_ms) or latency_ms <= 0:
-        raise ValueError(f"latency_ms must be > 0, got {latency_ms}")
-    if not math.isfinite(power_w) or power_w <= 0:
-        raise ValueError(f"power_w must be > 0, got {power_w}")
+    check_efficiency_input("accuracy_pct", accuracy_pct)
+    check_efficiency_input("latency_ms", latency_ms)
+    check_efficiency_input("power_w", power_w)
     return accuracy_pct / (latency_ms * power_w)
 
 

@@ -15,7 +15,10 @@ arguments, configuration or input file (a malformed spec, ground-truth or
 prediction file), 3 acceptance failure. Logs go to stderr; data
 goes to the requested files or stdout. Commands validate their inputs
 before creating any output file, so an exit-2 failure never leaves
-partial outputs.
+partial outputs. Every file a command writes goes through `_outputs`:
+an output naming the same file as another output or an input exits 2,
+and outputs appear only once the command completes, so no failure
+leaves a partial output or changes a file already there.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from . import acceptance
-from .bench import bench_summary, evaluate_run, measure_latency, write_bench_csv
+from .bench import (bench_summary, check_efficiency_input, evaluate_run, measure_latency,
+                    write_bench_csv)
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -75,46 +79,58 @@ class _JsonlWriter:
 
 
 @contextmanager
-def _outputs(*paths: str):
-    """Text files that show at `paths` only once the block completes.
+def _outputs(writes: dict[str, str], reads: dict[str, str | None]):
+    """Paths to write the `writes` at, which show there only once the block completes.
 
-    Each is written to a temporary file next to its path; after the last
-    one is closed, all are moved onto their paths with os.replace. On any
-    failure the temporary files are removed, so no path is created and a
-    file already there keeps its content. A path that exists and is not a
-    regular file, such as /dev/null, is written in place. Text is written
-    as given, with no newline translation, so the csv module's CRLF line
-    endings survive.
+    Both maps go from option name to path. An output that resolves to the
+    same file as another output or an input (None: not given) is refused
+    with ValueError before anything is created. Each output is created
+    empty as a temporary file next to its path, so a missing directory
+    fails at once; after the block has written and closed them all, they
+    are moved onto their paths with os.replace. On any failure the
+    temporary files are removed, so no path is created and a file already
+    there keeps its content. A path that exists and is not a regular file,
+    such as /dev/null, is yielded as it is and written in place.
     """
-    staged = []  # (handle, the path it writes, target path)
+    named = {Path(path).resolve(): option for option, path in reads.items() if path is not None}
+    for option, path in writes.items():
+        target = Path(path).resolve()
+        if target in named:
+            raise ValueError(f"{named[target]} and {option} name the same file: {path}")
+        named[target] = option
+    staged = []  # (the path the block writes, target path)
     try:
-        for number, path in enumerate(paths):
-            target = Path(path).resolve()
-            if target.exists() and not target.is_file():
-                staged.append((open(target, "w", encoding="utf-8", newline=""), target, target))
-            else:
+        for number, path in enumerate(writes.values()):
+            target = temp = Path(path).resolve()
+            if target.is_file() or not target.exists():
                 temp = target.with_name(f".{target.name}.{os.getpid()}-{number}.tmp")
                 try:
-                    staged.append((open(temp, "x", encoding="utf-8", newline=""), temp, target))
+                    open(temp, "x").close()
                 except OSError as exc:  # name the path asked for, not the temporary one
                     raise OSError(exc.errno, exc.strerror, path) from exc
-        yield [fh for fh, _, _ in staged]
-        for fh, _, _ in staged:
-            fh.close()
-        for _, temp, target in staged:
+            staged.append((temp, target))
+        yield [temp for temp, _ in staged]
+        for temp, target in staged:
             if temp != target:
                 os.replace(temp, target)
     finally:
-        for fh, temp, target in staged:
-            fh.close()
+        for temp, target in staged:
             if temp != target:
                 temp.unlink(missing_ok=True)
 
 
-def _load_pipeline_config(path: str | None):
-    if path is None:
-        return default_config()
-    return load_config(path)
+def _text(path: Path) -> IO[str]:
+    """Open an output for text as given, with no newline translation (the CSV's CRLF)."""
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _stream(args: argparse.Namespace):
+    """The config and stream of `run` and `bench`, checked to fit each other."""
+    config = default_config() if args.config is None else load_config(args.config)
+    backend = PlaybackBackend(args.tensors, loop_count=args.loop,
+                              simulated_delay_ms=args.delay_ms)
+    check_backend_geometry(backend, config)
+    return config, backend
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -139,8 +155,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"simulate: cannot load spec file: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-    config = _load_pipeline_config(args.config)
-    # Render fully in memory before any file is created.
+    config = default_config() if args.config is None else load_config(args.config)
     gt_frames, tensors = encode_scenario(spec, config.decode, SCENE_NUM_CLASSES)
     header = TensorStreamHeader(
         num_classes=SCENE_NUM_CLASSES,
@@ -149,15 +164,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         strides=config.decode.strides,
         frame_count=len(tensors),
     )
-    write_tensor_stream(args.out_tensors, header, tensors)
-    try:
-        with open(args.out_gt, "w", encoding="utf-8") as fh:
+    writes = {"--out-tensors": args.out_tensors, "--out-gt": args.out_gt}
+    reads = {"--spec-file": args.spec_file, "--config": args.config}
+    with _outputs(writes, reads) as (stream_path, gt_path):
+        write_tensor_stream(stream_path, header, tensors)
+        with _text(gt_path) as fh:
             json.dump(ground_truth_to_json(gt_frames), fh)
             fh.write("\n")
-    except BaseException:
-        # Leave no stream without its ground truth.
-        Path(args.out_tensors).unlink(missing_ok=True)
-        raise
     logger.info("wrote %d frames to %s", len(tensors), args.out_tensors)
     print(json.dumps({"frames": len(tensors), "tensors": str(args.out_tensors),
                       "ground_truth": str(args.out_gt)}))
@@ -165,17 +178,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if Path(args.alerts_out).resolve() == Path(args.results_out).resolve():
-        print(
-            f"run: --alerts-out and --results-out name the same file: {args.results_out}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    config = _load_pipeline_config(args.config)
-    backend = PlaybackBackend(args.tensors, loop_count=args.loop,
-                              simulated_delay_ms=args.delay_ms)
-    check_backend_geometry(backend, config)
-    with _outputs(args.alerts_out, args.results_out) as (alerts_fh, results_fh):
+    config, backend = _stream(args)
+    writes = {"--alerts-out": args.alerts_out, "--results-out": args.results_out}
+    reads = {"--tensors": args.tensors, "--config": args.config}
+    with _outputs(writes, reads) as (alerts_path, results_path), \
+            _text(alerts_path) as alerts_fh, _text(results_path) as results_fh:
         summary = run_pipeline(
             backend,
             config,
@@ -188,15 +195,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.power_w <= 0:
-        print(f"bench: --power-w must be > 0, got {args.power_w}", file=sys.stderr)
-        return EXIT_USAGE
+    for name in ("power_w", "accuracy_pct", "latency_ms"):
+        if (value := getattr(args, name)) is not None:
+            check_efficiency_input(name, value, "--" + name.replace("_", "-"))
     if args.warmup < 0:
         print(f"bench: --warmup must be >= 0, got {args.warmup}", file=sys.stderr)
         return EXIT_USAGE
-    config = _load_pipeline_config(args.config)
-    backend = PlaybackBackend(args.tensors, loop_count=args.loop,
-                              simulated_delay_ms=args.delay_ms)
+    config, backend = _stream(args)
     total = backend.header.frame_count * args.loop
     if args.warmup >= total:
         print(
@@ -205,8 +210,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    check_backend_geometry(backend, config)
-    with _outputs(args.out_csv) as (csv_fh,):
+    reads = {"--tensors": args.tensors, "--config": args.config}
+    with _outputs({"--out-csv": args.out_csv}, reads) as (csv_path,), _text(csv_path) as csv_fh:
         stats, records, run = measure_latency(backend, config, warmup_frames=args.warmup)
         write_bench_csv(csv_fh, records)
     summary = bench_summary(
@@ -255,7 +260,8 @@ def cmd_default_config(args: argparse.Namespace) -> int:
     if args.out is None:
         print(json.dumps(config_to_json(config), indent=2))
     else:
-        save_config(config, args.out)
+        with _outputs({"--out": args.out}, {}) as (path,):
+            save_config(config, path)
         logger.info("wrote default config to %s", args.out)
     return EXIT_OK
 
@@ -288,23 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out-gt", required=True, help="output ground truth JSON path")
     simulate.set_defaults(func=cmd_simulate)
 
-    run = commands.add_parser("run", help="monitor a tensor stream")
-    run.add_argument("--tensors", required=True, help="input tensor stream")
-    run.add_argument("--config", help="pipeline config JSON (default: built-in scene)")
+    stream = argparse.ArgumentParser(add_help=False)  # the input of run and bench
+    stream.add_argument("--tensors", required=True, help="input tensor stream")
+    stream.add_argument("--config", help="pipeline config JSON (default: built-in scene)")
+    stream.add_argument("--loop", type=int, default=1, help="play the stream this many times")
+    stream.add_argument("--delay-ms", type=float, default=0.0, help="pacing delay per frame")
+
+    run = commands.add_parser("run", parents=[stream], help="monitor a tensor stream")
     run.add_argument("--alerts-out", required=True, help="alert JSON Lines output")
     run.add_argument("--results-out", required=True, help="per-frame result JSON Lines output")
-    run.add_argument("--loop", type=int, default=1, help="play the stream this many times")
-    run.add_argument("--delay-ms", type=float, default=0.0, help="pacing delay per frame")
     run.set_defaults(func=cmd_run)
 
-    bench = commands.add_parser("bench", help="time the pipeline over a stream")
-    bench.add_argument("--tensors", required=True, help="input tensor stream")
-    bench.add_argument("--config", help="pipeline config JSON (default: built-in scene)")
+    bench = commands.add_parser("bench", parents=[stream], help="time the pipeline over a stream")
     bench.add_argument("--power-w", type=float, required=True, help="platform power draw in watts")
     bench.add_argument("--warmup", type=int, default=0, help="frames to discard before measuring")
     bench.add_argument("--out-csv", required=True, help="per-frame timing CSV output")
-    bench.add_argument("--loop", type=int, default=1, help="play the stream this many times")
-    bench.add_argument("--delay-ms", type=float, default=0.0, help="pacing delay per frame")
     bench.add_argument("--accuracy-pct", type=float, default=None,
                        help="accuracy percentage to score efficiency with")
     bench.add_argument("--latency-ms", type=float, default=None,

@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import ConfigError, DecodeError, FrameError, GeometryError, SinkWriteError
 from .geometry import CameraModel, Zone, ZoneKind, ground_point, point_in_zone
-from .postprocess import DecodeConfig, decode_all, detections_to_record, nms
+from .postprocess import (DecodeConfig, decode_all, detections_to_record, known_keys, nms,
+                          real_number, whole_number)
 from .scenario import PLATFORM_POLYGON, TRACK_POLYGON, YELLOW_LINE_POLYGON
 from .tensor_stream import InferenceBackend, RawTensorSet
 from .train_fsm import FsmConfig, TrainState, TrainStateMachine
@@ -156,44 +157,58 @@ def config_to_json(config: PipelineConfig) -> dict:
     }
 
 
+def _strides(value, name: str) -> tuple[int, ...]:
+    return tuple(whole_number(stride, name) for stride in value)
+
+
+# How each key of these config objects is read; a decode or fsm key left
+# out takes the dataclass's default.
+_DECODE_READERS = {
+    "strides": _strides,
+    "conf_threshold": real_number,
+    "nms_iou_threshold": real_number,
+    "person_class_id": whole_number,
+    "train_class_id": whole_number,
+}
+_CAMERA_READERS = {"height_m": real_number, "z0_m": real_number}
+_FSM_READERS = {"stationary_eps_px": real_number, "confirm_frames": whole_number}
+
+
+def _read(data, readers: dict, name: str) -> dict:
+    known_keys(data, readers, name)
+    return {key: readers[key](value, f"{name}.{key}") for key, value in data.items()}
+
+
 def config_from_json(data: dict) -> PipelineConfig:
+    """Inverse of config_to_json, for a config that comes from outside.
+
+    A key no field reads is refused by name. Whole-number fields read
+    through whole_number, the others only from JSON numbers, so nothing is
+    truncated or parsed from text.
+    """
     try:
-        decode_data = data.get("decode", {})
-        decode = DecodeConfig(
-            strides=tuple(decode_data.get("strides", (8, 16, 32))),
-            conf_threshold=float(decode_data.get("conf_threshold", 0.30)),
-            nms_iou_threshold=float(decode_data.get("nms_iou_threshold", 0.45)),
-            person_class_id=int(decode_data.get("person_class_id", 0)),
-            train_class_id=int(decode_data.get("train_class_id", 6)),
-        )
-        zones = tuple(
-            Zone(
-                name=str(entry["name"]),
-                kind=ZoneKind(entry["kind"]),
-                polygon=tuple((float(x), float(y)) for x, y in entry["polygon"]),
-            )
-            for entry in data["zones"]
-        )
-        camera_data = data["camera"]
-        camera = CameraModel(
-            height_m=float(camera_data["height_m"]), z0_m=float(camera_data["z0_m"])
-        )
-        fsm_data = data.get("fsm", {})
-        fsm = FsmConfig(
-            stationary_eps_px=float(fsm_data.get("stationary_eps_px", 2.0)),
-            confirm_frames=int(fsm_data.get("confirm_frames", 5)),
-        )
+        known_keys(data, ("decode", "zones", "camera", "fsm", "severity_table"), "config")
+        decode = DecodeConfig(**_read(data.get("decode", {}), _DECODE_READERS, "decode"))
+        zones = []
+        for entry in data["zones"]:
+            known_keys(entry, ("name", "kind", "polygon"), "zone")
+            polygon = tuple((real_number(x, "polygon x"), real_number(y, "polygon y"))
+                            for x, y in entry["polygon"])
+            zones.append(Zone(str(entry["name"]), ZoneKind(entry["kind"]), polygon))
+        camera = CameraModel(**_read(data["camera"], _CAMERA_READERS, "camera"))
+        fsm = FsmConfig(**_read(data.get("fsm", {}), _FSM_READERS, "fsm"))
         table_data = data.get("severity_table")
         if table_data is None:
             severity_table = dict(DEFAULT_SEVERITY_TABLE)
         else:
-            severity_table = {
-                (TrainState(e["state"]), ZoneKind(e["zone_kind"])): Severity(e["severity"])
-                for e in table_data
-            }
+            severity_table = {}
+            for e in table_data:
+                known_keys(e, ("state", "zone_kind", "severity"), "severity table entry")
+                key = (TrainState(e["state"]), ZoneKind(e["zone_kind"]))
+                severity_table[key] = Severity(e["severity"])
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed pipeline config: {exc}") from exc
     return PipelineConfig(
         decode=decode, zones=zones, camera=camera, fsm=fsm, severity_table=severity_table

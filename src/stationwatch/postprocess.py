@@ -386,12 +386,30 @@ def detections_to_record(frame_index: int, detections: Detections) -> dict:
 def whole_number(value, name: str) -> int:
     """Read a number from outside input that must be a whole number in [0, 2**63).
 
-    6.0 reads as 6; 1.5, "3", NaN and infinities raise ValueError, so
-    nothing is truncated or parsed from text.
+    6.0 reads as 6; 1.5, "3", true, NaN and infinities raise ValueError,
+    so nothing is truncated, parsed from text or taken from a boolean.
     """
-    if not (isinstance(value, (int, float)) and 0 <= value < 2**63 and value % 1 == 0):
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 <= value < 2**63 and value % 1 == 0):
         raise ValueError(f"{name} must be a whole number in [0, 2**63), got {value!r}")
     return int(value)
+
+
+def real_number(value, name: str) -> float:
+    """Read a number from outside input as a float: "0.3" and true raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def known_keys(data, keys, name: str) -> dict:
+    """Return the JSON object `data`, refusing a key outside `keys` by name."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{name} must be an object, got {type(data).__name__}")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {name}")
+    return data
 
 
 def detections_from_record(record: dict) -> tuple[int, Detections]:

@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EncodingCollisionError, ScenarioError
-from .postprocess import BoundingBox, DecodeConfig, _round6, whole_number
+from .postprocess import (BoundingBox, DecodeConfig, _round6, known_keys, real_number,
+                          whole_number)
 from .tensor_stream import RawTensorSet
 
 _BACKGROUND_LOGIT = -20.0  # sigmoid(-20) ~ 2e-9: dead cell at any sane threshold
@@ -74,6 +75,8 @@ class Actor:
         frames = [wp.frame for wp in self.waypoints]
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise ScenarioError(f"waypoints must be sorted by strictly increasing frame: {frames}")
+        if frames[0] < 0:  # spec files read frames as whole numbers: keep every spec loadable
+            raise ScenarioError(f"waypoint frames must be >= 0, got {frames[0]}")
         for wp in self.waypoints:
             if wp.w <= 0 or wp.h <= 0:
                 raise ScenarioError(f"waypoint at frame {wp.frame} has non-positive size")
@@ -365,23 +368,35 @@ def scenario_to_json(spec: ScenarioSpec) -> dict:
 
 
 def scenario_from_json(data: dict) -> ScenarioSpec:
+    """Inverse of scenario_to_json, for a spec that comes from outside.
+
+    Frames, image sizes and class ids read through whole_number, the other
+    fields only from JSON numbers. A key no field reads is refused by name,
+    except the "seed" of older spec files, which is ignored.
+    """
     try:
-        actors = tuple(
-            Actor(
-                class_id=int(entry["class_id"]),
-                score_level=float(entry.get("score_level", 0.9)),
-                waypoints=tuple(Waypoint(int(f), float(cx), float(cy), float(w), float(h))
-                                for f, cx, cy, w, h in entry["waypoints"]),
+        known_keys(data, ("duration_frames", "image_width", "image_height", "actors", "seed"),
+                   "scenario")
+        actors = []
+        for entry in data["actors"]:
+            known_keys(entry, ("class_id", "score_level", "waypoints"), "actor")
+            waypoints = tuple(
+                Waypoint(whole_number(f, "waypoint frame"),
+                         *(real_number(v, "waypoint centre or size") for v in (cx, cy, w, h)))
+                for f, cx, cy, w, h in entry["waypoints"]
             )
-            for entry in data["actors"]
-        )
+            actors.append(Actor(
+                class_id=whole_number(entry["class_id"], "class_id"),
+                score_level=real_number(entry.get("score_level", 0.9), "score_level"),
+                waypoints=waypoints,
+            ))
         return ScenarioSpec(
-            duration_frames=int(data["duration_frames"]),
-            image_width=int(data["image_width"]),
-            image_height=int(data["image_height"]),
+            duration_frames=whole_number(data["duration_frames"], "duration_frames"),
+            image_width=whole_number(data["image_width"], "image_width"),
+            image_height=whole_number(data["image_height"], "image_height"),
             actors=actors,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario description: {exc}") from exc
 
 

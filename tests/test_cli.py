@@ -469,7 +469,7 @@ def test_bench_keeps_an_existing_csv_when_writing_it_fails_part_way(
     ]
 
 
-# --- no partial outputs: run and bench ------------------------------------------
+# --- no partial outputs: every command that writes ------------------------------
 
 def files_under(root: Path) -> dict[str, bytes]:
     return {
@@ -478,41 +478,91 @@ def files_under(root: Path) -> dict[str, bytes]:
     }
 
 
-@pytest.mark.parametrize("command, case, code, message", [
-    ("run", "bad_config", 2, "exactly one RISK zone"),
-    ("run", "equal_paths", 2, "--alerts-out and --results-out name the same file: ./old.out"),
-    ("run", "missing_directory", 1, "No such file or directory: 'missing/new.out'"),
-    ("bench", "bad_config", 2, "exactly one RISK zone"),
-    ("bench", "missing_directory", 1, "No such file or directory: 'missing/new.out'"),
-], ids=["run-bad_config", "run-equal_paths", "run-missing_directory",
-        "bench-bad_config", "bench-missing_directory"])
-def test_a_failed_command_creates_no_file_and_keeps_existing_outputs(
-    tmp_path, capsys, monkeypatch, command, case, code, message
-):
+@pytest.fixture(scope="module")
+def short_stream(tmp_path_factory):
+    """The first three frames of the empty platform scene."""
+    tmp_path = tmp_path_factory.mktemp("short")
     tensors, _ = simulate(tmp_path, "empty_platform")
-    work = tmp_path / "work"
-    work.mkdir()
-    (work / "old.out").write_bytes(b"old output\r\n")
-    (work / "config.json").write_text(
+    frames = PlaybackBackend(tensors)
+    header = frames.header
+    frames = [frame for frame, _ in zip(frames, range(3))]
+    path = tmp_path / "short.yxt"
+    write_tensor_stream(path, dataclasses.replace(header, frame_count=3), frames)
+    return path.read_bytes()
+
+
+RUN = ["run", "--tensors", "in.yxt"]
+BENCH = ["bench", "--tensors", "in.yxt"]
+SIMULATE = ["simulate", "--scenario", "empty_platform"]
+SAME = "name the same file: "
+NO_DIRECTORY = "No such file or directory: 'missing/new.out'"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (RUN + ["--config", "bad.json", "--alerts-out", "old.out", "--results-out", "new.out"],
+     2, "exactly one RISK zone"),
+    (RUN + ["--alerts-out", "old.out", "--results-out", "./old.out"],
+     2, "--alerts-out and --results-out name the same file: ./old.out"),
+    (RUN + ["--alerts-out", "old.out", "--results-out", "missing/new.out"], 1, NO_DIRECTORY),
+    (RUN + ["--alerts-out", "in.yxt", "--results-out", "new.out"],
+     2, "--tensors and --alerts-out " + SAME + "in.yxt"),
+    (RUN + ["--config", "good.json", "--alerts-out", "new.out", "--results-out", "./good.json"],
+     2, "--config and --results-out " + SAME + "./good.json"),
+    (BENCH + ["--config", "bad.json", "--power-w", "9.1", "--out-csv", "old.out"],
+     2, "exactly one RISK zone"),
+    (BENCH + ["--power-w", "9.1", "--out-csv", "missing/new.out"], 1, NO_DIRECTORY),
+    (BENCH + ["--power-w", "9.1", "--out-csv", "./in.yxt"],
+     2, "--tensors and --out-csv " + SAME + "./in.yxt"),
+    (BENCH + ["--config", "good.json", "--power-w", "9.1", "--out-csv", "good.json"],
+     2, "--config and --out-csv " + SAME + "good.json"),
+    (BENCH + ["--power-w", "9.1", "--accuracy-pct", "-5", "--out-csv", "old.out"],
+     2, "--accuracy-pct must be >= 0, got -5.0"),
+    (BENCH + ["--power-w", "9.1", "--latency-ms", "0", "--out-csv", "old.out"],
+     2, "--latency-ms must be > 0, got 0.0"),
+    (BENCH + ["--power-w", "inf", "--accuracy-pct", "50", "--out-csv", "old.out"],
+     2, "--power-w must be > 0, got inf"),
+    (BENCH + ["--power-w", "nan", "--out-csv", "old.out"], 2, "--power-w must be > 0, got nan"),
+    (SIMULATE + ["--out-tensors", "s.yxt", "--out-gt", "./s.yxt"],
+     2, "--out-tensors and --out-gt " + SAME + "./s.yxt"),
+    (SIMULATE + ["--config", "good.json", "--out-tensors", "good.json", "--out-gt", "new.out"],
+     2, "--config and --out-tensors " + SAME + "good.json"),
+    (["simulate", "--spec-file", "spec.json", "--out-tensors", "new.yxt", "--out-gt", "spec.json"],
+     2, "--spec-file and --out-gt " + SAME + "spec.json"),
+    (SIMULATE + ["--config", "bad.json", "--out-tensors", "old.out", "--out-gt", "new.out"],
+     2, "exactly one RISK zone"),
+    (SIMULATE + ["--out-tensors", "old.out", "--out-gt", "missing/new.out"], 1, NO_DIRECTORY),
+    (["default-config", "--out", "missing/new.out"], 1, NO_DIRECTORY),
+], ids=["run-bad_config", "run-equal_paths", "run-missing_directory",
+        "run-output_is_the_stream", "run-output_is_the_config",
+        "bench-bad_config", "bench-missing_directory",
+        "bench-output_is_the_stream", "bench-output_is_the_config",
+        "bench-negative_accuracy", "bench-zero_latency", "bench-infinite_power", "bench-nan_power",
+        "simulate-equal_paths", "simulate-output_is_the_config", "simulate-output_is_the_spec",
+        "simulate-bad_config", "simulate-missing_directory",
+        "default_config-missing_directory"])
+def test_a_failed_command_creates_no_file_and_keeps_existing_outputs(
+    tmp_path, capsys, monkeypatch, short_stream, argv, code, message
+):
+    from stationwatch import Actor, ScenarioSpec, Waypoint
+
+    (tmp_path / "in.yxt").write_bytes(short_stream)
+    (tmp_path / "old.out").write_bytes(b"old output\r\n")
+    (tmp_path / "bad.json").write_text(
         json.dumps({"zones": [], "camera": {"height_m": 3.0, "z0_m": 12.0}})
     )
-    monkeypatch.chdir(work)
+    save_config(default_config(), tmp_path / "good.json")
+    spec = ScenarioSpec(3, 320, 320, (Actor(0, (Waypoint(0, 160.0, 160.0, 18.0, 40.0),)),))
+    (tmp_path / "spec.json").write_text(json.dumps(scenario_to_json(spec)))
+    monkeypatch.chdir(tmp_path)
 
     def no_frame(*args):
         pytest.fail("a frame was processed")
 
     monkeypatch.setattr("stationwatch.pipeline.process_frame", no_frame)
-    new = {"bad_config": "new.out", "equal_paths": "./old.out",
-           "missing_directory": "missing/new.out"}[case]
-    config = ["--config", "config.json"] if case == "bad_config" else []
-    if command == "run":
-        outputs = ["--alerts-out", "old.out", "--results-out", new]
-    else:
-        outputs = ["--power-w", "9.1", "--out-csv", "old.out" if case == "bad_config" else new]
-    before = files_under(work)
-    assert run_cli(command, "--tensors", str(tensors), *config, *outputs) == code
+    before = files_under(tmp_path)
+    assert run_cli(*argv) == code
     assert message in capsys.readouterr().err
-    assert files_under(work) == before
+    assert files_under(tmp_path) == before
 
 
 # --- evaluate --------------------------------------------------------------------
@@ -607,6 +657,7 @@ def write_two_empty_frames(gt):
     '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": -1',
     '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": 0.7',
     '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": "0"',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": true',
     '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": NaN',
     '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": Infinity',
     '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": 1e300',
@@ -615,7 +666,7 @@ def write_two_empty_frames(gt):
     "corner_not_a_number", "corner_nan", "corner_infinite", "corners_out_of_order",
     "corner_past_float",
     "score_not_a_number", "score_nan", "score_above_one", "score_below_zero",
-    "class_negative", "class_fractional", "class_not_a_number", "class_nan",
+    "class_negative", "class_fractional", "class_not_a_number", "class_true", "class_nan",
     "class_infinite", "class_huge_float", "class_past_int64",
 ])
 def test_evaluate_rejects_a_bad_prediction_field(tmp_path, capsys, field):

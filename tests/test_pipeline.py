@@ -208,14 +208,47 @@ def test_config_rejects_a_malformed_severity_table():
         config_from_json(data)
 
 
-def test_load_config_rejects_bad_files(tmp_path):
+def config_json_with(part, key, value):
+    """The default config's JSON with one key of one part set (part None: top level)."""
+    data = config_to_json(default_config())
+    target = data if part is None else data[part]
+    (target[0] if isinstance(target, list) else target)[key] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("content, reason", [
+    ("{not json", "not valid JSON"),
+    (json.dumps({"camera": {"height_m": 3.0, "z0_m": 12.0}}), "malformed pipeline config: 'zones'"),
+    ("[]", "config must be an object"),
+    (config_json_with("decode", "conf_treshold", 0.9), "unknown key 'conf_treshold' in decode"),
+    (config_json_with(None, "cameras", {}), "unknown key 'cameras' in config"),
+    (config_json_with("zones", "colour", "red"), "unknown key 'colour' in zone"),
+    (config_json_with("camera", "tilt_deg", 3.0), "unknown key 'tilt_deg' in camera"),
+    (config_json_with("fsm", "confirm", 5), "unknown key 'confirm' in fsm"),
+    (config_json_with("severity_table", "note", ""), "unknown key 'note' in severity table"),
+    (config_json_with("decode", "strides", [8.7, 16, 32]), "decode.strides must be a whole"),
+    (config_json_with("fsm", "confirm_frames", 2.9), "fsm.confirm_frames must be a whole"),
+    (config_json_with("decode", "person_class_id", "0"), "person_class_id must be a whole"),
+    (config_json_with("decode", "person_class_id", True), "person_class_id must be a whole"),
+    (config_json_with("decode", "conf_threshold", "0.3"), "conf_threshold must be a number"),
+    (config_json_with("camera", "height_m", True), "camera.height_m must be a number"),
+    (config_json_with("zones", "polygon", [[0, "1"], [1, 1], [1, 0]]), "polygon y must be a"),
+], ids=["not_json", "no_zones", "not_an_object", "misspelled_decode_key", "unknown_top_level_key",
+        "unknown_zone_key", "unknown_camera_key", "unknown_fsm_key", "unknown_severity_key",
+        "stride_fractional", "confirm_frames_fractional", "class_id_as_text", "class_id_true",
+        "threshold_as_text", "camera_height_true", "polygon_as_text"])
+def test_load_config_rejects_bad_files(tmp_path, content, reason):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError, match="not valid JSON"):
+    path.write_text(content)
+    with pytest.raises(ConfigError, match="malformed|not valid JSON") as raised:
         load_config(path)
-    path.write_text(json.dumps({"camera": {"height_m": 3.0, "z0_m": 12.0}}))
-    with pytest.raises(ConfigError, match="malformed"):
-        load_config(path)
+    assert reason in str(raised.value)
+
+
+def test_config_json_fills_a_missing_decode_or_fsm_key_with_its_default():
+    data = config_to_json(default_config())
+    del data["decode"]["strides"], data["decode"]["train_class_id"], data["fsm"]
+    assert config_from_json(data) == default_config()
 
 
 # --- process_frame ------------------------------------------------------------------

@@ -91,6 +91,8 @@ def test_actor_validation():
         Actor(0, (Waypoint(5, 0, 0, 1, 1), wp))
     with pytest.raises(ScenarioError, match="strictly increasing"):
         Actor(0, (wp, wp))
+    with pytest.raises(ScenarioError, match="frames must be >= 0"):
+        Actor(0, (Waypoint(-1, 0, 0, 1, 1), wp))
     with pytest.raises(ScenarioError, match="non-positive size"):
         Actor(0, (Waypoint(0, 50.0, 50.0, 0.0, 10.0),))
     with pytest.raises(ScenarioError, match="class_id"):
@@ -257,8 +259,8 @@ def test_crowd_scene_keeps_every_person_on_the_platform():
 # --- serialization ---------------------------------------------------------------------
 
 def test_scenario_json_round_trip():
-    spec = builtin_scenarios()["crossing_during_approach"]
-    assert scenario_from_json(scenario_to_json(spec)) == spec
+    for spec in builtin_scenarios().values():
+        assert scenario_from_json(scenario_to_json(spec)) == spec
 
 
 def test_old_spec_files_with_a_seed_key_still_load():
@@ -268,11 +270,33 @@ def test_old_spec_files_with_a_seed_key_still_load():
     assert scenario_from_json({**data, "seed": 7}) == spec
 
 
-def test_scenario_from_json_rejects_malformed_input():
-    with pytest.raises(ScenarioError, match="malformed"):
-        scenario_from_json({"actors": [{"class_id": 0}]})
-    with pytest.raises(ScenarioError, match="malformed"):
-        scenario_from_json({})
+def spec_json_with(**changes):
+    """The crossing scene's spec JSON with top-level keys, or its first actor's, changed."""
+    data = scenario_to_json(builtin_scenarios()["crossing_during_approach"])
+    data.update(changes.pop("top", {}))
+    data["actors"][0].update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data, reason", [
+    ({"actors": [{"class_id": 0}]}, "'waypoints'"),
+    ({}, "'actors'"),
+    (spec_json_with(top={"duration_frames": 120.9}), "duration_frames must be a whole number"),
+    (spec_json_with(top={"image_width": "320"}), "image_width must be a whole number"),
+    (spec_json_with(class_id=True), "class_id must be a whole number"),
+    (spec_json_with(waypoints=[["119", 40.0, 140.0, 18.0, 40.0]]),
+     "waypoint frame must be a whole number"),
+    (spec_json_with(waypoints=[[0, "40.0", 140.0, 18.0, 40.0]]), "must be a number"),
+    (spec_json_with(score_level=True), "score_level must be a number"),
+    (spec_json_with(top={"duraton_frames": 10}), "unknown key 'duraton_frames' in scenario"),
+    (spec_json_with(colour="red"), "unknown key 'colour' in actor"),
+], ids=["actor_without_waypoints", "empty", "duration_fractional", "width_as_text",
+        "class_true", "waypoint_frame_as_text", "centre_as_text", "score_true",
+        "unknown_top_level_key", "unknown_actor_key"])
+def test_scenario_from_json_rejects_malformed_input(data, reason):
+    with pytest.raises(ScenarioError, match="malformed") as raised:
+        scenario_from_json(data)
+    assert reason in str(raised.value)
 
 
 def test_ground_truth_json_round_trip_is_exact_for_dyadic_coordinates():
