@@ -37,7 +37,6 @@ from .errors import (
 )
 from .geometry import (
     CameraModel,
-    GroundPoint,
     Zone,
     ZoneKind,
     estimate_height,
@@ -86,8 +85,6 @@ from .tensor_stream import (
 )
 from .train_fsm import (
     FsmConfig,
-    FsmCounters,
-    TrainObservation,
     TrainState,
     TrainStateMachine,
     observe_train,

@@ -47,7 +47,7 @@ from .tensor_stream import (
     TensorStreamHeader,
     write_tensor_stream,
 )
-from .train_fsm import FsmConfig, FsmCounters, TrainObservation, TrainState, step_fsm
+from .train_fsm import FsmConfig, TrainState, step_fsm
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _result(criterion: int, name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(criterion=criterion, name=name, passed=passed, detail=detail)
 
 
 # --- criterion 1: efficiency arithmetic on the published figures ----------
@@ -72,12 +68,12 @@ def check_efficiency_figures() -> CheckResult:
     for accuracy_pct, latency_ms, power_w, expected in cases:
         got = compute_efficiency(accuracy_pct, latency_ms, power_w)
         if abs(got - expected) > 0.001:
-            return _result(
+            return CheckResult(
                 1, "efficiency-figures", False,
                 f"{accuracy_pct}/({latency_ms}*{power_w}) = {got:.6f}, expected "
                 f"{expected} +/- 0.001",
             )
-    return _result(
+    return CheckResult(
         1, "efficiency-figures", True,
         "both published deployment rows reproduce to within 0.001",
     )
@@ -89,7 +85,7 @@ def check_hardware_substitution() -> CheckResult:
     # Board latencies and wattages need the physical boards. The arithmetic
     # over the published figures is covered by check 1 and every behavioral
     # property is covered synthetically by checks 3-9; nothing to execute.
-    return _result(
+    return CheckResult(
         2, "hardware-comparison", True,
         "not reproducible without accelerator hardware; substituted by checks 1 and 3-9",
     )
@@ -145,12 +141,12 @@ def check_nms_reference(instances: int = 1000, seed: int = 20240915) -> CheckRes
             and np.array_equal(got.scores, want.scores)
             and np.array_equal(got.class_ids, want.class_ids)
         ):
-            return _result(
+            return CheckResult(
                 3, "nms-vs-reference", False,
                 f"instance {instance} (n={count}, thr={threshold}): kept "
                 f"{len(got)} vs reference {len(want)}",
             )
-    return _result(
+    return CheckResult(
         3, "nms-vs-reference", True,
         f"{instances} random instances match the pairwise reference exactly",
     )
@@ -192,15 +188,15 @@ def check_roundtrip(frames: int = 100, seed: int = 771) -> CheckResult:
                     scores.append(rng.uniform(0.35, 0.99))
                     break
             else:
-                return _result(4, "encode-decode-roundtrip", False,
-                               f"frame {frame_index}: could not place a collision-free box")
+                return CheckResult(4, "encode-decode-roundtrip", False,
+                                   f"frame {frame_index}: could not place a collision-free box")
 
         gt = GroundTruthFrame(frame_index=0, objects=tuple(objects))
         tensors = encode_objects_to_tensors(gt, config, width, height, 8, actor_scores=scores)
         decoded = decode_all(tensors, config)
 
         if len(decoded) != len(objects):
-            return _result(
+            return CheckResult(
                 4, "encode-decode-roundtrip", False,
                 f"frame {frame_index}: {len(objects)} objects in, {len(decoded)} "
                 f"detections out at conf {config.conf_threshold}",
@@ -212,18 +208,18 @@ def check_roundtrip(frames: int = 100, seed: int = 771) -> CheckResult:
             overlap = overlaps[best, k]
             best_class, best_score = int(decoded.class_ids[best]), float(decoded.scores[best])
             if overlap < 0.99:
-                return _result(4, "encode-decode-roundtrip", False,
-                               f"frame {frame_index}: best IoU {overlap:.4f} < 0.99")
+                return CheckResult(4, "encode-decode-roundtrip", False,
+                                   f"frame {frame_index}: best IoU {overlap:.4f} < 0.99")
             if best_class != obj.class_id:
-                return _result(4, "encode-decode-roundtrip", False,
-                               f"frame {frame_index}: class {best_class} != {obj.class_id}")
+                return CheckResult(4, "encode-decode-roundtrip", False,
+                                   f"frame {frame_index}: class {best_class} != {obj.class_id}")
             if abs(best_score - score) > 1e-5:
-                return _result(
+                return CheckResult(
                     4, "encode-decode-roundtrip", False,
                     f"frame {frame_index}: score {best_score:.7f} vs requested {score:.7f}",
                 )
             overlaps[best] = -1.0
-    return _result(
+    return CheckResult(
         4, "encode-decode-roundtrip", True,
         f"{frames} random frames: all objects recovered with IoU >= 0.99, "
         "score error <= 1e-5, no spurious detections",
@@ -245,28 +241,22 @@ _ALLOWED_TRANSITIONS = {
 }
 
 
-def _random_observation(rng: random.Random) -> TrainObservation:
-    present = rng.random() < 0.55
-    if not present:
-        return TrainObservation(present=False)
-    return TrainObservation(
-        present=True,
-        displacement_px=abs(rng.gauss(0.0, 3.0)),
-        centroid=(rng.uniform(0, 320), rng.uniform(0, 320)),
-    )
+def _random_observation(rng: random.Random) -> tuple[bool, float]:
+    """(present, displacement_px) of one frame."""
+    if rng.random() < 0.55:
+        return True, abs(rng.gauss(0.0, 3.0))
+    return False, 0.0
 
 
 def check_fsm_closure(traces: int = 10_000, seed: int = 4242) -> CheckResult:
     rng = random.Random(seed)
     config = FsmConfig()
     for trace in range(traces):
-        state = TrainState.OFF
-        counters = FsmCounters()
+        state, count = TrainState.OFF, 0
         for step in range(rng.randint(10, 60)):
-            observation = _random_observation(rng)
-            new_state, counters = step_fsm(state, observation, config, counters)
+            new_state, count = step_fsm(state, *_random_observation(rng), count, config)
             if (state, new_state) not in _ALLOWED_TRANSITIONS:
-                return _result(
+                return CheckResult(
                     5, "fsm-closure", False,
                     f"trace {trace} step {step}: illegal transition "
                     f"{state.value} -> {new_state.value}",
@@ -274,23 +264,21 @@ def check_fsm_closure(traces: int = 10_000, seed: int = 4242) -> CheckResult:
             state = new_state
 
     # Canonical approach-stop-depart trace must walk the full cycle in order.
-    moving = TrainObservation(True, 8.0, (100.0, 60.0))
-    still = TrainObservation(True, 0.0, (100.0, 60.0))
-    absent = TrainObservation(False)
+    moving, still, absent = (True, 8.0), (True, 0.0), (False, 0.0)
     trace_obs = [absent] * 3 + [moving] * 6 + [still] * 6 + [moving] * 2 + [absent] * 6
     visited = [TrainState.OFF]
-    state, counters = TrainState.OFF, FsmCounters()
-    for observation in trace_obs:
-        state, counters = step_fsm(state, observation, FsmConfig(), counters)
+    state, count = TrainState.OFF, 0
+    for present, displacement in trace_obs:
+        state, count = step_fsm(state, present, displacement, count, config)
         if state is not visited[-1]:
             visited.append(state)
     expected = [TrainState.OFF, TrainState.IN, TrainState.ON, TrainState.OUT, TrainState.OFF]
     if visited != expected:
-        return _result(
+        return CheckResult(
             5, "fsm-closure", False,
             f"canonical trace visited {[s.value for s in visited]}",
         )
-    return _result(
+    return CheckResult(
         5, "fsm-closure", True,
         f"{traces} random traces stay within the declared transition set; "
         "canonical trace walks OFF,IN,ON,OUT,OFF",
@@ -316,19 +304,19 @@ def check_height_forms(cases: int = 500, seed: int = 99) -> CheckResult:
         h_axial = estimate_height_axial(camera, head_dist * scale)
         tolerance = 1e-12 * max(1.0, abs(h_ray))
         if abs(h_ray - h_axial) > tolerance:
-            return _result(
+            return CheckResult(
                 6, "height-forms-agree", False,
                 f"case {case}: ray form {h_ray!r} vs axial form {h_axial!r}",
             )
         if not (0.0 <= h_ray <= height):
-            return _result(
+            return CheckResult(
                 6, "height-forms-agree", False,
                 f"case {case}: estimate {h_ray} outside [0, {height}]",
             )
     spot = estimate_height(CameraModel(height_m=3.0, z0_m=1.0), 3.0, 1.5)
     if spot != 1.5:
-        return _result(6, "height-forms-agree", False, f"spot check: {spot!r} != 1.5")
-    return _result(
+        return CheckResult(6, "height-forms-agree", False, f"spot check: {spot!r} != 1.5")
+    return CheckResult(
         6, "height-forms-agree", True,
         f"{cases} matched configurations agree within 1e-12 relative; "
         "spot value 1.5 exact",
@@ -375,40 +363,40 @@ def _run_scenario(name: str) -> list[dict]:
 def check_end_to_end_alerts() -> CheckResult:
     expected = _expected_crossing_frames()
     if not expected or expected != list(range(expected[0], expected[-1] + 1)):
-        return _result(7, "end-to-end-alerts", False,
-                       f"internal: expected interval not contiguous: {expected}")
+        return CheckResult(7, "end-to-end-alerts", False,
+                           f"internal: expected interval not contiguous: {expected}")
 
     alerts = _run_scenario("crossing_during_approach")
     critical = sorted(a["frame"] for a in alerts if a["severity"] == Severity.CRITICAL.value)
     others = [a for a in alerts if a["severity"] != Severity.CRITICAL.value]
     if others:
-        return _result(7, "end-to-end-alerts", False,
-                       f"{len(others)} non-critical alerts raised during the crossing scene")
+        return CheckResult(7, "end-to-end-alerts", False,
+                           f"{len(others)} non-critical alerts raised during the crossing scene")
     low, high = expected[0], expected[-1]
     if not critical:
-        return _result(7, "end-to-end-alerts", False, "no CRITICAL alerts raised")
+        return CheckResult(7, "end-to-end-alerts", False, "no CRITICAL alerts raised")
     if critical[0] < low - 1 or critical[-1] > high + 1:
-        return _result(
+        return CheckResult(
             7, "end-to-end-alerts", False,
             f"critical alerts span [{critical[0]}, {critical[-1]}], expected "
             f"[{low}, {high}] +/- 1",
         )
     missing = [f for f in range(low + 1, high) if f not in set(critical)]
     if missing:
-        return _result(
+        return CheckResult(
             7, "end-to-end-alerts", False,
             f"frames {missing} inside the crossing interval raised no CRITICAL alert",
         )
 
     empty_alerts = _run_scenario("empty_platform")
     if empty_alerts:
-        return _result(7, "end-to-end-alerts", False,
-                       f"empty platform scene raised {len(empty_alerts)} alerts")
+        return CheckResult(7, "end-to-end-alerts", False,
+                           f"empty platform scene raised {len(empty_alerts)} alerts")
     crowd_alerts = _run_scenario("crowd_safe")
     if crowd_alerts:
-        return _result(7, "end-to-end-alerts", False,
-                       f"crowd scene raised {len(crowd_alerts)} alerts without a crossing")
-    return _result(
+        return CheckResult(7, "end-to-end-alerts", False,
+                           f"crowd scene raised {len(crowd_alerts)} alerts without a crossing")
+    return CheckResult(
         7, "end-to-end-alerts", True,
         f"CRITICAL alerts land on frames [{critical[0]}, {critical[-1]}] against the "
         f"derived crossing interval [{low}, {high}]; quiet scenes raise none",
@@ -448,11 +436,11 @@ def check_evaluation_arithmetic() -> CheckResult:
     expected = (7, 2, 1, 0.7, 7 / 9, 7 / 8)
     got = (result.tp, result.fp, result.fn, result.accuracy, result.precision, result.recall)
     if got != expected:
-        return _result(
+        return CheckResult(
             8, "evaluation-arithmetic", False,
             f"planted 7TP/2FP/1FN fixture gave {got}, expected {expected}",
         )
-    return _result(
+    return CheckResult(
         8, "evaluation-arithmetic", True,
         "7TP/2FP/1FN fixture: accuracy 0.7, precision 7/9, recall 7/8, all exact",
     )
@@ -494,7 +482,7 @@ class _ScriptedClock:
 def check_latency_harness() -> CheckResult:
     # Nearest-rank definition, exact on integer samples.
     if percentile_nearest_rank(list(range(1, 101)), 95) != 95:
-        return _result(9, "latency-harness", False, "nearest-rank p95 of 1..100 != 95")
+        return CheckResult(9, "latency-harness", False, "nearest-rank p95 of 1..100 != 95")
 
     # Scripted clock through the harness itself, kept bit-exact by using
     # dyadic timestamps: timeline[k] = (1+2+...+k)/1024 s, so sample k is
@@ -516,7 +504,7 @@ def check_latency_harness() -> CheckResult:
         if (stats.p50_ms, stats.p95_ms, stats.max_ms) != (
             expected_p50, expected_p95, expected_max
         ):
-            return _result(
+            return CheckResult(
                 9, "latency-harness", False,
                 f"scripted dyadic run: p50={stats.p50_ms!r} (want {expected_p50!r}), "
                 f"p95={stats.p95_ms!r} (want {expected_p95!r})",
@@ -533,7 +521,7 @@ def check_latency_harness() -> CheckResult:
             and math.isclose(const_stats.p50_ms, 10.0, rel_tol=1e-9)
             and math.isclose(const_stats.min_ms, const_stats.max_ms, rel_tol=1e-9)
         ):
-            return _result(
+            return CheckResult(
                 9, "latency-harness", False,
                 f"constant 10 ms run: mean={const_stats.mean_ms}, p50={const_stats.p50_ms}",
             )
@@ -546,17 +534,17 @@ def check_latency_harness() -> CheckResult:
             warmup_frames=2,
         )
         if not 20.0 <= paced_stats.p50_ms <= 40.0:
-            return _result(
+            return CheckResult(
                 9, "latency-harness", False,
                 f"20 ms paced playback measured p50 {paced_stats.p50_ms:.3f} ms, "
                 "expected within [20, 40]",
             )
         if any(r.end_to_end_ms < max(r.stages.values()) for r in paced_records):
-            return _result(
+            return CheckResult(
                 9, "latency-harness", False,
                 "a frame's end-to-end time undercut one of its stage times",
             )
-    return _result(
+    return CheckResult(
         9, "latency-harness", True,
         f"nearest-rank percentiles exact on scripted clocks; 20 ms paced playback "
         f"measured p50 {paced_stats.p50_ms:.2f} ms",

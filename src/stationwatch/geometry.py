@@ -39,14 +39,6 @@ class ZoneKind(Enum):
 
 
 @dataclass(frozen=True)
-class GroundPoint:
-    """Where a detection meets the ground, in pixels."""
-
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class CameraModel:
     """Metric camera mounting facts used by the height estimate."""
 
@@ -151,10 +143,10 @@ class Zone:
         object.__setattr__(self, "reach", reach)
 
 
-def ground_point(box: Sequence[float]) -> GroundPoint:
-    """Bottom-centre of an (x1, y1, x2, y2) box: where the subject stands."""
+def ground_point(box: Sequence[float]) -> tuple[float, float]:
+    """Bottom-centre (x, y) of an (x1, y1, x2, y2) box: where the subject stands."""
     x1, _, x2, y2 = box
-    return GroundPoint((x1 + x2) / 2.0, y2)
+    return (x1 + x2) / 2.0, y2
 
 
 def _on_edge(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
@@ -192,12 +184,13 @@ def point_in_polygon(x: float, y: float, vertices: Sequence[tuple[float, float]]
     return inside
 
 
-def point_in_zone(point: GroundPoint, zone: Zone) -> bool:
-    """`point_in_polygon` of the zone, False at once for a point outside its reach."""
+def point_in_zone(point: tuple[float, float], zone: Zone) -> bool:
+    """`point_in_polygon` of an (x, y) point and the zone, False at once outside its reach."""
+    x, y = point
     x1, y1, x2, y2 = zone.reach
-    if not (x1 <= point.x <= x2 and y1 <= point.y <= y2):
+    if not (x1 <= x <= x2 and y1 <= y <= y2):
         return False
-    return point_in_polygon(point.x, point.y, zone.polygon)
+    return point_in_polygon(x, y, zone.polygon)
 
 
 def polygon_area(vertices: Sequence[tuple[float, float]]) -> float:

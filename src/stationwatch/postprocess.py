@@ -402,6 +402,11 @@ def real_number(value, name: str) -> float:
     return float(value)
 
 
+def box_from_json(values) -> BoundingBox:
+    """Read an [x1, y1, x2, y2] box from outside input, each corner by real_number."""
+    return BoundingBox(*(real_number(value, "box corner") for value in values))
+
+
 def known_keys(data, keys, name: str) -> dict:
     """Return the JSON object `data`, refusing a key outside `keys` by name."""
     if not isinstance(data, dict):
@@ -416,16 +421,17 @@ def detections_from_record(record: dict) -> tuple[int, Detections]:
     """Inverse of detections_to_record (modulo the 6-decimal rounding).
 
     The record comes from outside, so it is checked: its frame a whole
-    number, and each entry's corners finite and ordered, its score in
-    [0, 1] and its class a whole number that fits the int64 class ids (see
-    whole_number). A bad record raises KeyError, TypeError, ValueError or,
-    for a corner too large for a float, OverflowError.
+    number, and each entry's corners finite, ordered numbers, its score a
+    number in [0, 1] and its class a whole number that fits the int64 class
+    ids (see real_number and whole_number). A bad record raises KeyError,
+    TypeError, ValueError or, for a corner too large for a float,
+    OverflowError.
     """
     frame_index = whole_number(record["frame"], "frame")
     boxes, scores, class_ids = [], [], []
     for entry in record["detections"]:
-        box = BoundingBox(*entry["box"])
-        score = entry["score"]
+        box = box_from_json(entry["box"])
+        score = real_number(entry["score"], "score")
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {score}")
         boxes.append(box.as_list())

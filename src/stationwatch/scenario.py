@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EncodingCollisionError, ScenarioError
-from .postprocess import (BoundingBox, DecodeConfig, _round6, known_keys, real_number,
-                          whole_number)
+from .postprocess import (BoundingBox, DecodeConfig, _round6, box_from_json, known_keys,
+                          real_number, whole_number)
 from .tensor_stream import RawTensorSet
 
 _BACKGROUND_LOGIT = -20.0  # sigmoid(-20) ~ 2e-9: dead cell at any sane threshold
@@ -400,20 +400,17 @@ def scenario_from_json(data: dict) -> ScenarioSpec:
         raise ScenarioError(f"malformed scenario description: {exc}") from exc
 
 
+def _object_to_json(obj: GroundTruthObject) -> dict:
+    entry = {"class": obj.class_id, "box": [_round6(v) for v in obj.box.as_list()]}
+    if obj.actor_id >= 0:  # -1, no actor, is written as no "actor" key
+        entry["actor"] = obj.actor_id
+    return entry
+
+
 def ground_truth_to_json(frames: Sequence[GroundTruthFrame]) -> dict:
     return {
         "frames": [
-            {
-                "frame": gt.frame_index,
-                "objects": [
-                    {
-                        "class": obj.class_id,
-                        "box": [_round6(v) for v in obj.box.as_list()],
-                        "actor": obj.actor_id,
-                    }
-                    for obj in gt.objects
-                ],
-            }
+            {"frame": gt.frame_index, "objects": [_object_to_json(obj) for obj in gt.objects]}
             for gt in frames
         ]
     }
@@ -427,8 +424,8 @@ def ground_truth_from_json(data: dict) -> list[GroundTruthFrame]:
                 objects=tuple(
                     GroundTruthObject(
                         class_id=whole_number(obj["class"], "class"),
-                        box=BoundingBox(*obj["box"]),
-                        actor_id=int(obj.get("actor", -1)),
+                        box=box_from_json(obj["box"]),
+                        actor_id=whole_number(obj["actor"], "actor") if "actor" in obj else -1,
                     )
                     for obj in entry["objects"]
                 ),

@@ -139,6 +139,17 @@ class RawTensorSet:
             )
 
 
+def _check_frames(header: TensorStreamHeader, frames: Sequence[RawTensorSet]) -> None:
+    """Raise unless the frame at position N carries index N and fits the header grids."""
+    for position, frame in enumerate(frames):
+        if frame.frame_index != position:
+            raise StreamFormatError(
+                f"frame at position {position} carries index {frame.frame_index}; "
+                "stream frames must be indexed 0,1,2,..."
+            )
+        frame.conforms_to(header)
+
+
 def write_tensor_stream(
     path: str | Path, header: TensorStreamHeader, frames: Sequence[RawTensorSet]
 ) -> int:
@@ -152,13 +163,7 @@ def write_tensor_stream(
         raise StreamFormatError(
             f"header declares {header.frame_count} frames but {len(frames)} were supplied"
         )
-    for position, frame in enumerate(frames):
-        if frame.frame_index != position:
-            raise StreamFormatError(
-                f"frame at position {position} carries index {frame.frame_index}; "
-                "stream frames must be indexed 0,1,2,..."
-            )
-        frame.conforms_to(header)
+    _check_frames(header, frames)
 
     with open(path, "wb") as fh:
         fh.write(header.pack())
@@ -315,12 +320,7 @@ class SequenceBackend(InferenceBackend):
 
     def __init__(self, header: TensorStreamHeader, frames: Sequence[RawTensorSet],
                  descriptor: str = "sequence"):
-        for position, frame in enumerate(frames):
-            if frame.frame_index != position:
-                raise StreamFormatError(
-                    f"frame at position {position} carries index {frame.frame_index}"
-                )
-            frame.conforms_to(header)
+        _check_frames(header, frames)
         self._header = header
         self._frames = iter(list(frames))
         self.descriptor = descriptor

@@ -15,7 +15,7 @@ Transition table (anything not listed keeps the current state):
     ON  -> OUT  train moves >= stationary_eps_px, or absent
     OUT -> OFF  confirm_frames consecutive absent frames
 
-Counters reset on every state change.
+The confirmation count resets on every state change.
 """
 
 from __future__ import annotations
@@ -39,25 +39,6 @@ class TrainState(Enum):
 
 
 @dataclass(frozen=True)
-class TrainObservation:
-    """Per-frame evidence about the train zone.
-
-    displacement_px is how far the largest train box's centroid moved since
-    the previous observation (0 on absence or first appearance). centroid
-    carries the largest box centre forward so the next observation can
-    measure displacement.
-    """
-
-    present: bool
-    displacement_px: float = 0.0
-    centroid: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.displacement_px < 0 or not math.isfinite(self.displacement_px):
-            raise ValueError(f"displacement_px must be >= 0, got {self.displacement_px}")
-
-
-@dataclass(frozen=True)
 class FsmConfig:
     """Debounce thresholds for stop/gone confirmation."""
 
@@ -71,25 +52,16 @@ class FsmConfig:
             raise ValueError(f"confirm_frames must be >= 1, got {self.confirm_frames}")
 
 
-@dataclass(frozen=True)
-class FsmCounters:
-    """Consecutive-frame confirmation counts."""
-
-    stationary_frames: int = 0
-    absent_frames: int = 0
-
-
 def observe_train(
-    trains: Sequence[Sequence[float]],
-    risk_zone: Zone,
-    previous: TrainObservation | None = None,
-) -> TrainObservation:
-    """Summarize train evidence for one frame.
+    trains: Sequence[Sequence[float]], risk_zone: Zone
+) -> tuple[float, float] | None:
+    """The centre of the largest train box, or None when no train is present.
 
     `trains` holds the (x1, y1, x2, y2) boxes of the train class; every box
     is treated as a train. A train is present when at least one box touches
     the zone, either by its ground point or by box overlap. The largest box,
-    the first of maximal area, gives the centroid.
+    the first of maximal area, gives the centre, whether or not it touches
+    the zone itself.
     """
     if risk_zone.kind is not ZoneKind.RISK:
         raise ValueError(f"train observation needs a RISK zone, got {risk_zone.kind}")
@@ -100,63 +72,60 @@ def observe_train(
         for box in trains
     )
     if not present:
-        return TrainObservation(present=False)
-
+        return None
     x1, y1, x2, y2 = max(trains, key=lambda box: (box[2] - box[0]) * (box[3] - box[1]))
-    centroid = ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
-    if previous is not None and previous.centroid is not None:
-        displacement = math.dist(centroid, previous.centroid)
-    else:
-        displacement = 0.0
-    return TrainObservation(present=True, displacement_px=displacement, centroid=centroid)
+    return (x1 + x2) / 2.0, (y1 + y2) / 2.0
 
 
 def step_fsm(
     state: TrainState,
-    observation: TrainObservation,
+    present: bool,
+    displacement_px: float,
+    count: int,
     config: FsmConfig,
-    counters: FsmCounters,
-) -> tuple[TrainState, FsmCounters]:
-    """Advance the train state by one observation.
+) -> tuple[TrainState, int]:
+    """Advance the train state by one frame.
 
-    Pure function: returns the next state and counter values. Counters are
-    zeroed whenever the state changes, so confirmation never carries over
-    into the next state.
+    Pure function: returns the next state and count. `count` is the number
+    of consecutive stationary frames so far in IN and of consecutive absent
+    frames so far in OUT; it is 0 in every other state. It is zeroed
+    whenever the state changes, so confirmation never carries over into the
+    next state. `displacement_px` is how far the train moved since the
+    previous frame and is read only when `present`.
     """
-    reset = FsmCounters()
     if state is TrainState.OFF:
-        if observation.present:
-            return TrainState.IN, reset
-        return TrainState.OFF, reset
+        if present:
+            return TrainState.IN, 0
+        return TrainState.OFF, 0
 
     if state is TrainState.IN:
-        if not observation.present:
-            return TrainState.OUT, reset
-        if observation.displacement_px < config.stationary_eps_px:
-            count = counters.stationary_frames + 1
+        if not present:
+            return TrainState.OUT, 0
+        if displacement_px < config.stationary_eps_px:
+            count += 1
             if count >= config.confirm_frames:
-                return TrainState.ON, reset
-            return TrainState.IN, FsmCounters(stationary_frames=count)
-        return TrainState.IN, reset
+                return TrainState.ON, 0
+            return TrainState.IN, count
+        return TrainState.IN, 0
 
     if state is TrainState.ON:
-        if not observation.present or observation.displacement_px >= config.stationary_eps_px:
-            return TrainState.OUT, reset
-        return TrainState.ON, reset
+        if not present or displacement_px >= config.stationary_eps_px:
+            return TrainState.OUT, 0
+        return TrainState.ON, 0
 
     if state is TrainState.OUT:
-        if not observation.present:
-            count = counters.absent_frames + 1
+        if not present:
+            count += 1
             if count >= config.confirm_frames:
-                return TrainState.OFF, reset
-            return TrainState.OUT, FsmCounters(absent_frames=count)
-        return TrainState.OUT, reset
+                return TrainState.OFF, 0
+            return TrainState.OUT, count
+        return TrainState.OUT, 0
 
     raise ValueError(f"unknown state {state!r}")
 
 
 class TrainStateMachine:
-    """Stateful wrapper chaining observations frame to frame.
+    """Stateful wrapper chaining frames: the state, its count and the last centre.
 
     Single-writer: exactly one machine instance advances per stream, in
     frame order. Use step_fsm directly for pure-function access.
@@ -165,15 +134,25 @@ class TrainStateMachine:
     def __init__(self, config: FsmConfig | None = None):
         self.config = config or FsmConfig()
         self.state = TrainState.OFF
-        self.counters = FsmCounters()
-        self.last_observation: TrainObservation | None = None
+        self.count = 0
+        self.centroid: tuple[float, float] | None = None
 
     def observe_and_step(
         self, trains: Sequence[Sequence[float]], risk_zone: Zone
-    ) -> tuple[TrainState, TrainState, TrainObservation]:
-        """Observe one frame and advance; returns (before, after, observation)."""
-        observation = observe_train(trains, risk_zone, self.last_observation)
+    ) -> tuple[TrainState, TrainState, tuple[float, float] | None]:
+        """Observe one frame and advance; returns (before, after, centroid).
+
+        The displacement is how far the largest train box's centre moved
+        since the previous frame: 0 on a first sighting or after an absence.
+        """
+        centroid = observe_train(trains, risk_zone)
+        if centroid is None or self.centroid is None:
+            displacement = 0.0
+        else:
+            displacement = math.dist(centroid, self.centroid)
         before = self.state
-        self.state, self.counters = step_fsm(self.state, observation, self.config, self.counters)
-        self.last_observation = observation
-        return before, self.state, observation
+        self.state, self.count = step_fsm(
+            before, centroid is not None, displacement, self.count, self.config
+        )
+        self.centroid = centroid
+        return before, self.state, centroid

@@ -4,7 +4,8 @@ Each reference is written for obviousness, not speed: the per-cell decode
 scores every cell and builds one `Det` record per kept cell, the NMS scans
 every kept pair explicitly, `row_by_row_nms` tests one kept row at a
 time against every alive candidate, `greedy_match` computes one scalar IoU per
-pair, and `reference_frame_records` chains decode and NMS with the train
+pair, `ReferenceTrainMachine` keeps the train state machine's two counts by
+name, and `reference_frame_records` chains decode and NMS with a train
 state machine and a hand-written ground point into the records the
 pipeline should emit for one frame.
 """
@@ -16,7 +17,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from stationwatch import BoundingBox, Detections, ZoneKind, point_in_polygon
+from stationwatch import BoundingBox, Detections, TrainState, ZoneKind, point_in_polygon
+from stationwatch.geometry import box_zone_overlap_area
 
 # One detection as a plain record: a BoundingBox, a score and a class id.
 Det = namedtuple("Det", "box score class_id")
@@ -191,6 +193,77 @@ def greedy_match(predictions, ground_truth, iou_threshold, class_id):
     return tp, len(preds) - tp, len(unmatched)
 
 
+class ReferenceTrainMachine:
+    """The train state machine as the `train_fsm` module docstring's table reads.
+
+    It keeps the two confirmation counts by name, consecutive stationary
+    frames and consecutive absent frames, zeroes both on every state change,
+    and keeps its own last train centre. A train is present when any box
+    overlaps the zone or has its bottom centre in it; the first box of the
+    largest area gives the centre.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.state = TrainState.OFF
+        self.stationary_frames = 0
+        self.absent_frames = 0
+        self.centroid = None
+
+    def observe_and_step(self, trains, risk_zone):
+        """(before, after, centre) of one frame's train boxes, as `TrainStateMachine`'s."""
+        present = False
+        for x1, y1, x2, y2 in trains:
+            if (box_zone_overlap_area([x1, y1, x2, y2], risk_zone) > 0.0
+                    or point_in_polygon((x1 + x2) / 2.0, y2, risk_zone.polygon)):
+                present = True
+        centroid = None
+        if present:
+            largest = None
+            for x1, y1, x2, y2 in trains:
+                area = (x2 - x1) * (y2 - y1)
+                if largest is None or area > largest:
+                    largest = area
+                    centroid = ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
+        if centroid is None or self.centroid is None:
+            moved = 0.0
+        else:
+            moved = math.hypot(centroid[0] - self.centroid[0], centroid[1] - self.centroid[1])
+        still = moved < self.config.stationary_eps_px
+        confirm = self.config.confirm_frames
+
+        before = self.state
+        after = before
+        if before is TrainState.OFF:
+            if present:
+                after = TrainState.IN                       # OFF -> IN: train present
+        elif before is TrainState.IN:
+            if not present:
+                after = TrainState.OUT                      # IN -> OUT: pass-through
+            elif still:
+                self.stationary_frames += 1
+                if self.stationary_frames >= confirm:
+                    after = TrainState.ON                   # IN -> ON: stop confirmed
+            else:
+                self.stationary_frames = 0
+        elif before is TrainState.ON:
+            if not present or not still:
+                after = TrainState.OUT                      # ON -> OUT: moves or absent
+        elif before is TrainState.OUT:
+            if present:
+                self.absent_frames = 0
+            else:
+                self.absent_frames += 1
+                if self.absent_frames >= confirm:
+                    after = TrainState.OFF                  # OUT -> OFF: gone confirmed
+        if after is not before:
+            self.stationary_frames = 0
+            self.absent_frames = 0
+        self.state = after
+        self.centroid = centroid
+        return before, after, centroid
+
+
 class Rejected(Exception):
     """The reference cannot decode the frame, so the pipeline must skip it."""
 
@@ -203,8 +276,9 @@ def reference_frame_records(frame, config, fsm):
     """The result record (without `latency_ms`) and alert records of one frame.
 
     Raises Rejected when a head value is not finite or a kept cell's box
-    does not fit in a float; `fsm` is then left as it was. Otherwise `fsm`
-    advances on the frame's train rows, as the pipeline's machine does.
+    does not fit in a float; `fsm` is then left as it was. Otherwise `fsm`,
+    a train state machine such as `ReferenceTrainMachine`, advances on the
+    frame's train rows, as the pipeline's machine does.
     """
     for tensor in frame.outputs:
         if not np.isfinite(tensor).all():

@@ -650,7 +650,9 @@ def write_two_empty_frames(gt):
     '"box": [1.0, 2.0, Infinity, 4.0], "score": 0.9, "class": 0',
     '"box": [1.0, 4.0, 3.0, 2.0], "score": 0.9, "class": 0',
     '"box": [1.0, 2.0, 3.0, 1' + "0" * 400 + '], "score": 0.9, "class": 0',
+    '"box": [true, 10.0, 30.0, 50.0], "score": 0.9, "class": 0',
     '"box": [1.0, 2.0, 3.0, 4.0], "score": "0.9", "class": 0',
+    '"box": [1.0, 2.0, 3.0, 4.0], "score": true, "class": 0',
     '"box": [1.0, 2.0, 3.0, 4.0], "score": NaN, "class": 0',
     '"box": [1.0, 2.0, 3.0, 4.0], "score": 1.5, "class": 0',
     '"box": [1.0, 2.0, 3.0, 4.0], "score": -0.1, "class": 0',
@@ -664,8 +666,8 @@ def write_two_empty_frames(gt):
     '"box": [1.0, 2.0, 3.0, 4.0], "score": 0.9, "class": 9223372036854775808',
 ], ids=[
     "corner_not_a_number", "corner_nan", "corner_infinite", "corners_out_of_order",
-    "corner_past_float",
-    "score_not_a_number", "score_nan", "score_above_one", "score_below_zero",
+    "corner_past_float", "corner_true",
+    "score_not_a_number", "score_true", "score_nan", "score_above_one", "score_below_zero",
     "class_negative", "class_fractional", "class_not_a_number", "class_true", "class_nan",
     "class_infinite", "class_huge_float", "class_past_int64",
 ])
@@ -720,8 +722,15 @@ def test_evaluate_rejects_a_bad_iou_threshold_even_without_predictions(tmp_path,
     (b'{"frames": [{"frame": "0", "objects": []}]}', "frame must be a whole number"),
     (b'{"frames": [{"frame": 0, "objects": [{"class": 0.7, "box": [1.0, 2.0, 3.0, 4.0]}]}]}',
      "class must be a whole number"),
+    (b'{"frames": [{"frame": 0, "objects": [{"class": 0, "box": [true, 2.0, 3.0, 4.0]}]}]}',
+     "box corner must be a number"),
+    (b'{"frames": [{"frame": 0, "objects": [{"class": 0, "box": [1.0, 2.0, 3.0, 4.0], '
+     b'"actor": "7"}]}]}', "actor must be a whole number"),
+    (b'{"frames": [{"frame": 0, "objects": [{"class": 0, "box": [1.0, 2.0, 3.0, 4.0], '
+     b'"actor": 1.5}]}]}', "actor must be a whole number"),
 ], ids=["not_json", "not_utf8", "no_frames", "corner_past_float", "frame_fractional",
-        "frame_not_a_number", "class_fractional"])
+        "frame_not_a_number", "class_fractional", "corner_true", "actor_not_a_number",
+        "actor_fractional"])
 def test_evaluate_reports_a_malformed_ground_truth_file_in_one_line(
     tmp_path, capsys, content, reason
 ):

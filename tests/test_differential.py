@@ -1,10 +1,12 @@
 """Whole-frame differential test: `run_pipeline` against the slow reference.
 
 Small frames go through the real pipeline and through
-`reference.reference_frame_records` (per-cell decode, brute-force NMS, the
-train state machine, a hand-written ground point and `point_in_polygon`).
+`reference.reference_frame_records` (per-cell decode, brute-force NMS,
+`ReferenceTrainMachine`, a hand-written ground point and `point_in_polygon`).
 Every record must print the same, and a frame must be an error record
-exactly when the reference cannot decode it.
+exactly when the reference cannot decode it. A second property runs
+`TrainStateMachine` and `ReferenceTrainMachine` side by side over train-box
+traces.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from stationwatch import (
 )
 from stationwatch.scenario import PERSON_CLASS, SCENE_NUM_CLASSES, TRAIN_CLASS
 
-from reference import Rejected, reference_frame_records
+from reference import ReferenceTrainMachine, Rejected, reference_frame_records
 
 SIZE = 64
 STRIDES = (8, 16, 32)
@@ -170,7 +172,7 @@ def test_run_pipeline_prints_the_records_of_the_slow_reference(run):
     run_pipeline(SequenceBackend(header, frame_list), config,
                  alert_sink=alerts.append, result_sink=results.append)
 
-    fsm = TrainStateMachine(config.fsm)
+    fsm = ReferenceTrainMachine(config.fsm)
     want_results: list[dict] = []
     want_alerts: list[dict] = []
     for frame in frame_list:
@@ -184,3 +186,50 @@ def test_run_pipeline_prints_the_records_of_the_slow_reference(run):
 
     assert [json.dumps(comparable(r)) for r in results] == [json.dumps(r) for r in want_results]
     assert [json.dumps(a) for a in alerts] == [json.dumps(a) for a in want_alerts]
+
+
+TRACK = default_config().risk_zone  # x 0 to 320, y 20 to 100
+
+
+@st.composite
+def train_traces(draw):
+    """An FsmConfig and per-frame train boxes: a 60x40 train that stops,
+    creeps, moves by exactly stationary_eps_px, leaves the zone or vanishes,
+    sometimes with a second box of smaller, equal or larger area."""
+    config = FsmConfig(
+        stationary_eps_px=draw(st.sampled_from([0.5, 2.0, 3.0])),
+        confirm_frames=draw(st.integers(1, 6)),
+    )
+    eps = config.stationary_eps_px
+    x, y = draw(st.integers(0, 260)), draw(st.integers(0, 80))
+    moves = st.one_of(
+        st.sampled_from([0.0, 0.0, 0.0, eps, -eps, eps / 2, None]),
+        st.integers(-80, 80).map(lambda k: k / 4),
+    )
+    trace = []
+    for _ in range(draw(st.integers(1, 40))):
+        move = draw(moves)
+        if move is None:  # no train box at all
+            trace.append([])
+            continue
+        if draw(st.booleans()):
+            x += move
+        else:
+            y += move
+        boxes = [[x, y, x + 60.0, y + 40.0]]
+        extra = draw(st.sampled_from([None, (20.0, 20.0), (40.0, 60.0), (80.0, 60.0)]))
+        if extra is not None:
+            w, h = extra
+            ox, oy = draw(st.integers(-20, 300)), draw(st.integers(-20, 200))
+            boxes.insert(draw(st.integers(0, 1)), [ox, oy, ox + w, oy + h])
+        trace.append(boxes)
+    return config, trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=train_traces())
+def test_train_state_machine_agrees_with_the_reference_on_every_frame(case):
+    config, trace = case
+    machine, reference = TrainStateMachine(config), ReferenceTrainMachine(config)
+    for boxes in trace:
+        assert machine.observe_and_step(boxes, TRACK) == reference.observe_and_step(boxes, TRACK)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stationwatch import (
     BoundingBox,
     CameraModel,
-    GroundPoint,
     Zone,
     ZoneKind,
     estimate_height,
@@ -172,10 +171,10 @@ def test_membership_is_invariant_under_vertex_rotation_and_reversal(
 def test_point_in_zone_and_ground_point():
     zone = Zone("test", ZoneKind.DANGER, SQUARE)
     foot = ground_point([1.0, 0.0, 3.0, 4.0])
-    assert foot == GroundPoint(2.0, 4.0)
+    assert foot == (2.0, 4.0)
     assert ground_point((1.0, 0.0, 3.0, 4.0)) == foot
     assert point_in_zone(foot, zone)  # bottom edge of the zone, inclusive
-    assert not point_in_zone(GroundPoint(2.0, 4.1), zone)
+    assert not point_in_zone((2.0, 4.1), zone)
 
 
 @st.composite
@@ -219,7 +218,7 @@ SQUARE_0_10 = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
 def test_point_in_zone_agrees_with_point_in_polygon_at_the_zone_box(case):
     polygon, x, y = case
     zone = Zone("z", ZoneKind.DANGER, polygon)
-    assert point_in_zone(GroundPoint(x, y), zone) == point_in_polygon(x, y, polygon)
+    assert point_in_zone((x, y), zone) == point_in_polygon(x, y, polygon)
 
 
 # --- zone validation ------------------------------------------------------------

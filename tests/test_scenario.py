@@ -306,6 +306,7 @@ def test_ground_truth_json_round_trip_is_exact_for_dyadic_coordinates():
             (
                 GroundTruthObject(0, BoundingBox(1.5, 2.25, 10.0, 20.125), 0),
                 GroundTruthObject(6, BoundingBox(0.0, 0.0, 64.0, 64.0), 1),
+                GroundTruthObject(0, BoundingBox(3.0, 4.0, 5.0, 6.0), -1),  # no actor
             ),
         ),
         GroundTruthFrame(1, ()),
