@@ -173,6 +173,8 @@ def evaluate_run(
     evaluating a run that produced nothing still yields accuracy 0.
     """
     _check_iou_threshold(iou_threshold)
+    if class_id < 0:
+        raise ValueError(f"class_id must be a whole number >= 0, got {class_id}")
     pred_list = list(predictions)
     gt_list = list(ground_truth)
     tp = fp = fn = 0

@@ -32,7 +32,7 @@ class ZoneKind(Enum):
 
     DANGER = "DANGER"    # past the yellow line: alert-worthy for persons
     RISK = "RISK"        # track area: where train presence is measured
-    MONITOR = "MONITOR"  # platform: presence noted, never alerted
+    MONITOR = "MONITOR"  # platform: station layout only, never tested per frame
 
     def __str__(self) -> str:
         return self.value

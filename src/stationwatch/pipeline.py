@@ -9,9 +9,10 @@ reflects the train state as of the same frame:
     train ON/OUT                     -> WARNING   (train stopped/leaving)
     train OFF                        -> CAUTION   (no train, still unsafe)
 
-MONITOR zones never alert; presence there is only logged. Detection runs
-in every train state so a person on the track is never invisible merely
-because no train is near.
+The grading is fixed (`SEVERITY`), not configured. Only DANGER zones are
+tested, at every log level: MONITOR zones describe the station layout and
+no frame tests them. Detection runs in every train state so a person on
+the track is never invisible merely because no train is near.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -48,12 +49,19 @@ class Severity(Enum):
         return self.value
 
 
-DEFAULT_SEVERITY_TABLE: dict[tuple[TrainState, ZoneKind], Severity] = {
-    (TrainState.IN, ZoneKind.DANGER): Severity.CRITICAL,
-    (TrainState.ON, ZoneKind.DANGER): Severity.WARNING,
-    (TrainState.OUT, ZoneKind.DANGER): Severity.WARNING,
-    (TrainState.OFF, ZoneKind.DANGER): Severity.CAUTION,
+SEVERITY: dict[TrainState, Severity] = {
+    TrainState.IN: Severity.CRITICAL,
+    TrainState.ON: Severity.WARNING,
+    TrainState.OUT: Severity.WARNING,
+    TrainState.OFF: Severity.CAUTION,
 }
+
+# The "severity_table" every config file written before severities were
+# fixed carries; config_from_json accepts that key only with this value.
+_SAVED_SEVERITY_TABLE = [
+    {"state": state.value, "zone_kind": ZoneKind.DANGER.value, "severity": severity.value}
+    for state, severity in SEVERITY.items()
+]
 
 
 @dataclass(frozen=True)
@@ -78,9 +86,6 @@ class PipelineConfig:
     zones: tuple[Zone, ...]
     camera: CameraModel
     fsm: FsmConfig
-    severity_table: Mapping[tuple[TrainState, ZoneKind], Severity] = field(
-        default_factory=lambda: dict(DEFAULT_SEVERITY_TABLE)
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "zones", tuple(self.zones))
@@ -95,15 +100,6 @@ class PipelineConfig:
         names = [z.name for z in self.zones]
         if len(set(names)) != len(names):
             raise ConfigError(f"zone names must be unique, got {names}")
-        for state, kind in self.severity_table:
-            if kind is not ZoneKind.DANGER:
-                raise ConfigError(
-                    f"severity table entry ({state.value}, {kind.value}) is never read: "
-                    "only DANGER zones alert"
-                )
-        for state in TrainState:
-            if (state, ZoneKind.DANGER) not in self.severity_table:
-                raise ConfigError(f"severity table misses entry for ({state.value}, DANGER)")
 
     @property
     def risk_zone(self) -> Zone:
@@ -112,10 +108,6 @@ class PipelineConfig:
     @property
     def danger_zones(self) -> tuple[Zone, ...]:
         return tuple(z for z in self.zones if z.kind is ZoneKind.DANGER)
-
-    @property
-    def monitor_zones(self) -> tuple[Zone, ...]:
-        return tuple(z for z in self.zones if z.kind is ZoneKind.MONITOR)
 
 
 def default_config() -> PipelineConfig:
@@ -150,10 +142,6 @@ def config_to_json(config: PipelineConfig) -> dict:
             "stationary_eps_px": config.fsm.stationary_eps_px,
             "confirm_frames": config.fsm.confirm_frames,
         },
-        "severity_table": [
-            {"state": state.value, "zone_kind": kind.value, "severity": severity.value}
-            for (state, kind), severity in config.severity_table.items()
-        ],
     }
 
 
@@ -194,25 +182,21 @@ def config_from_json(data: dict) -> PipelineConfig:
             known_keys(entry, ("name", "kind", "polygon"), "zone")
             polygon = tuple((real_number(x, "polygon x"), real_number(y, "polygon y"))
                             for x, y in entry["polygon"])
-            zones.append(Zone(str(entry["name"]), ZoneKind(entry["kind"]), polygon))
+            if not isinstance(entry["name"], str):
+                raise ValueError(f"zone.name must be a string, got {entry['name']!r}")
+            zones.append(Zone(entry["name"], ZoneKind(entry["kind"]), polygon))
         camera = CameraModel(**_read(data["camera"], _CAMERA_READERS, "camera"))
         fsm = FsmConfig(**_read(data.get("fsm", {}), _FSM_READERS, "fsm"))
-        table_data = data.get("severity_table")
-        if table_data is None:
-            severity_table = dict(DEFAULT_SEVERITY_TABLE)
-        else:
-            severity_table = {}
-            for e in table_data:
-                known_keys(e, ("state", "zone_kind", "severity"), "severity table entry")
-                key = (TrainState(e["state"]), ZoneKind(e["zone_kind"]))
-                severity_table[key] = Severity(e["severity"])
+        if data.get("severity_table", _SAVED_SEVERITY_TABLE) != _SAVED_SEVERITY_TABLE:
+            raise ValueError(
+                "severities are fixed (IN: CRITICAL, ON and OUT: WARNING, OFF: CAUTION); "
+                "a severity table is accepted only as older default-config files wrote it"
+            )
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed pipeline config: {exc}") from exc
-    return PipelineConfig(
-        decode=decode, zones=zones, camera=camera, fsm=fsm, severity_table=severity_table
-    )
+    return PipelineConfig(decode=decode, zones=zones, camera=camera, fsm=fsm)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -264,8 +248,6 @@ def process_frame(
     t3 = time.perf_counter()
 
     danger_zones = config.danger_zones
-    # MONITOR zones only feed a debug log, so they are tested only when it is on.
-    monitor_zones = config.monitor_zones if logger.isEnabledFor(logging.DEBUG) else ()
     rows = np.flatnonzero(detections.class_ids == config.decode.person_class_id)
     hits: list[tuple[int, str]] = []  # (detection row, DANGER zone name), person-major
     for row, box in zip(rows.tolist(), detections.boxes[rows].tolist()):
@@ -273,17 +255,12 @@ def process_frame(
         for zone in danger_zones:
             if point_in_zone(foot, zone):
                 hits.append((row, zone.name))
-        for zone in monitor_zones:
-            if point_in_zone(foot, zone):
-                logger.debug(
-                    "frame %d: person in monitor zone '%s'", frame.frame_index, zone.name
-                )
     t4 = time.perf_counter()
 
     record = detections_to_record(frame.frame_index, detections)
     entries = record["detections"]
     record["state"] = state.value
-    severity = config.severity_table[(state, ZoneKind.DANGER)].value
+    severity = SEVERITY[state].value
     record["alerts"] = [
         {
             "frame": frame.frame_index,

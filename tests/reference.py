@@ -6,8 +6,8 @@ every kept pair explicitly, `row_by_row_nms` tests one kept row at a
 time against every alive candidate, `greedy_match` computes one scalar IoU per
 pair, `ReferenceTrainMachine` keeps the train state machine's two counts by
 name, and `reference_frame_records` chains decode and NMS with a train
-state machine and a hand-written ground point into the records the
-pipeline should emit for one frame.
+state machine, a hand-written ground point and its own severity grading
+into the records the pipeline should emit for one frame.
 """
 
 from __future__ import annotations
@@ -268,6 +268,11 @@ class Rejected(Exception):
     """The reference cannot decode the frame, so the pipeline must skip it."""
 
 
+# The pipeline module docstring's grading: what the train is doing on the
+# frame decides the severity of every alert of that frame.
+REFERENCE_SEVERITY = {"IN": "CRITICAL", "ON": "WARNING", "OUT": "WARNING", "OFF": "CAUTION"}
+
+
 def _printed(value):
     return round(float(value), 6)
 
@@ -303,7 +308,7 @@ def reference_frame_records(frame, config, fsm):
                     "frame": frame.frame_index,
                     "zone": zone.name,
                     "state": state.value,
-                    "severity": config.severity_table[(state, ZoneKind.DANGER)].value,
+                    "severity": REFERENCE_SEVERITY[state.value],
                     "box": [_printed(v) for v in det.box.as_list()],
                     "score": _printed(det.score),
                 })

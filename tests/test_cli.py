@@ -15,6 +15,8 @@ from stationwatch.cli import main
 from stationwatch.scenario import scenario_to_json
 from stationwatch.tensor_stream import PlaybackBackend, read_header, write_tensor_stream
 
+from test_pipeline import saved_config_json
+
 
 def run_cli(*argv: str) -> int:
     return main(list(argv))
@@ -193,6 +195,35 @@ def test_run_with_an_invalid_config_exits_2_before_writing(tmp_path, capsys):
     assert "RISK" in capsys.readouterr().err
     assert not alerts.exists()
     assert not results.exists()
+
+
+def run_with_config(tmp_path, tensors, name: str, data: dict | None) -> tuple[int, Path]:
+    """Run on `tensors` with config `data` (None: no --config); the exit code and alerts path."""
+    options = []
+    if data is not None:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(data, indent=2))
+        options = ["--config", str(config)]
+    alerts = tmp_path / f"{name}-alerts.jsonl"
+    code = run_cli("run", "--tensors", str(tensors), *options, "--alerts-out", str(alerts),
+                   "--results-out", str(tmp_path / f"{name}-results.jsonl"))
+    return code, alerts
+
+
+def test_run_takes_an_older_config_file_but_refuses_a_changed_severity(tmp_path, capsys):
+    tensors, _ = simulate(tmp_path)
+    assert run_with_config(tmp_path, tensors, "default", None)[0] == 0
+    code, alerts = run_with_config(tmp_path, tensors, "old", saved_config_json())
+    assert code == 0
+    assert alerts.read_bytes() == (tmp_path / "default-alerts.jsonl").read_bytes()
+    capsys.readouterr()
+
+    changed = saved_config_json(severity="WARNING")
+    code, alerts = run_with_config(tmp_path, tensors, "changed", changed)
+    assert code == 2
+    assert "malformed pipeline config: severities are fixed" in capsys.readouterr().err
+    assert not alerts.exists()
+    assert not (tmp_path / "changed-results.jsonl").exists()
 
 
 def test_run_with_a_missing_stream_exits_1(tmp_path):
@@ -701,15 +732,26 @@ def test_evaluate_reports_a_prediction_file_that_is_not_utf8_as_a_malformed_reco
         assert "can't decode byte 0xff" in message
 
 
-def test_evaluate_rejects_a_bad_iou_threshold_even_without_predictions(tmp_path, capsys):
+def evaluate_without_predictions(tmp_path, *option: str) -> int:
     gt = tmp_path / "gt.json"
     write_two_empty_frames(gt)
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    assert run_cli("evaluate", "--pred", str(empty), "--gt", str(gt), "--iou", "5") == 2
+    return run_cli("evaluate", "--pred", str(empty), "--gt", str(gt), *option)
+
+
+def test_evaluate_rejects_a_bad_iou_threshold_even_without_predictions(tmp_path, capsys):
+    assert evaluate_without_predictions(tmp_path, "--iou", "5") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "iou_threshold must lie in (0, 1], got 5.0" in captured.err
+
+
+def test_evaluate_rejects_a_negative_class_id_even_without_predictions(tmp_path, capsys):
+    assert evaluate_without_predictions(tmp_path, "--class-id", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "class_id must be a whole number >= 0, got -1" in captured.err
 
 
 @pytest.mark.parametrize("content, reason", [

@@ -35,7 +35,7 @@ from stationwatch import (
     run_pipeline,
     save_config,
 )
-from stationwatch.pipeline import DEFAULT_SEVERITY_TABLE, config_from_json, config_to_json
+from stationwatch.pipeline import SEVERITY, config_from_json, config_to_json
 from stationwatch.postprocess import Detections, detections_to_record
 from stationwatch.scenario import PERSON_CLASS, TRAIN_CLASS
 
@@ -64,21 +64,20 @@ def train_obj(box: BoundingBox, actor_id: int = 1) -> GroundTruthObject:
     return GroundTruthObject(TRAIN_CLASS, box, actor_id)
 
 
-# --- severity table ----------------------------------------------------------------
+# --- severity ----------------------------------------------------------------------
 
 def test_severity_grading_by_train_state():
-    assert DEFAULT_SEVERITY_TABLE == {
-        (TrainState.IN, ZoneKind.DANGER): Severity.CRITICAL,
-        (TrainState.ON, ZoneKind.DANGER): Severity.WARNING,
-        (TrainState.OUT, ZoneKind.DANGER): Severity.WARNING,
-        (TrainState.OFF, ZoneKind.DANGER): Severity.CAUTION,
+    assert SEVERITY == {
+        TrainState.IN: Severity.CRITICAL,
+        TrainState.ON: Severity.WARNING,
+        TrainState.OUT: Severity.WARNING,
+        TrainState.OFF: Severity.CAUTION,
     }
-    assert default_config().severity_table == DEFAULT_SEVERITY_TABLE
 
 
 def test_only_danger_zones_ever_alert():
     # Persons in the track (RISK) and platform (MONITOR) zones never alert;
-    # the one past the line alerts in every train state, graded by the table.
+    # the one past the line alerts in every train state, graded by SEVERITY.
     base = default_config()
     config = PipelineConfig(
         decode=base.decode, zones=base.zones, camera=base.camera,
@@ -144,33 +143,6 @@ def test_config_requires_a_danger_zone_and_unique_names():
         config_with_zones(base.zones + (clash,))
 
 
-def test_config_requires_a_total_severity_table():
-    base = default_config()
-    partial = {(TrainState.IN, ZoneKind.DANGER): Severity.CRITICAL}
-    with pytest.raises(ConfigError, match="severity table"):
-        PipelineConfig(
-            decode=base.decode, zones=base.zones, camera=base.camera,
-            fsm=base.fsm, severity_table=partial,
-        )
-
-
-def test_config_rejects_a_severity_entry_no_decision_reads():
-    base = default_config()
-    table = dict(base.severity_table)
-    table[(TrainState.ON, ZoneKind.MONITOR)] = Severity.CRITICAL
-    with pytest.raises(ConfigError, match=r"severity table entry \(ON, MONITOR\) is never read"):
-        PipelineConfig(
-            decode=base.decode, zones=base.zones, camera=base.camera,
-            fsm=base.fsm, severity_table=table,
-        )
-    data = config_to_json(base)
-    data["severity_table"].append(
-        {"state": "OFF", "zone_kind": "RISK", "severity": "CAUTION"}
-    )
-    with pytest.raises(ConfigError, match=r"severity table entry \(OFF, RISK\) is never read"):
-        config_from_json(data)
-
-
 def test_config_json_round_trip(tmp_path):
     config = default_config()
     assert config_to_json(config_from_json(config_to_json(config))) == config_to_json(config)
@@ -179,30 +151,35 @@ def test_config_json_round_trip(tmp_path):
     assert config_to_json(load_config(path)) == config_to_json(config)
 
 
-def test_config_json_round_trip_keeps_a_custom_severity_table():
-    base = default_config()
-    table = dict(base.severity_table)
-    table[(TrainState.OFF, ZoneKind.DANGER)] = Severity.WARNING
-    config = PipelineConfig(
-        decode=base.decode, zones=base.zones, camera=base.camera, fsm=base.fsm,
-        severity_table=table,
-    )
-    restored = config_from_json(json.loads(json.dumps(config_to_json(config))))
-    assert restored.severity_table == table
-    assert restored.severity_table[(TrainState.OFF, ZoneKind.DANGER)] is Severity.WARNING
+# What `default-config` wrote before severities were fixed: today's JSON plus
+# the table of the four (state, DANGER) entries.
+SAVED_SEVERITY_TABLE = [
+    {"state": "IN", "zone_kind": "DANGER", "severity": "CRITICAL"},
+    {"state": "ON", "zone_kind": "DANGER", "severity": "WARNING"},
+    {"state": "OUT", "zone_kind": "DANGER", "severity": "WARNING"},
+    {"state": "OFF", "zone_kind": "DANGER", "severity": "CAUTION"},
+]
 
 
-def test_config_without_a_severity_table_gets_the_default():
+def saved_config_json(**table_changes) -> dict:
+    """An older default-config file, with `table_changes` set in its first table entry."""
     data = config_to_json(default_config())
-    del data["severity_table"]
-    assert config_from_json(data).severity_table == default_config().severity_table
+    data["severity_table"] = [dict(entry) for entry in SAVED_SEVERITY_TABLE]
+    data["severity_table"][0].update(table_changes)
+    return data
+
+
+def test_an_older_default_config_file_with_its_severity_table_loads_unchanged(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(saved_config_json(), indent=2))
+    assert load_config(path) == default_config()
+    assert "severity_table" not in config_to_json(load_config(path))
 
 
 def test_config_rejects_a_malformed_severity_table():
-    data = config_to_json(default_config())
-    data["severity_table"][0]["severity"] = "PANIC"
     with pytest.raises(ConfigError, match="malformed"):
-        config_from_json(data)
+        config_from_json(saved_config_json(severity="PANIC"))
+    data = saved_config_json()
     data["severity_table"] = []
     with pytest.raises(ConfigError, match="severity table"):
         config_from_json(data)
@@ -225,7 +202,9 @@ def config_json_with(part, key, value):
     (config_json_with("zones", "colour", "red"), "unknown key 'colour' in zone"),
     (config_json_with("camera", "tilt_deg", 3.0), "unknown key 'tilt_deg' in camera"),
     (config_json_with("fsm", "confirm", 5), "unknown key 'confirm' in fsm"),
-    (config_json_with("severity_table", "note", ""), "unknown key 'note' in severity table"),
+    (json.dumps(saved_config_json(severity="WARNING")), "severities are fixed"),
+    (config_json_with("zones", "name", None), "zone.name must be a string, got None"),
+    (config_json_with("zones", "name", ["x"]), "zone.name must be a string, got ['x']"),
     (config_json_with("decode", "strides", [8.7, 16, 32]), "decode.strides must be a whole"),
     (config_json_with("fsm", "confirm_frames", 2.9), "fsm.confirm_frames must be a whole"),
     (config_json_with("decode", "person_class_id", "0"), "person_class_id must be a whole"),
@@ -234,7 +213,8 @@ def config_json_with(part, key, value):
     (config_json_with("camera", "height_m", True), "camera.height_m must be a number"),
     (config_json_with("zones", "polygon", [[0, "1"], [1, 1], [1, 0]]), "polygon y must be a"),
 ], ids=["not_json", "no_zones", "not_an_object", "misspelled_decode_key", "unknown_top_level_key",
-        "unknown_zone_key", "unknown_camera_key", "unknown_fsm_key", "unknown_severity_key",
+        "unknown_zone_key", "unknown_camera_key", "unknown_fsm_key", "severity_changed",
+        "zone_name_null", "zone_name_list",
         "stride_fractional", "confirm_frames_fractional", "class_id_as_text", "class_id_true",
         "threshold_as_text", "camera_height_true", "polygon_as_text"])
 def test_load_config_rejects_bad_files(tmp_path, content, reason):
@@ -290,16 +270,8 @@ def test_alert_severity_downgrades_when_the_train_is_confirmed_stopped():
     assert fsm.state is TrainState.ON
 
 
-def test_person_on_the_platform_is_logged_not_alerted(caplog):
-    config = default_config()
-    fsm = TrainStateMachine(config.fsm)
-    with caplog.at_level(logging.DEBUG, logger="stationwatch.pipeline"):
-        record = process_frame(scene_frame(0, (person_obj(PERSON_ON_PLATFORM),)), config, fsm)
-    assert record["alerts"] == []
-    assert any("platform" in record.message for record in caplog.records)
-
-
-def test_monitor_zones_are_tested_only_when_debug_logging_is_on(monkeypatch, caplog):
+@pytest.mark.parametrize("level", [logging.INFO, logging.DEBUG], ids=["INFO", "DEBUG"])
+def test_only_danger_zones_are_tested_at_every_log_level(monkeypatch, caplog, level):
     tested: list[str] = []
 
     def recording_point_in_zone(point, zone):
@@ -309,14 +281,11 @@ def test_monitor_zones_are_tested_only_when_debug_logging_is_on(monkeypatch, cap
     monkeypatch.setattr("stationwatch.pipeline.point_in_zone", recording_point_in_zone)
     config = default_config()
     frame = scene_frame(0, (person_obj(PERSON_ON_PLATFORM),))
-    with caplog.at_level(logging.INFO, logger="stationwatch.pipeline"):
-        process_frame(frame, config, TrainStateMachine(config.fsm))
+    with caplog.at_level(level, logger="stationwatch.pipeline"):
+        record = process_frame(frame, config, TrainStateMachine(config.fsm))
     assert tested == ["yellow-line"]
-
-    tested.clear()
-    with caplog.at_level(logging.DEBUG, logger="stationwatch.pipeline"):
-        process_frame(frame, config, TrainStateMachine(config.fsm))
-    assert tested == ["yellow-line", "platform"]
+    assert record["alerts"] == []
+    assert caplog.records == []
 
 
 def test_person_in_the_track_zone_is_not_an_alert():
