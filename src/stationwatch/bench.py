@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
@@ -52,15 +52,7 @@ class EvalResult:
         return cls(tp, fp, fn, iou_threshold, accuracy, precision, recall)
 
     def to_record(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "iou_threshold": self.iou_threshold,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -91,15 +83,7 @@ class LatencyStats:
         )
 
     def to_record(self) -> dict:
-        return {
-            "mean_ms": self.mean_ms,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "min_ms": self.min_ms,
-            "max_ms": self.max_ms,
-            "sample_count": self.sample_count,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

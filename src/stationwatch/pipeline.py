@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -86,11 +86,14 @@ class PipelineConfig:
     zones: tuple[Zone, ...]
     camera: CameraModel
     fsm: FsmConfig
+    # The zones' roles, resolved once from `zones` in __post_init__.
+    risk_zone: Zone = field(init=False, repr=False, compare=False)
+    danger_zones: tuple[Zone, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "zones", tuple(self.zones))
         risk = [z for z in self.zones if z.kind is ZoneKind.RISK]
-        danger = [z for z in self.zones if z.kind is ZoneKind.DANGER]
+        danger = tuple(z for z in self.zones if z.kind is ZoneKind.DANGER)
         if len(risk) != 1:
             raise ConfigError(
                 f"config needs exactly one RISK zone, found {len(risk)}"
@@ -100,14 +103,8 @@ class PipelineConfig:
         names = [z.name for z in self.zones]
         if len(set(names)) != len(names):
             raise ConfigError(f"zone names must be unique, got {names}")
-
-    @property
-    def risk_zone(self) -> Zone:
-        return next(z for z in self.zones if z.kind is ZoneKind.RISK)
-
-    @property
-    def danger_zones(self) -> tuple[Zone, ...]:
-        return tuple(z for z in self.zones if z.kind is ZoneKind.DANGER)
+        object.__setattr__(self, "risk_zone", risk[0])
+        object.__setattr__(self, "danger_zones", danger)
 
 
 def default_config() -> PipelineConfig:

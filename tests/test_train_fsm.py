@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stationwatch import (
     BoundingBox,
@@ -21,18 +19,6 @@ RISK = Zone("track", ZoneKind.RISK, ((0.0, 0.0), (100.0, 0.0), (100.0, 100.0), (
 ABSENT = (False, 0.0)
 MOVING = (True, 8.0)
 STILL = (True, 0.0)
-
-ALLOWED = {
-    (TrainState.OFF, TrainState.OFF),
-    (TrainState.OFF, TrainState.IN),
-    (TrainState.IN, TrainState.IN),
-    (TrainState.IN, TrainState.ON),
-    (TrainState.IN, TrainState.OUT),
-    (TrainState.ON, TrainState.ON),
-    (TrainState.ON, TrainState.OUT),
-    (TrainState.OUT, TrainState.OUT),
-    (TrainState.OUT, TrainState.OFF),
-}
 
 
 def train(box: BoundingBox) -> list[float]:
@@ -152,24 +138,6 @@ def test_confirm_frames_of_one_flips_immediately():
 def test_step_fsm_is_a_pure_function():
     args = (TrainState.IN, *STILL, 2, FsmConfig())
     assert step_fsm(*args) == step_fsm(*args)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    trace=st.lists(
-        st.one_of(
-            st.just(ABSENT),
-            st.tuples(st.just(True), st.floats(min_value=0.0, max_value=20.0)),
-        ),
-        max_size=40,
-    )
-)
-def test_random_traces_stay_within_the_declared_transition_set(trace):
-    state, count = TrainState.OFF, 0
-    for present, displacement in trace:
-        new_state, count = step_fsm(state, present, displacement, count, FsmConfig())
-        assert (state, new_state) in ALLOWED
-        state = new_state
 
 
 # --- stateful wrapper over real detections -----------------------------------------
