@@ -11,8 +11,9 @@ Five working commands plus one meta-command:
 
 Exit codes: 0 success, 1 runtime failure (including a `run` or `bench`
 that skipped a corrupt frame or met a stream ending early), 2 invalid
-arguments, configuration or input file (a malformed spec, ground-truth or
-prediction file), 3 acceptance failure. Logs go to stderr; data
+arguments, configuration or input file (a malformed config, spec,
+ground-truth or prediction file, reported as `malformed WHAT: REASON`),
+3 acceptance failure. Logs go to stderr; data
 goes to the requested files or stdout. Commands validate their inputs
 before creating any output file, so an exit-2 failure never leaves
 partial outputs. Every file a command writes goes through `_outputs`:
@@ -36,7 +37,6 @@ from . import acceptance
 from .bench import (bench_summary, check_efficiency_input, evaluate_run, measure_latency,
                     write_bench_csv)
 from .errors import (
-    AlignmentError,
     ConfigError,
     InsufficientSamplesError,
     ScenarioError,
@@ -51,7 +51,7 @@ from .pipeline import (
     run_pipeline,
     save_config,
 )
-from .postprocess import detections_from_record
+from .postprocess import detections_from_record, load_json, reading
 from .scenario import (
     SCENE_NUM_CLASSES,
     builtin_scenarios,
@@ -148,12 +148,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         spec = catalog[args.scenario]
     else:
-        try:
-            with open(args.spec_file, "r", encoding="utf-8") as fh:
-                spec = scenario_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, ScenarioError) as exc:
-            print(f"simulate: cannot load spec file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        spec = load_json(args.spec_file, scenario_from_json, ScenarioError, "scenario description")
 
     config = default_config() if args.config is None else load_config(args.config)
     gt_frames, tensors = encode_scenario(spec, config.decode, SCENE_NUM_CLASSES)
@@ -229,25 +224,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     predictions = []
     with open(args.pred, "rb") as fh:
         for number, raw in enumerate(fh, start=1):
-            try:
+            with reading(ScenarioError, f"prediction record at line {number}"):
                 line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if "detections" not in record:
-                    continue  # tolerate error records interleaved in results files
-                predictions.append(detections_from_record(record))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                print(f"evaluate: malformed prediction record at line {number}: {reason}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-    with open(args.gt, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ScenarioError(f"malformed ground truth: {exc}") from exc
-    ground_truth = ground_truth_from_json(data)
+                # skip blank lines and the error records interleaved in results files
+                if line and "detections" in (record := json.loads(line)):
+                    predictions.append(detections_from_record(record))
+    ground_truth = load_json(args.gt, ground_truth_from_json, ScenarioError, "ground truth")
     result = evaluate_run(
         predictions, ground_truth, iou_threshold=args.iou, class_id=args.class_id
     )
@@ -341,26 +323,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError) as exc:
+    except (ConfigError, ScenarioError, InsufficientSamplesError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AlignmentError as exc:
+    except (StationError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except SinkWriteError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        if exc.partial_summary is not None:
+        if isinstance(exc, SinkWriteError) and exc.partial_summary is not None:
             print(json.dumps(exc.partial_summary.to_record()), file=sys.stderr)
         return EXIT_RUNTIME
-    except InsufficientSamplesError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (StationError, OSError, json.JSONDecodeError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

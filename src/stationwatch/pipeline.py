@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ConfigError, DecodeError, FrameError, GeometryError, SinkWriteError
 from .geometry import CameraModel, Zone, ZoneKind, ground_point, point_in_zone
-from .postprocess import (DecodeConfig, decode_all, detections_to_record, known_keys, nms,
-                          real_number, whole_number)
+from .postprocess import (DecodeConfig, decode_all, detections_to_record, known_keys, load_json,
+                          nms, reading, real_number, whole_number)
 from .scenario import PLATFORM_POLYGON, TRACK_POLYGON, YELLOW_LINE_POLYGON
 from .tensor_stream import InferenceBackend, RawTensorSet
 from .train_fsm import FsmConfig, TrainState, TrainStateMachine
@@ -171,7 +171,7 @@ def config_from_json(data: dict) -> PipelineConfig:
     through whole_number, the others only from JSON numbers, so nothing is
     truncated or parsed from text.
     """
-    try:
+    with reading(ConfigError, "pipeline config"):
         known_keys(data, ("decode", "zones", "camera", "fsm", "severity_table"), "config")
         decode = DecodeConfig(**_read(data.get("decode", {}), _DECODE_READERS, "decode"))
         zones = []
@@ -189,20 +189,11 @@ def config_from_json(data: dict) -> PipelineConfig:
                 "severities are fixed (IN: CRITICAL, ON and OUT: WARNING, OFF: CAUTION); "
                 "a severity table is accepted only as older default-config files wrote it"
             )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed pipeline config: {exc}") from exc
     return PipelineConfig(decode=decode, zones=zones, camera=camera, fsm=fsm)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    return config_from_json(data)
+    return load_json(path, config_from_json, ConfigError, "pipeline config")
 
 
 def save_config(config: PipelineConfig, path: str | Path) -> None:

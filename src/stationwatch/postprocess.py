@@ -10,7 +10,9 @@ tensors twice gives identical results.
 
 from __future__ import annotations
 
+import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -415,6 +417,31 @@ def known_keys(data, keys, name: str) -> dict:
         if key not in keys:
             raise ValueError(f"unknown key {key!r} in {name}")
     return data
+
+
+@contextmanager
+def reading(error: type[Exception], what: str):
+    """Turn a failure to read outside input in the block into `error`.
+
+    A missing key reads `malformed WHAT: missing key 'k'`; a TypeError,
+    ValueError (which covers text that is not UTF-8 or not JSON),
+    OverflowError or RecursionError (JSON nested past the parser's depth)
+    reads `malformed WHAT: reason`. A StationError passes through as it is.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise error(f"malformed {what}: {reason}") from exc
+
+
+def load_json(path, reader, error: type[Exception], what: str):
+    """`reader` of the JSON document at `path`, read under `reading(error, what)`.
+
+    The file is opened outside `reading`, so a missing file raises OSError.
+    """
+    with open(path, encoding="utf-8") as fh, reading(error, what):
+        return reader(json.load(fh))
 
 
 def detections_from_record(record: dict) -> tuple[int, Detections]:

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EncodingCollisionError, ScenarioError
 from .postprocess import (BoundingBox, DecodeConfig, _round6, box_from_json, known_keys,
-                          real_number, whole_number)
+                          reading, real_number, whole_number)
 from .tensor_stream import RawTensorSet
 
 _BACKGROUND_LOGIT = -20.0  # sigmoid(-20) ~ 2e-9: dead cell at any sane threshold
@@ -374,7 +374,7 @@ def scenario_from_json(data: dict) -> ScenarioSpec:
     fields only from JSON numbers. A key no field reads is refused by name,
     except the "seed" of older spec files, which is ignored.
     """
-    try:
+    with reading(ScenarioError, "scenario description"):
         known_keys(data, ("duration_frames", "image_width", "image_height", "actors", "seed"),
                    "scenario")
         actors = []
@@ -396,8 +396,6 @@ def scenario_from_json(data: dict) -> ScenarioSpec:
             image_height=whole_number(data["image_height"], "image_height"),
             actors=actors,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"malformed scenario description: {exc}") from exc
 
 
 def _object_to_json(obj: GroundTruthObject) -> dict:
@@ -417,7 +415,7 @@ def ground_truth_to_json(frames: Sequence[GroundTruthFrame]) -> dict:
 
 
 def ground_truth_from_json(data: dict) -> list[GroundTruthFrame]:
-    try:
+    with reading(ScenarioError, "ground truth"):
         return [
             GroundTruthFrame(
                 frame_index=whole_number(entry["frame"], "frame"),
@@ -432,5 +430,3 @@ def ground_truth_from_json(data: dict) -> list[GroundTruthFrame]:
             )
             for entry in data["frames"]
         ]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"malformed ground truth: {exc}") from exc

@@ -18,7 +18,6 @@ Tensor payloads are channels-last (grid_h, grid_w, channels), row-major.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import time
@@ -38,6 +37,9 @@ from .errors import (
 
 MAGIC = b"YXT1"
 STREAM_VERSION = 1
+# Longest pacing delay PlaybackBackend takes per frame: a minute, far inside
+# what time.sleep accepts.
+MAX_DELAY_MS = 60_000
 
 _HEADER = struct.Struct("<4s8I")
 _U32 = struct.Struct("<I")
@@ -242,9 +244,9 @@ class PlaybackBackend(InferenceBackend):
     def __init__(self, path: str | Path, loop_count: int = 1, simulated_delay_ms: float = 0.0):
         if loop_count < 1:
             raise ValueError(f"loop_count must be >= 1, got {loop_count}")
-        if not 0 <= simulated_delay_ms < math.inf:
+        if not 0 <= simulated_delay_ms <= MAX_DELAY_MS:
             raise ValueError(
-                f"simulated_delay_ms must be finite and >= 0, got {simulated_delay_ms}"
+                f"simulated_delay_ms must lie in [0, {MAX_DELAY_MS}], got {simulated_delay_ms}"
             )
         self._path = Path(path)
         self._loop_count = loop_count

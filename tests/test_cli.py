@@ -416,7 +416,9 @@ BENCH = ["bench", "--tensors", "in.yxt"]
 SIMULATE = ["simulate", "--scenario", "empty_platform"]
 SAME = "name the same file: "
 NO_DIRECTORY = "No such file or directory: 'missing/new.out'"
-DELAY = "simulated_delay_ms must be finite and >= 0, got "
+DELAY = "simulated_delay_ms must lie in [0, 60000], got "
+DEEP = "[" * 200_000 + "]" * 200_000  # nested past the JSON parser's recursion limit
+RECURSION = "maximum recursion depth exceeded"
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -436,6 +438,10 @@ DELAY = "simulated_delay_ms must be finite and >= 0, got "
      1, "No such file or directory: 'nowhere.yxt'"),
     (RUN + ["--delay-ms", "nan", "--alerts-out", "old.out", "--results-out", "new.out"],
      2, DELAY + "nan"),
+    (RUN + ["--delay-ms", "1e300", "--alerts-out", "old.out", "--results-out", "new.out"],
+     2, DELAY + "1e+300"),
+    (RUN + ["--config", "deep.json", "--alerts-out", "old.out", "--results-out", "new.out"],
+     2, "run: malformed pipeline config: " + RECURSION),
     (BENCH + ["--config", "bad.json", "--power-w", "9.1", "--out-csv", "old.out"],
      2, "exactly one RISK zone"),
     (BENCH + ["--config", "class20.json", "--power-w", "9.1", "--out-csv", "new.out"],
@@ -459,10 +465,16 @@ DELAY = "simulated_delay_ms must be finite and >= 0, got "
      2, "--warmup must be >= 0, got -1"),
     (BENCH + ["--delay-ms", "inf", "--power-w", "9.1", "--out-csv", "old.out"],
      2, DELAY + "inf"),
+    (BENCH + ["--config", "deep.json", "--power-w", "9.1", "--out-csv", "old.out"],
+     2, "bench: malformed pipeline config: " + RECURSION),
     (["simulate", "--scenario", "ghost_train", "--out-tensors", "new.yxt", "--out-gt", "new.out"],
      2, "unknown scenario 'ghost_train' (available: "),
     (["simulate", "--spec-file", "bad.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
-     2, "cannot load spec file"),
+     2, "simulate: malformed scenario description: unknown key 'zones' in scenario"),
+    (["simulate", "--spec-file", "deep.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
+     2, "simulate: malformed scenario description: " + RECURSION),
+    (["simulate", "--spec-file", "nowhere.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
+     1, "simulate: [Errno 2] No such file or directory: 'nowhere.json'"),
     (SIMULATE + ["--out-tensors", "s.yxt", "--out-gt", "./s.yxt"],
      2, "--out-tensors and --out-gt " + SAME + "./s.yxt"),
     (SIMULATE + ["--config", "good.json", "--out-tensors", "good.json", "--out-gt", "new.out"],
@@ -475,13 +487,13 @@ DELAY = "simulated_delay_ms must be finite and >= 0, got "
     (["default-config", "--out", "missing/new.out"], 1, NO_DIRECTORY),
 ], ids=["run-bad_config", "run-class_id_20", "run-equal_paths", "run-missing_directory",
         "run-output_is_the_stream", "run-output_is_the_config", "run-missing_stream",
-        "run-nan_delay",
+        "run-nan_delay", "run-huge_delay", "run-deep_config",
         "bench-bad_config", "bench-class_id_20", "bench-missing_directory",
         "bench-output_is_the_stream", "bench-output_is_the_config",
         "bench-negative_accuracy", "bench-zero_latency", "bench-zero_power",
         "bench-infinite_power", "bench-nan_power", "bench-warmup_of_every_frame",
-        "bench-negative_warmup", "bench-infinite_delay",
-        "simulate-no_scene", "simulate-bad_spec",
+        "bench-negative_warmup", "bench-infinite_delay", "bench-deep_config",
+        "simulate-no_scene", "simulate-bad_spec", "simulate-deep_spec", "simulate-missing_spec",
         "simulate-equal_paths", "simulate-output_is_the_config", "simulate-output_is_the_spec",
         "simulate-bad_config", "simulate-missing_directory",
         "default_config-missing_directory"])
@@ -501,6 +513,7 @@ def test_a_failed_command_creates_no_file_and_keeps_existing_outputs(
     (tmp_path / "class20.json").write_text(json.dumps(class20))
     spec = ScenarioSpec(3, 320, 320, (Actor(0, (Waypoint(0, 160.0, 160.0, 18.0, 40.0),)),))
     (tmp_path / "spec.json").write_text(json.dumps(scenario_to_json(spec)))
+    (tmp_path / "deep.json").write_text(DEEP)
     monkeypatch.chdir(tmp_path)
 
     def no_frame(*args):
@@ -572,8 +585,9 @@ GOOD_PREDICTION = {
     ('{"frame": 1, "detections": [', "Expecting value"),
     ('{"frame": 1.5, "detections": []}', "frame must be a whole number"),
     ('{"frame": "1", "detections": []}', "frame must be a whole number"),
+    (DEEP, RECURSION),
 ], ids=["two_coordinates", "no_class", "corners_out_of_order", "not_json",
-        "frame_fractional", "frame_not_a_number"])
+        "frame_fractional", "frame_not_a_number", "deep"])
 def test_evaluate_reports_a_malformed_prediction_record_in_one_line(
     tmp_path, capsys, line, reason
 ):
@@ -688,9 +702,10 @@ def test_evaluate_rejects_a_negative_class_id_even_without_predictions(tmp_path,
      b'"actor": "7"}]}]}', "actor must be a whole number"),
     (b'{"frames": [{"frame": 0, "objects": [{"class": 0, "box": [1.0, 2.0, 3.0, 4.0], '
      b'"actor": 1.5}]}]}', "actor must be a whole number"),
+    (DEEP.encode(), RECURSION),
 ], ids=["not_json", "not_utf8", "no_frames", "corner_past_float", "frame_fractional",
         "frame_not_a_number", "class_fractional", "corner_true", "actor_not_a_number",
-        "actor_fractional"])
+        "actor_fractional", "deep"])
 def test_evaluate_reports_a_malformed_ground_truth_file_in_one_line(
     tmp_path, capsys, content, reason
 ):

@@ -194,8 +194,9 @@ def config_json_with(part, key, value):
 
 
 @pytest.mark.parametrize("content, reason", [
-    ("{not json", "not valid JSON"),
-    (json.dumps({"camera": {"height_m": 3.0, "z0_m": 12.0}}), "malformed pipeline config: 'zones'"),
+    ("{not json", "malformed pipeline config: Expecting property name"),
+    (json.dumps({"camera": {"height_m": 3.0, "z0_m": 12.0}}),
+     "malformed pipeline config: missing key 'zones'"),
     ("[]", "config must be an object"),
     (config_json_with("decode", "conf_treshold", 0.9), "unknown key 'conf_treshold' in decode"),
     (config_json_with(None, "cameras", {}), "unknown key 'cameras' in config"),
@@ -212,15 +213,16 @@ def config_json_with(part, key, value):
     (config_json_with("decode", "conf_threshold", "0.3"), "conf_threshold must be a number"),
     (config_json_with("camera", "height_m", True), "camera.height_m must be a number"),
     (config_json_with("zones", "polygon", [[0, "1"], [1, 1], [1, 0]]), "polygon y must be a"),
+    ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
 ], ids=["not_json", "no_zones", "not_an_object", "misspelled_decode_key", "unknown_top_level_key",
         "unknown_zone_key", "unknown_camera_key", "unknown_fsm_key", "severity_changed",
         "zone_name_null", "zone_name_list",
         "stride_fractional", "confirm_frames_fractional", "class_id_as_text", "class_id_true",
-        "threshold_as_text", "camera_height_true", "polygon_as_text"])
+        "threshold_as_text", "camera_height_true", "polygon_as_text", "deep"])
 def test_load_config_rejects_bad_files(tmp_path, content, reason):
     path = tmp_path / "broken.json"
     path.write_text(content)
-    with pytest.raises(ConfigError, match="malformed|not valid JSON") as raised:
+    with pytest.raises(ConfigError, match="malformed pipeline config") as raised:
         load_config(path)
     assert reason in str(raised.value)
 
