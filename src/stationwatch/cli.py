@@ -71,11 +71,18 @@ EXIT_ACCEPTANCE = 3
 
 
 class _JsonlWriter:
+    """Writes each record as the line `json.dumps(record) + "\\n"` would give.
+
+    One encoder serves every record; records hold no cycles, so it skips
+    the circular-reference check.
+    """
+
     def __init__(self, fh: IO[str]):
         self._fh = fh
+        self._encode = json.JSONEncoder(check_circular=False).encode
 
     def __call__(self, record: dict) -> None:
-        self._fh.write(json.dumps(record) + "\n")
+        self._fh.write(self._encode(record) + "\n")
 
 
 @contextmanager
@@ -226,8 +233,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for number, raw in enumerate(fh, start=1):
             with reading(ScenarioError, f"prediction record at line {number}"):
                 line = raw.decode("utf-8").strip()
-                # skip blank lines and the error records interleaved in results files
-                if line and "detections" in (record := json.loads(line)):
+                if not line:
+                    continue
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise TypeError(f"a record must be an object, got {type(record).__name__}")
+                if "detections" in record:  # else an error record of a results file
                     predictions.append(detections_from_record(record))
     ground_truth = load_json(args.gt, ground_truth_from_json, ScenarioError, "ground truth")
     result = evaluate_run(

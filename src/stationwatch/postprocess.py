@@ -366,19 +366,50 @@ def nms(detections: Detections, iou_threshold: float) -> Detections:
     return detections.take(order[kept])
 
 
-def _round6(value: float) -> float:
-    return round(float(value), 6)
+def round6(values: np.ndarray) -> np.ndarray:
+    """`round(v, 6)` of every element of a float64 array, bit for bit.
+
+    With scaled = values * 1e6 and k = rint(scaled), k / 1e6 is round(v, 6)
+    wherever |scaled| < 2**50 and |scaled - k| < 0.5. Rounding to the
+    nearest double is monotone and every half-integer below 2**50 is a
+    double, so the exact v * 10**6 lies strictly on the same side of each
+    half-integer as scaled: k is its nearest integer and it is no tie. An
+    exact k below 2**50 divided by the exact 1e6 is correctly rounded, and
+    round returns the double nearest the correctly rounded decimal, k / 10**6.
+    The whole array is tested at once; only when it fails are the elements
+    outside the rule (ties such as 1/128, values of 2**50 or more after
+    scaling, non-finite values) rounded one by one by round.
+    """
+    top = float(np.abs(values).max(initial=0.0)) * 1e6  # max |scaled|, with no overflow warning
+    if top < 2.0**50:
+        scaled = values * 1e6
+        k = np.rint(scaled)
+        if np.abs(scaled - k).max(initial=0.0) < 0.5:
+            return k / 1e6
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 1e6
+        k = np.rint(scaled)
+        outside = np.flatnonzero(~((np.abs(scaled) < 2.0**50) & (np.abs(scaled - k) < 0.5)))
+    out = k / 1e6
+    out.flat[outside] = [round(v, 6) for v in values.flat[outside].tolist()]
+    return out
 
 
 def detections_to_record(frame_index: int, detections: Detections) -> dict:
-    """JSON-serializable per-frame record; floats rounded to 6 decimals."""
+    """JSON-serializable per-frame record.
+
+    Every box corner and score is the value `round(v, 6)` gives, computed
+    for the whole batch at once by `round6`.
+    """
+    n = len(detections)
+    rounded = round6(np.concatenate((detections.boxes.ravel(), detections.scores)))
     return {
         "frame": frame_index,
         "detections": [
-            {"box": [_round6(v) for v in box], "score": _round6(score), "class": class_id}
+            {"box": box, "score": score, "class": class_id}
             for box, score, class_id in zip(
-                detections.boxes.tolist(),
-                detections.scores.tolist(),
+                rounded[:4 * n].reshape(n, 4).tolist(),
+                rounded[4 * n:].tolist(),
                 detections.class_ids.tolist(),
             )
         ],

@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EncodingCollisionError, ScenarioError
-from .postprocess import (BoundingBox, DecodeConfig, _round6, box_from_json, known_keys,
-                          reading, real_number, whole_number)
+from .postprocess import (BoundingBox, DecodeConfig, box_from_json, known_keys, reading,
+                          real_number, round6, whole_number)
 from .tensor_stream import RawTensorSet
 
 _BACKGROUND_LOGIT = -20.0  # sigmoid(-20) ~ 2e-9: dead cell at any sane threshold
@@ -398,20 +398,19 @@ def scenario_from_json(data: dict) -> ScenarioSpec:
         )
 
 
-def _object_to_json(obj: GroundTruthObject) -> dict:
-    entry = {"class": obj.class_id, "box": [_round6(v) for v in obj.box.as_list()]}
-    if obj.actor_id >= 0:  # -1, no actor, is written as no "actor" key
-        entry["actor"] = obj.actor_id
-    return entry
+def _frame_to_json(gt: GroundTruthFrame) -> dict:
+    corners = np.array([obj.box.as_list() for obj in gt.objects], dtype=np.float64)
+    objects = []
+    for obj, box in zip(gt.objects, round6(corners.reshape(-1, 4)).tolist()):
+        entry = {"class": obj.class_id, "box": box}
+        if obj.actor_id >= 0:  # -1, no actor, is written as no "actor" key
+            entry["actor"] = obj.actor_id
+        objects.append(entry)
+    return {"frame": gt.frame_index, "objects": objects}
 
 
 def ground_truth_to_json(frames: Sequence[GroundTruthFrame]) -> dict:
-    return {
-        "frames": [
-            {"frame": gt.frame_index, "objects": [_object_to_json(obj) for obj in gt.objects]}
-            for gt in frames
-        ]
-    }
+    return {"frames": [_frame_to_json(gt) for gt in frames]}
 
 
 def ground_truth_from_json(data: dict) -> list[GroundTruthFrame]:

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from stationwatch import ZoneKind, default_config, load_config, save_config
+from stationwatch import (SequenceBackend, ZoneKind, default_config, load_config, run_pipeline,
+                          save_config)
 from stationwatch.bench import BENCH_CSV_HEADER
 from stationwatch import acceptance, cli
 from stationwatch.acceptance import CheckResult
@@ -149,6 +152,28 @@ def test_run_alerts_print_box_and_score_as_their_result_records_do(tmp_path):
     for line in alert_lines:
         alert = json.loads(line)
         assert json.dumps([alert["box"], alert["score"]]) in by_frame[alert["frame"]]
+
+
+def test_the_jsonl_writer_prints_every_crowd_record_as_json_dumps_does():
+    sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "perfbench")]
+    import workloads  # perfbench's renderer, on the path above
+
+    workload = workloads.render("crowd", 0)
+    out = io.StringIO()
+    write = cli._JsonlWriter(out)
+    records = []
+
+    def sink(record: dict) -> None:
+        write(record)
+        records.append(record)
+
+    run_pipeline(SequenceBackend(workload.header, workload.frames), workloads.config_for("crowd"),
+                 alert_sink=sink, result_sink=sink)
+    assert out.getvalue() == "".join(json.dumps(record) + "\n" for record in records)
+    # alerts are written both alone and inside their result record, sharing its box lists
+    shared = [alert for record in records for alert in record.get("alerts", ())
+              if any(alert["box"] is entry["box"] for entry in record["detections"])]
+    assert len(shared) > 1000
 
 
 def run_with_config(tmp_path, tensors, name: str, data: dict | None) -> tuple[int, Path]:
@@ -586,8 +611,11 @@ GOOD_PREDICTION = {
     ('{"frame": 1.5, "detections": []}', "frame must be a whole number"),
     ('{"frame": "1", "detections": []}', "frame must be a whole number"),
     (DEEP, RECURSION),
+    ("[1, 2]", "a record must be an object, got list"),
+    ('"frames"', "a record must be an object, got str"),
+    ("7", "a record must be an object, got int"),
 ], ids=["two_coordinates", "no_class", "corners_out_of_order", "not_json",
-        "frame_fractional", "frame_not_a_number", "deep"])
+        "frame_fractional", "frame_not_a_number", "deep", "list", "string", "number"])
 def test_evaluate_reports_a_malformed_prediction_record_in_one_line(
     tmp_path, capsys, line, reason
 ):

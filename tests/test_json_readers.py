@@ -7,13 +7,17 @@ or raise its error type, never a bare KeyError, TypeError or ValueError.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stationwatch import builtin_scenarios, default_config, generate_scenario
+from stationwatch.cli import main
 from stationwatch.errors import ConfigError, ScenarioError
 from stationwatch.pipeline import config_from_json, config_to_json
 from stationwatch.scenario import (ground_truth_from_json, ground_truth_to_json,
@@ -80,3 +84,47 @@ def test_a_reader_loads_a_mutated_document_or_raises_its_one_error(name, data):
         reader(data.draw(mutated(document)))
     except error:
         pass
+
+
+# Prediction lines: arbitrary JSON, records with a valid or arbitrary member
+# in each place, text that is not JSON and JSON nested past the parser's limit.
+NUMBER = st.integers(-1, 3) | st.floats(-1.0, 5.0) | JSON
+ENTRY = st.fixed_dictionaries({}, optional={
+    "box": st.lists(NUMBER, min_size=4, max_size=4) | JSON, "score": NUMBER, "class": NUMBER,
+})
+RECORD = st.fixed_dictionaries({}, optional={
+    "frame": NUMBER, "detections": st.lists(ENTRY, max_size=3) | JSON, "error": st.text(max_size=4),
+})
+PREDICTION_LINE = (
+    (JSON | RECORD).map(json.dumps)
+    | st.sampled_from(["", "{", "[" * 100_000 + "]" * 100_000, "NaN", '"\\ud800"'])
+)
+
+
+@pytest.fixture(scope="module")
+def one_empty_frame(tmp_path_factory):
+    root = tmp_path_factory.mktemp("evaluate")
+    (root / "gt.json").write_text(json.dumps({"frames": [{"frame": 0, "objects": []}]}))
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(PREDICTION_LINE, max_size=4))
+def test_evaluate_takes_any_prediction_file_or_refuses_it_in_one_line(one_empty_frame, lines):
+    pred = one_empty_frame / "pred.jsonl"
+    pred.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--pred", str(pred), "--gt", str(one_empty_frame / "gt.json")])
+    messages = err.getvalue().splitlines()
+    assert sorted(path.name for path in one_empty_frame.iterdir()) == ["gt.json", "pred.jsonl"]
+    if code == 0:  # every line blank or a JSON object, read or skipped as an error record
+        assert messages == []
+        assert all(not line or isinstance(json.loads(line), dict) for line in lines)
+    elif code == 1:  # well-formed records that do not line up with the ground truth
+        (message,) = messages
+        assert message.startswith(("evaluate: prediction stream has", "evaluate: frame mismatch"))
+    else:
+        assert code == 2
+        (message,) = messages
+        assert message.startswith("evaluate: ") and "Traceback" not in message

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stationwatch import (
     BoundingBox,
@@ -23,6 +25,7 @@ from stationwatch.postprocess import (
     _objectness_cutoff,
     detections_from_record,
     detections_to_record,
+    round6,
 )
 
 from reference import (
@@ -640,3 +643,57 @@ def test_a_record_class_written_as_a_whole_float_reads_as_its_integer():
     entry = {"box": [0, 0, 1, 1], "score": 1, "class": 6.0}
     _, restored = detections_from_record({"frame": 3, "detections": [entry]})
     assert restored.class_ids.tolist() == [6]
+
+
+# --- six-decimal rounding -------------------------------------------------------
+
+def scalar_round6(values: np.ndarray) -> np.ndarray:
+    rounded = [round(v, 6) for v in values.ravel().tolist()]
+    return np.array(rounded, dtype=np.float64).reshape(values.shape)
+
+
+# (i + 0.5) / 1e6 for a whole i: times 1e6 it lands on, or an ulp or two from, a tie
+near_ties = st.integers(-10**12, 10**12).map(lambda i: (i + 0.5) / 1e6)
+ROUND6_EDGE = 2.0**50 / 1e6
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.sampled_from([(0,), (n,), (n, 4)])).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats() | near_ties)))
+@example(np.array([1 / 128]))
+@example(np.array([79.9999995, 327.5658395, 0.8008755]))
+@example(np.array([np.nextafter(ROUND6_EDGE, 0.0), ROUND6_EDGE, np.nextafter(ROUND6_EDGE, np.inf)]))
+@example(np.array([[2.0**53, 0.0, -0.0, -1e-7], [5e-324, 1.7976931348623157e308, 1.5, 0.25]]))
+@example(np.array([math.nan, math.inf, -math.inf]))
+def test_round6_is_bitwise_round_to_six_decimals(values):
+    got = round6(values)
+    assert got.shape == values.shape and got.dtype == np.float64
+    assert got.tobytes() == scalar_round6(values).tobytes()
+
+
+@st.composite
+def record_batches(draw):
+    """A batch of 0 to 300 rows with corners in [0, 640] and scores in [0, 1], some near ties."""
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0.0, 640.0, (n, 5))
+    values[:, 4] /= 640.0
+    ties = rng.random((n, 5)) < draw(st.sampled_from([0.0, 0.01, 0.5]))
+    values[ties] = (np.floor(values[ties] * 1e6) + 0.5) / 1e6
+    boxes = np.sort(values[:, :4].reshape(n, 2, 2), axis=1).reshape(n, 4)
+    return Detections(boxes, values[:, 4], rng.integers(0, 8, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_batches(), st.integers(0, 2**31))
+def test_a_record_prints_as_the_scalar_rounding_of_each_value(batch, frame_index):
+    scalar = {
+        "frame": frame_index,
+        "detections": [
+            {"box": [round(v, 6) for v in box], "score": round(score, 6), "class": class_id}
+            for box, score, class_id in zip(
+                batch.boxes.tolist(), batch.scores.tolist(), batch.class_ids.tolist()
+            )
+        ],
+    }
+    assert json.dumps(detections_to_record(frame_index, batch)) == json.dumps(scalar)
