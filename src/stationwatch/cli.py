@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stationwatch",
         description="Platform-edge safety monitor over recorded detector output.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     commands = parser.add_subparsers(dest="command", required=True)
 
     simulate = commands.add_parser("simulate", help="render a scenario to tensors + ground truth")
@@ -329,7 +328,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:

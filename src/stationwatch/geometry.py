@@ -162,25 +162,20 @@ def _on_edge(px: float, py: float, ax: float, ay: float, bx: float, by: float) -
 def point_in_polygon(x: float, y: float, vertices: Sequence[tuple[float, float]]) -> bool:
     """Even-odd ray-cast membership; points on an edge count as inside.
 
-    The edge check runs first so boundary points are classified the same
-    way no matter how the vertex list is rotated or reversed.
+    One pass over the edges: a point on any edge is inside at once, so
+    boundary points are classified the same way no matter how the vertex
+    list is rotated or reversed. Otherwise each edge a -> b the ray meets
+    toggles membership; the parity does not depend on the edge order.
     """
     n = len(vertices)
+    inside = False
     for i in range(n):
         ax, ay = vertices[i]
         bx, by = vertices[(i + 1) % n]
         if _on_edge(x, y, ax, ay, bx, by):
             return True
-    inside = False
-    j = n - 1
-    for i in range(n):
-        xi, yi = vertices[i]
-        xj, yj = vertices[j]
-        if (yi > y) != (yj > y):
-            x_cross = xj + (y - yj) * (xi - xj) / (yi - yj)
-            if x < x_cross:
-                inside = not inside
-        j = i
+        if (by > y) != (ay > y) and x < ax + (y - ay) * (bx - ax) / (by - ay):
+            inside = not inside
     return inside
 
 

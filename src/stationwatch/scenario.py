@@ -36,6 +36,7 @@ _SCORE_CLAMP = 1e-9        # keeps logit(sqrt(score)) finite for score = 1.0
 SCENE_WIDTH = 320
 SCENE_HEIGHT = 320
 SCENE_NUM_CLASSES = 8  # leading COCO ids: person=0 ... train=6, truck=7
+MAX_SCENARIO_BYTES = 2**30  # the tensors of one encoded scenario, all held in memory at once
 
 TRACK_POLYGON = ((0.0, 20.0), (320.0, 20.0), (320.0, 100.0), (0.0, 100.0))
 YELLOW_LINE_POLYGON = ((0.0, 100.0), (320.0, 100.0), (320.0, 130.0), (0.0, 130.0))
@@ -337,7 +338,18 @@ def builtin_scenarios() -> dict[str, ScenarioSpec]:
 def encode_scenario(
     spec: ScenarioSpec, config: DecodeConfig, num_classes: int = SCENE_NUM_CLASSES
 ) -> tuple[list[GroundTruthFrame], list[RawTensorSet]]:
-    """Generate ground truth and render every frame to tensors."""
+    """Generate ground truth and render every frame to tensors.
+
+    A scenario whose tensors would take more than MAX_SCENARIO_BYTES is
+    refused with ScenarioError before any frame is generated.
+    """
+    cells = sum((spec.image_height // s) * (spec.image_width // s) for s in config.strides)
+    size = spec.duration_frames * cells * (5 + num_classes) * 4
+    if size > MAX_SCENARIO_BYTES:
+        raise ScenarioError(
+            f"{spec.duration_frames} frames at {spec.image_width}x{spec.image_height} need "
+            f"{size} bytes of tensors, more than MAX_SCENARIO_BYTES ({MAX_SCENARIO_BYTES})"
+        )
     gt_frames = generate_scenario(spec)
     tensor_frames = []
     for gt in gt_frames:

@@ -66,9 +66,9 @@ def observe_train(
     if risk_zone.kind is not ZoneKind.RISK:
         raise ValueError(f"train observation needs a RISK zone, got {risk_zone.kind}")
 
-    present = any(
-        box_zone_overlap_area(box, risk_zone) > 0.0
-        or point_in_zone(ground_point(box), risk_zone)
+    present = any(  # the cheap point test first: the polygon clip runs only when it fails
+        point_in_zone(ground_point(box), risk_zone)
+        or box_zone_overlap_area(box, risk_zone) > 0.0
         for box in trains
     )
     if not present:

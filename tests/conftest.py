@@ -1,26 +1,16 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from stationwatch import RawTensorSet, TensorStreamHeader
-
-BACKGROUND_LOGIT = -20.0
+from stationwatch import (DecodeConfig, GroundTruthFrame, RawTensorSet, TensorStreamHeader,
+                          encode_objects_to_tensors)
 
 
 def _background_frame(header: TensorStreamHeader, index: int) -> RawTensorSet:
     """A frame whose every cell is dead: no detections at any threshold."""
-    outputs = []
-    for level in range(3):
-        grid_h, grid_w = header.grid_shape(level)
-        grid = np.zeros((grid_h, grid_w, header.channels), dtype=np.float32)
-        grid[..., 4:] = BACKGROUND_LOGIT
-        outputs.append(grid)
-    return RawTensorSet(
-        frame_index=index,
-        outputs=tuple(outputs),
-        image_width=header.image_width,
-        image_height=header.image_height,
+    return encode_objects_to_tensors(
+        GroundTruthFrame(index, ()), DecodeConfig(strides=header.strides),
+        header.image_width, header.image_height, header.num_classes,
     )
 
 

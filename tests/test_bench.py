@@ -311,14 +311,6 @@ def tiny_header(frame_count: int) -> TensorStreamHeader:
     )
 
 
-class ScriptedClock:
-    def __init__(self, timestamps):
-        self._iter = iter(timestamps)
-
-    def __call__(self):
-        return next(self._iter)
-
-
 def dyadic_timeline(steps: int) -> list[float]:
     # Increment k/1024 s at step k: sample k is exactly 125k/128 ms.
     timeline = [0.0]
@@ -331,7 +323,7 @@ def test_fake_clock_samples_are_reported_exactly(background_frame):
     header = tiny_header(5)
     backend = SequenceBackend(header, [background_frame(header, i) for i in range(5)])
     stats, records, _ = measure_latency(
-        backend, default_config(), warmup_frames=0, clock=ScriptedClock(dyadic_timeline(5))
+        backend, default_config(), warmup_frames=0, clock=iter(dyadic_timeline(5)).__next__
     )
     expected = [125.0 * k / 128 for k in range(1, 6)]
     assert [r.end_to_end_ms for r in records] == expected
@@ -345,7 +337,7 @@ def test_warmup_frames_are_run_but_not_measured(background_frame):
     header = tiny_header(5)
     backend = SequenceBackend(header, [background_frame(header, i) for i in range(5)])
     stats, records, _ = measure_latency(
-        backend, default_config(), warmup_frames=2, clock=ScriptedClock(dyadic_timeline(5))
+        backend, default_config(), warmup_frames=2, clock=iter(dyadic_timeline(5)).__next__
     )
     assert [r.frame_index for r in records] == [2, 3, 4]
     assert stats.sample_count == 3
@@ -377,7 +369,7 @@ def test_error_records_are_not_samples(background_frame):
     frames[2].outputs[0][0, 0, 0] = math.nan
     stats, records, summary = measure_latency(
         SequenceBackend(header, frames), default_config(),
-        clock=ScriptedClock(dyadic_timeline(5)),
+        clock=iter(dyadic_timeline(5)).__next__,
     )
     # The clock is still read on the error record, so the corrupt frame's
     # time (sample 3) is charged to no frame.
@@ -423,7 +415,7 @@ def test_bench_csv_round_trips_through_the_csv_module(tmp_path, background_frame
     header = tiny_header(3)
     backend = SequenceBackend(header, [background_frame(header, i) for i in range(3)])
     _, records, _ = measure_latency(
-        backend, default_config(), clock=ScriptedClock(dyadic_timeline(3))
+        backend, default_config(), clock=iter(dyadic_timeline(3)).__next__
     )
     path = tmp_path / "bench.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -14,7 +14,7 @@ from stationwatch import (SequenceBackend, ZoneKind, default_config, load_config
                           save_config)
 from stationwatch.bench import BENCH_CSV_HEADER
 from stationwatch import acceptance, cli
-from stationwatch.acceptance import CheckResult
+from stationwatch.acceptance import CheckFailed
 from stationwatch.cli import main
 from stationwatch.scenario import scenario_to_json
 from stationwatch.tensor_stream import PlaybackBackend, read_header, write_tensor_stream
@@ -500,6 +500,9 @@ RECURSION = "maximum recursion depth exceeded"
      2, "simulate: malformed scenario description: " + RECURSION),
     (["simulate", "--spec-file", "nowhere.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
      1, "simulate: [Errno 2] No such file or directory: 'nowhere.json'"),
+    (["simulate", "--spec-file", "long.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
+     2, "simulate: 10000000 frames at 320x320 need 1092000000000 bytes of tensors, more than "
+        "MAX_SCENARIO_BYTES (1073741824)"),
     (SIMULATE + ["--out-tensors", "s.yxt", "--out-gt", "./s.yxt"],
      2, "--out-tensors and --out-gt " + SAME + "./s.yxt"),
     (SIMULATE + ["--config", "good.json", "--out-tensors", "good.json", "--out-gt", "new.out"],
@@ -519,6 +522,7 @@ RECURSION = "maximum recursion depth exceeded"
         "bench-infinite_power", "bench-nan_power", "bench-warmup_of_every_frame",
         "bench-negative_warmup", "bench-infinite_delay", "bench-deep_config",
         "simulate-no_scene", "simulate-bad_spec", "simulate-deep_spec", "simulate-missing_spec",
+        "simulate-too_long",
         "simulate-equal_paths", "simulate-output_is_the_config", "simulate-output_is_the_spec",
         "simulate-bad_config", "simulate-missing_directory",
         "default_config-missing_directory"])
@@ -538,6 +542,8 @@ def test_a_failed_command_creates_no_file_and_keeps_existing_outputs(
     (tmp_path / "class20.json").write_text(json.dumps(class20))
     spec = ScenarioSpec(3, 320, 320, (Actor(0, (Waypoint(0, 160.0, 160.0, 18.0, 40.0),)),))
     (tmp_path / "spec.json").write_text(json.dumps(scenario_to_json(spec)))
+    long = dict(scenario_to_json(spec), duration_frames=10**7)  # 1 TB of tensors
+    (tmp_path / "long.json").write_text(json.dumps(long))
     (tmp_path / "deep.json").write_text(DEEP)
     monkeypatch.chdir(tmp_path)
 
@@ -762,8 +768,12 @@ def test_default_config_output_loads_back(tmp_path, capsys):
     assert len(printed["zones"]) == 3
 
 
-def stub_check(criterion: int, passed: bool):
-    return lambda: CheckResult(criterion, f"stub-{criterion}", passed, "stubbed")
+def stub_check(passed: bool):
+    def check():
+        if not passed:
+            raise CheckFailed("stubbed")
+        return "stubbed"
+    return check
 
 
 @pytest.mark.parametrize("failing, code, tally", [(None, 0, "9/9"), (4, 3, "8/9")],
@@ -771,7 +781,7 @@ def stub_check(criterion: int, passed: bool):
 def test_verify_prints_every_check_and_exits_by_the_tally(
     monkeypatch, capsys, failing, code, tally
 ):
-    checks = tuple(stub_check(c, c != failing) for c in range(1, 10))
+    checks = tuple((f"stub-{c}", stub_check(c != failing)) for c in range(1, 10))
     monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
     assert run_cli("verify") == code
     assert capsys.readouterr().out.splitlines() == [

@@ -3,6 +3,9 @@
 Each reader starts from a valid document; the property replaces or deletes
 one to three of its nodes with arbitrary JSON, and the reader must return
 or raise its error type, never a bare KeyError, TypeError or ValueError.
+The same mutations, given to `run --config`, `simulate --spec-file` and
+`evaluate --gt`, and any prediction file given to `evaluate --pred`, must
+give a result or a one-line refusal with no new file.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stationwatch import builtin_scenarios, default_config, generate_scenario
+from stationwatch import (Actor, ScenarioSpec, Waypoint, builtin_scenarios, default_config,
+                          generate_scenario)
 from stationwatch.cli import main
 from stationwatch.errors import ConfigError, ScenarioError
 from stationwatch.pipeline import config_from_json, config_to_json
@@ -128,3 +132,52 @@ def test_evaluate_takes_any_prediction_file_or_refuses_it_in_one_line(one_empty_
         assert code == 2
         (message,) = messages
         assert message.startswith("evaluate: ") and "Traceback" not in message
+
+
+# One property per remaining CLI input: the command runs (exit 0) or refuses
+# the mutated file (exit 2) in one stderr line, with no traceback and no new file.
+SMALL_SPEC = ScenarioSpec(3, 64, 64, (
+    Actor(0, (Waypoint(0, 30.0, 30.0, 18.0, 40.0), Waypoint(2, 34.0, 30.0, 18.0, 40.0))),
+))
+CLI_INPUTS = {  # (argv, with file names in the fixture's directory; the document in input.json)
+    "run": (["run", "--tensors", "in.yxt", "--config", "input.json",
+             "--alerts-out", "alerts.jsonl", "--results-out", "results.jsonl"],
+            config_to_json(default_config())),
+    "simulate": (["simulate", "--spec-file", "input.json",
+                  "--out-tensors", "out.yxt", "--out-gt", "gt.json"],
+                 scenario_to_json(SMALL_SPEC)),
+    "evaluate": (["evaluate", "--pred", "empty.jsonl", "--gt", "input.json"],
+                 READERS["ground_truth"][1]),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    (root / "empty.jsonl").write_text("")
+    spec = root / "crossing.json"  # the crossing scene's first frames: one passenger
+    spec.write_text(json.dumps(dict(scenario_to_json(CROSSING), duration_frames=3)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--spec-file", str(spec), "--out-tensors", str(root / "in.yxt"),
+                     "--out-gt", str(root / "crossing-gt.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", CLI_INPUTS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_command_runs_on_a_mutated_input_or_refuses_it_in_one_line(cli_inputs, command, data):
+    argv, document = CLI_INPUTS[command]
+    (cli_inputs / "input.json").write_text(json.dumps(data.draw(mutated(document))))
+    before = set(cli_inputs.iterdir())
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(cli_inputs / arg) if "." in arg else arg for arg in argv])
+    created = set(cli_inputs.iterdir()) - before
+    for path in created:
+        path.unlink()
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        (message,) = err.getvalue().splitlines()
+        assert message.startswith(f"{command}: ") and "Traceback" not in message
+        assert not created
