@@ -88,11 +88,15 @@ class LatencyStats:
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """Timing of one measured frame."""
+    """Timing of one measured frame.
+
+    `stages` is the frame's stage times in ms as run_pipeline's stage sink
+    got them, keyed "decode", "nms", "fsm" and "geometry", unrounded.
+    """
 
     frame_index: int
     end_to_end_ms: float
-    stages: dict[str, float]  # the result record's latency_ms
+    stages: dict[str, float]
 
 
 def percentile_nearest_rank(samples: Sequence[float], percentile: float) -> float:
@@ -222,8 +226,9 @@ def measure_latency(
     clock is read once at the start and once per result record, n+1 reads
     for n records, so tests can inject a fake clock with a known sample
     sequence. Error records and the first warmup_frames processed frames
-    are not samples. Stage latencies are the result record's, rounded to 6
-    decimals as in the bench CSV. When skipped frames leave no sample the
+    are not samples. Each record's stage times are the ones run_pipeline's
+    stage sink got for the same frame, which it gets just before the
+    frame's result record. When skipped frames leave no sample the
     stats are None; with no sample and no skipped frame there is nothing
     to blame but the warmup, and InsufficientSamplesError is raised.
     """
@@ -232,7 +237,12 @@ def measure_latency(
     samples: list[float] = []
     records: list[BenchRecord] = []
     processed = 0
+    stage_ms: dict[str, float] = {}
     previous = clock()
+
+    def keep_stages(stages: dict[str, float]) -> None:
+        nonlocal stage_ms
+        stage_ms = stages
 
     def time_record(record: dict) -> None:
         nonlocal previous, processed
@@ -244,9 +254,9 @@ def measure_latency(
         processed += 1
         if processed > warmup_frames:
             samples.append(elapsed_ms)
-            records.append(BenchRecord(record["frame"], elapsed_ms, record["latency_ms"]))
+            records.append(BenchRecord(record["frame"], elapsed_ms, stage_ms))
 
-    summary = run_pipeline(backend, config, result_sink=time_record)
+    summary = run_pipeline(backend, config, result_sink=time_record, stage_sink=keep_stages)
     if samples:
         return LatencyStats.from_samples(samples), records, summary
     if summary.error_count:

@@ -206,14 +206,16 @@ def process_frame(
     frame: RawTensorSet,
     config: PipelineConfig,
     fsm: TrainStateMachine,
-) -> dict:
-    """Run the full per-frame analysis and return the frame's result record.
+) -> tuple[dict, dict[str, float]]:
+    """Run the full per-frame analysis; return its result record and stage times.
 
     The record's keys are "frame" and "detections" (as from
-    `detections_to_record`), "state", "alerts" and "latency_ms" (wall-clock
-    ms per stage). "alerts" has one entry per person and DANGER zone the
-    person's ground point lies in, person-major, whose box and score are
-    the person's detection entry's.
+    `detections_to_record`), "state" and "alerts", so it holds only what
+    the frame decided and two runs of one stream give equal records.
+    "alerts" has one entry per person and DANGER zone the person's ground
+    point lies in, person-major, whose box and score are the person's
+    detection entry's. The stage times are wall-clock ms, unrounded, keyed
+    "decode", "nms", "fsm" and "geometry".
 
     Advances `fsm` as a side effect. The FSM steps before person
     evaluation, so alert severities use the state the train reached on
@@ -260,13 +262,13 @@ def process_frame(
         }
         for row, zone in hits
     ]
-    record["latency_ms"] = {
-        "decode": round((t1 - t0) * 1000.0, 6),
-        "nms": round((t2 - t1) * 1000.0, 6),
-        "geometry": round((t4 - t3) * 1000.0, 6),
-        "fsm": round((t3 - t2) * 1000.0, 6),
+    stage_ms = {
+        "decode": (t1 - t0) * 1000.0,
+        "nms": (t2 - t1) * 1000.0,
+        "fsm": (t3 - t2) * 1000.0,
+        "geometry": (t4 - t3) * 1000.0,
     }
-    return record
+    return record, stage_ms
 
 
 def check_backend_geometry(backend: InferenceBackend, config: PipelineConfig) -> None:
@@ -293,14 +295,21 @@ def run_pipeline(
     alert_sink: Sink | None = None,
     log_sink: Sink | None = None,
     result_sink: Sink | None = None,
+    stage_sink: Sink | None = None,
 ) -> RunSummary:
     """Process a backend's whole stream.
 
     Per-frame failures (corrupt tensors) are counted, reported through the
     result sink as {"frame": n, "error": ...}, and skipped. A backend error
-    mid-stream is counted and ends the run, since the source cannot
-    continue past it. A sink raising aborts the run with SinkWriteError
-    carrying the partial summary. Sinks see records in frame order.
+    mid-stream is counted, reported through the result sink as
+    {"error": "backend failed: ..."} with no frame, and ends the run, since
+    the source cannot continue past it. A sink raising aborts the run with
+    SinkWriteError carrying the partial summary. Sinks see records in frame
+    order.
+
+    The stage sink gets each processed frame's stage times, as
+    `process_frame` returns them, before that frame's log, alert and result
+    records; it gets nothing for an error record.
 
     Sinks get the records themselves and must not modify them: each alert
     record is also an entry of its frame's result record's "alerts", and
@@ -336,7 +345,7 @@ def run_pipeline(
 
         before = fsm.state
         try:
-            record = process_frame(frame, config, fsm)
+            record, stage_ms = process_frame(frame, config, fsm)
         except FrameError as exc:
             error_count += 1
             logger.warning("skipping frame %d: %s", exc.frame_index, exc)
@@ -344,6 +353,7 @@ def run_pipeline(
             continue
 
         frames_processed += 1
+        emit(stage_sink, stage_ms)
         if fsm.state is not before:
             emit(
                 log_sink,

@@ -278,7 +278,7 @@ def _printed(value):
 
 
 def reference_frame_records(frame, config, fsm):
-    """The result record (without `latency_ms`) and alert records of one frame.
+    """The result record and alert records of one frame.
 
     Raises Rejected when a head value is not finite or a kept cell's box
     does not fit in a float; `fsm` is then left as it was. Otherwise `fsm`,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import random
@@ -26,9 +27,10 @@ from stationwatch import (
     match_detections,
     measure_latency,
     percentile_nearest_rank,
+    process_frame,
     write_bench_csv,
 )
-from stationwatch.bench import BENCH_CSV_HEADER, bench_summary
+from stationwatch.bench import BENCH_CSV_HEADER, BenchRecord, bench_summary
 
 from reference import Det, greedy_match, to_batch
 
@@ -390,13 +392,23 @@ def test_warmup_counts_processed_frames_only(background_frame):
     assert summary.error_count == 1
 
 
-def test_stage_latencies_come_from_the_result_record_at_csv_precision(background_frame):
-    header = tiny_header(3)
-    backend = SequenceBackend(header, [background_frame(header, i) for i in range(3)])
-    _, records, _ = measure_latency(backend, default_config())
+def test_each_measured_frame_carries_its_own_four_stage_times(monkeypatch, background_frame):
+    returned: dict[int, dict] = {}
+
+    def recording_process_frame(frame, config, fsm):
+        record, stage_ms = process_frame(frame, config, fsm)
+        returned[frame.frame_index] = stage_ms
+        return record, stage_ms
+
+    monkeypatch.setattr("stationwatch.pipeline.process_frame", recording_process_frame)
+    header = tiny_header(5)
+    frames = [background_frame(header, i) for i in range(5)]
+    frames[2].outputs[0][0, 0, 0] = math.nan
+    _, records, _ = measure_latency(SequenceBackend(header, frames), default_config())
+    assert sorted(returned) == [r.frame_index for r in records] == [0, 1, 3, 4]
     for record in records:
-        for value in record.stages.values():
-            assert value == round(value, 6)
+        assert record.stages is returned[record.frame_index]
+        assert set(record.stages) == {"decode", "nms", "fsm", "geometry"}
 
 
 def test_measure_latency_rejects_a_config_that_does_not_fit_the_stream(background_frame):
@@ -429,6 +441,19 @@ def test_bench_csv_round_trips_through_the_csv_module(tmp_path, background_frame
     # Values are written at fixed 6-decimal precision.
     for row, expected in zip(rows[1:], [125.0 / 128, 250.0 / 128, 375.0 / 128]):
         assert float(row[1]) == pytest.approx(expected, abs=1e-6)
+
+
+def csv_text(value: float) -> str:
+    stages = dict.fromkeys(("decode", "nms", "fsm", "geometry"), value)
+    fh = io.StringIO(newline="")
+    write_bench_csv(fh, [BenchRecord(0, value, stages)])
+    return fh.getvalue()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(value=st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
+def test_bench_csv_does_not_depend_on_rounding_stage_times_first(value):
+    assert csv_text(value) == csv_text(round(value, 6))
 
 
 def test_bench_summary_prefers_overrides_and_tolerates_missing_accuracy():

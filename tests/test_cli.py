@@ -133,6 +133,18 @@ def test_run_on_the_crossing_scene_raises_critical_alerts(tmp_path):
     assert frames[0] >= 19 and frames[-1] <= 39  # crossing interval +/- 1
 
 
+def test_run_output_is_byte_identical_across_runs(tmp_path):
+    tensors, _ = simulate(tmp_path)
+    outputs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        code, alerts, results = run_outputs(tmp_path / name, tensors)
+        assert code == 0
+        outputs.append((alerts.read_bytes(), results.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0]  # the crossing scene raises alerts
+
+
 def test_run_alerts_print_box_and_score_as_their_result_records_do(tmp_path):
     tensors, _ = simulate(tmp_path)
     alerts = tmp_path / "alerts.jsonl"

@@ -156,7 +156,7 @@ def comparable(record: dict) -> dict:
     if "error" in record:
         assert set(record) == {"frame", "error"}
         return {"frame": record["frame"], "error": True}
-    return {key: value for key, value in record.items() if key != "latency_ms"}
+    return record
 
 
 @settings(max_examples=150, deadline=None)

@@ -91,7 +91,7 @@ def test_only_danger_zones_ever_alert():
     trains = [(train_obj(TRAIN_IN_TRACK),)] * 2 + [()] * 2
     graded = []
     for index, train in enumerate(trains):
-        record = process_frame(scene_frame(index, persons + train), config, fsm)
+        record, _ = process_frame(scene_frame(index, persons + train), config, fsm)
         graded.append((record["state"], [(a["zone"], a["severity"]) for a in record["alerts"]]))
     assert graded == [
         ("IN", [("yellow-line", "CRITICAL")]),
@@ -238,7 +238,7 @@ def test_config_json_fills_a_missing_decode_or_fsm_key_with_its_default():
 def test_person_past_the_line_with_no_train_is_a_caution():
     config = default_config()
     fsm = TrainStateMachine(config.fsm)
-    record = process_frame(scene_frame(0, (person_obj(PERSON_IN_DANGER),)), config, fsm)
+    record, _ = process_frame(scene_frame(0, (person_obj(PERSON_IN_DANGER),)), config, fsm)
 
     assert record["state"] == "OFF"
     assert len(record["alerts"]) == 1
@@ -254,7 +254,7 @@ def test_fsm_advances_before_persons_are_evaluated():
     config = default_config()
     fsm = TrainStateMachine(config.fsm)
     frame = scene_frame(0, (person_obj(PERSON_IN_DANGER), train_obj(TRAIN_IN_TRACK)))
-    record = process_frame(frame, config, fsm)
+    record, _ = process_frame(frame, config, fsm)
     assert record["state"] == "IN"
     assert [a["severity"] for a in record["alerts"]] == ["CRITICAL"]
 
@@ -265,7 +265,7 @@ def test_alert_severity_downgrades_when_the_train_is_confirmed_stopped():
     severities = []
     for index in range(6):
         frame = scene_frame(index, (person_obj(PERSON_IN_DANGER), train_obj(TRAIN_IN_TRACK)))
-        record = process_frame(frame, config, fsm)
+        record, _ = process_frame(frame, config, fsm)
         severities.append([a["severity"] for a in record["alerts"]])
     # 5 frames approaching (the still count confirms on the 6th frame), then ON.
     assert severities == [["CRITICAL"]] * 5 + [["WARNING"]]
@@ -284,7 +284,7 @@ def test_only_danger_zones_are_tested_at_every_log_level(monkeypatch, caplog, le
     config = default_config()
     frame = scene_frame(0, (person_obj(PERSON_ON_PLATFORM),))
     with caplog.at_level(level, logger="stationwatch.pipeline"):
-        record = process_frame(frame, config, TrainStateMachine(config.fsm))
+        record, _ = process_frame(frame, config, TrainStateMachine(config.fsm))
     assert tested == ["yellow-line"]
     assert record["alerts"] == []
     assert caplog.records == []
@@ -294,7 +294,7 @@ def test_person_in_the_track_zone_is_not_an_alert():
     config = default_config()
     fsm = TrainStateMachine(config.fsm)
     on_track = BoundingBox(151.0, 20.0, 169.0, 60.0)  # foot (160, 60): RISK zone
-    record = process_frame(scene_frame(0, (person_obj(on_track),)), config, fsm)
+    record, _ = process_frame(scene_frame(0, (person_obj(on_track),)), config, fsm)
     assert record["alerts"] == []
 
 
@@ -347,7 +347,7 @@ def test_an_alert_past_the_right_edge_prints_the_box_of_its_result_record():
     config = default_config()
     past_edge = BoundingBox(310.0, 80.0, 328.0, 120.0)  # clipped to x2 = 320
     frame = scene_frame(0, (person_obj(past_edge),))
-    record = process_frame(frame, config, TrainStateMachine(config.fsm))
+    record, _ = process_frame(frame, config, TrainStateMachine(config.fsm))
     (alert,) = record["alerts"]
     (detection,) = record["detections"]
     assert json.dumps(alert["box"][2]) == "320.0"
@@ -375,13 +375,14 @@ def test_alert_records_round_half_way_values_as_result_records_do(number):
 def test_frame_result_record_shape():
     config = default_config()
     fsm = TrainStateMachine(config.fsm)
-    record = process_frame(scene_frame(0, (person_obj(PERSON_IN_DANGER),)), config, fsm)
-    assert list(record) == ["frame", "detections", "state", "alerts", "latency_ms"]
+    frame = scene_frame(0, (person_obj(PERSON_IN_DANGER),))
+    record, stage_ms = process_frame(frame, config, fsm)
+    assert list(record) == ["frame", "detections", "state", "alerts"]
     assert record["frame"] == 0
     assert record["state"] == "OFF"
     assert len(record["detections"]) == 1
-    assert set(record["latency_ms"]) == {"decode", "nms", "geometry", "fsm"}
-    assert all(v >= 0.0 for v in record["latency_ms"].values())
+    assert set(stage_ms) == {"decode", "nms", "fsm", "geometry"}
+    assert all(v >= 0.0 for v in stage_ms.values())
     (alert_record,) = record["alerts"]
     assert list(alert_record) == ["frame", "zone", "state", "severity", "box", "score"]
     assert alert_record["zone"] == "yellow-line"
@@ -450,13 +451,26 @@ def test_run_pipeline_skips_corrupt_frames_and_keeps_going(background_frame):
     backend = SequenceBackend(header, frames)
 
     results: list[dict] = []
-    summary = run_pipeline(backend, default_config(), result_sink=results.append)
+    emitted: list[str] = []
+
+    def result_sink(record: dict) -> None:
+        results.append(record)
+        emitted.append("error" if "error" in record else "result")
+
+    def stage_sink(stage_ms: dict) -> None:
+        assert set(stage_ms) == {"decode", "nms", "fsm", "geometry"}
+        emitted.append("stages")
+
+    summary = run_pipeline(backend, default_config(), result_sink=result_sink,
+                           stage_sink=stage_sink)
     assert summary.frames_processed == 4
     assert summary.error_count == 1
     error_records = [r for r in results if "error" in r]
     assert len(error_records) == 1
     assert error_records[0]["frame"] == 2
     assert [r["frame"] for r in results if "detections" in r] == [0, 1, 3, 4]
+    # Each processed frame's stage times come just before its result record.
+    assert emitted == ["stages", "result"] * 2 + ["error"] + ["stages", "result"] * 2
 
 
 def test_run_pipeline_counts_a_size_overflow_as_a_frame_error(background_frame):
@@ -495,10 +509,16 @@ def test_run_pipeline_counts_a_backend_failure_and_stops(background_frame):
     summary = run_pipeline(FlakyBackend(), default_config(), result_sink=results.append)
     assert summary.frames_processed == 2
     assert summary.error_count == 1
-    assert any("backend failed" in r.get("error", "") for r in results)
+    assert len(results) == 3
+    assert results[-1] == {"error": "backend failed: device fell over"}
 
 
-def test_failing_sink_aborts_with_the_partial_summary():
+# The alert count each sink's abort reports: the frame's one alert is
+# counted once all its alert records are out, before its result record.
+@pytest.mark.parametrize("sink, alerts_emitted", [
+    ("alert_sink", 0), ("result_sink", 1), ("stage_sink", 0),
+], ids=["alert", "result", "stage"])
+def test_failing_sink_aborts_with_the_partial_summary(sink, alerts_emitted):
     config = default_config()
     frames = [scene_frame(0, (person_obj(PERSON_IN_DANGER),))]
     backend = SequenceBackend(scene_header(1), frames)
@@ -507,11 +527,11 @@ def test_failing_sink_aborts_with_the_partial_summary():
         raise OSError("disk full")
 
     with pytest.raises(SinkWriteError) as excinfo:
-        run_pipeline(backend, config, alert_sink=broken_sink)
+        run_pipeline(backend, config, **{sink: broken_sink})
     partial = excinfo.value.partial_summary
     assert partial is not None
     assert partial.frames_processed == 1
-    assert partial.alerts_emitted == 0
+    assert partial.alerts_emitted == alerts_emitted
 
 
 def test_backend_config_mismatch_is_rejected_before_processing(background_frame):
@@ -536,8 +556,6 @@ def test_run_pipeline_is_deterministic():
         backend, config = crossing_backend()
         results: list[dict] = []
         run_pipeline(backend, config, result_sink=results.append)
-        return [
-            {k: v for k, v in record.items() if k != "latency_ms"} for record in results
-        ]
+        return results
 
     assert run() == run()
