@@ -49,7 +49,6 @@ from .geometry import (
 from .pipeline import (
     PipelineConfig,
     RunSummary,
-    Severity,
     default_config,
     load_config,
     process_frame,

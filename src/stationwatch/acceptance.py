@@ -31,9 +31,9 @@ import numpy as np
 
 from .bench import compute_efficiency, evaluate_run, measure_latency, percentile_nearest_rank
 from .geometry import CameraModel, estimate_height, estimate_height_axial
-from .pipeline import Severity, default_config, run_pipeline
+from .pipeline import SEVERITY, default_config, run_pipeline
 from .postprocess import BoundingBox, DecodeConfig, Detections, decode_all, iou_matrix, nms
-from .scenario import (GroundTruthFrame, GroundTruthObject, builtin_scenarios,
+from .scenario import (GroundTruthFrame, GroundTruthObject, _pick_level, builtin_scenarios,
                        encode_objects_to_tensors, encode_scenario)
 from .tensor_stream import (PlaybackBackend, SequenceBackend, TensorStreamHeader,
                             write_tensor_stream)
@@ -154,10 +154,7 @@ def check_roundtrip() -> str:
                 h = rng.uniform(10, min(120, height - 2))
                 cx = rng.uniform(w / 2, width - w / 2)
                 cy = rng.uniform(h / 2, height - h / 2)
-                scale = math.sqrt(w * h)
-                level = min(
-                    range(3), key=lambda k: abs(math.log(scale / (4.0 * strides[k])))
-                )
+                level = _pick_level(w, h, strides)
                 cell = (level, int(cx // strides[level]), int(cy // strides[level]))
                 if cell not in used_cells:
                     used_cells.add(cell)
@@ -331,8 +328,8 @@ def check_end_to_end_alerts() -> str:
         raise CheckFailed(f"internal: expected interval not contiguous: {expected}")
 
     alerts = _run_scenario("crossing_during_approach")
-    critical = sorted(a["frame"] for a in alerts if a["severity"] == Severity.CRITICAL.value)
-    others = [a for a in alerts if a["severity"] != Severity.CRITICAL.value]
+    critical = sorted(a["frame"] for a in alerts if a["severity"] == SEVERITY[TrainState.IN])
+    others = [a for a in alerts if a["severity"] != SEVERITY[TrainState.IN]]
     if others:
         raise CheckFailed(f"{len(others)} non-critical alerts raised during the crossing scene")
     low, high = expected[0], expected[-1]

@@ -117,7 +117,7 @@ def _check_iou_threshold(iou_threshold: float) -> None:
 
 def match_detections(
     predictions: Detections,
-    ground_truth: GroundTruthFrame | Sequence,
+    ground_truth: GroundTruthFrame,
     iou_threshold: float,
     class_id: int,
 ) -> tuple[int, int, int]:
@@ -130,9 +130,9 @@ def match_detections(
     negatives.
     """
     _check_iou_threshold(iou_threshold)
-    gt_objects = ground_truth.objects if isinstance(ground_truth, GroundTruthFrame) else ground_truth
     gt_boxes = np.array(
-        [obj.box.as_list() for obj in gt_objects if obj.class_id == class_id], dtype=np.float64
+        [obj.box.as_list() for obj in ground_truth.objects if obj.class_id == class_id],
+        dtype=np.float64,
     ).reshape(-1, 4)
     rows = np.flatnonzero(predictions.class_ids == class_id)
     rows = rows[np.argsort(-predictions.scores[rows], kind="stable")]
@@ -234,7 +234,6 @@ def measure_latency(
     """
     if warmup_frames < 0:
         raise ValueError(f"warmup_frames must be >= 0, got {warmup_frames}")
-    samples: list[float] = []
     records: list[BenchRecord] = []
     processed = 0
     stage_ms: dict[str, float] = {}
@@ -253,12 +252,12 @@ def measure_latency(
             return
         processed += 1
         if processed > warmup_frames:
-            samples.append(elapsed_ms)
             records.append(BenchRecord(record["frame"], elapsed_ms, stage_ms))
 
     summary = run_pipeline(backend, config, result_sink=time_record, stage_sink=keep_stages)
-    if samples:
-        return LatencyStats.from_samples(samples), records, summary
+    if records:
+        stats = LatencyStats.from_samples([record.end_to_end_ms for record in records])
+        return stats, records, summary
     if summary.error_count:
         return None, records, summary
     raise InsufficientSamplesError(

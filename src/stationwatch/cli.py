@@ -14,12 +14,11 @@ that skipped a corrupt frame or met a stream ending early), 2 invalid
 arguments, configuration or input file (a malformed config, spec,
 ground-truth or prediction file, reported as `malformed WHAT: REASON`),
 3 acceptance failure. Logs go to stderr; data
-goes to the requested files or stdout. Commands validate their inputs
-before creating any output file, so an exit-2 failure never leaves
-partial outputs. Every file a command writes goes through `_outputs`:
-an output naming the same file as another output or an input exits 2,
-and outputs appear only once the command completes, so no failure
-leaves a partial output or changes a file already there.
+goes to the requested files or stdout. Every file a command writes goes
+through `_outputs`: an output naming the same file as another output or
+an input exits 2, and outputs appear only once the command completes, so
+no failure, an exit-2 refusal included, leaves a partial output or
+changes a file already there.
 """
 
 from __future__ import annotations
@@ -43,14 +42,7 @@ from .errors import (
     SinkWriteError,
     StationError,
 )
-from .pipeline import (
-    check_backend_geometry,
-    config_to_json,
-    default_config,
-    load_config,
-    run_pipeline,
-    save_config,
-)
+from .pipeline import config_to_json, default_config, load_config, run_pipeline, save_config
 from .postprocess import detections_from_record, load_json, reading
 from .scenario import (
     SCENE_NUM_CLASSES,
@@ -132,11 +124,14 @@ def _text(path: Path) -> IO[str]:
 
 
 def _stream(args: argparse.Namespace):
-    """The config and stream of `run` and `bench`, checked to fit each other."""
+    """The config and stream of `run` and `bench`.
+
+    run_pipeline refuses a config that does not fit the stream before it
+    reads a frame, and `_outputs` then removes the staged output files.
+    """
     config = default_config() if args.config is None else load_config(args.config)
     backend = PlaybackBackend(args.tensors, loop_count=args.loop,
                               simulated_delay_ms=args.delay_ms)
-    check_backend_geometry(backend, config)
     return config, backend
 
 
@@ -238,7 +233,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise TypeError(f"a record must be an object, got {type(record).__name__}")
-                if "detections" in record:  # else an error record of a results file
+                if "error" in record and "frame" in record:  # a skipped frame detects nothing
+                    record = {"frame": record["frame"], "detections": []}
+                if "detections" in record:  # else the frameless record of a failed backend
                     predictions.append(detections_from_record(record))
     ground_truth = load_json(args.gt, ground_truth_from_json, ScenarioError, "ground truth")
     result = evaluate_run(

@@ -34,9 +34,6 @@ class ZoneKind(Enum):
     RISK = "RISK"        # track area: where train presence is measured
     MONITOR = "MONITOR"  # platform: station layout only, never tested per frame
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class CameraModel:

@@ -21,7 +21,6 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Callable
 
@@ -40,26 +39,17 @@ logger = logging.getLogger(__name__)
 Sink = Callable[[dict], None]
 
 
-class Severity(Enum):
-    CAUTION = "CAUTION"
-    WARNING = "WARNING"
-    CRITICAL = "CRITICAL"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-SEVERITY: dict[TrainState, Severity] = {
-    TrainState.IN: Severity.CRITICAL,
-    TrainState.ON: Severity.WARNING,
-    TrainState.OUT: Severity.WARNING,
-    TrainState.OFF: Severity.CAUTION,
+SEVERITY: dict[TrainState, str] = {
+    TrainState.IN: "CRITICAL",
+    TrainState.ON: "WARNING",
+    TrainState.OUT: "WARNING",
+    TrainState.OFF: "CAUTION",
 }
 
 # The "severity_table" every config file written before severities were
 # fixed carries; config_from_json accepts that key only with this value.
 _SAVED_SEVERITY_TABLE = [
-    {"state": state.value, "zone_kind": ZoneKind.DANGER.value, "severity": severity.value}
+    {"state": state.value, "zone_kind": ZoneKind.DANGER.value, "severity": severity}
     for state, severity in SEVERITY.items()
 ]
 
@@ -250,7 +240,7 @@ def process_frame(
     record = detections_to_record(frame.frame_index, detections)
     entries = record["detections"]
     record["state"] = state.value
-    severity = SEVERITY[state].value
+    severity = SEVERITY[state]
     record["alerts"] = [
         {
             "frame": frame.frame_index,

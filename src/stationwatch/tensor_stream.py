@@ -58,9 +58,6 @@ class TensorStreamHeader:
 
     def __post_init__(self):
         object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
-        self.validate()
-
-    def validate(self) -> None:
         if self.num_classes < 1:
             raise StreamFormatError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.image_width < 1 or self.image_height < 1:
@@ -125,22 +122,6 @@ class RawTensorSet:
                 f"need at least 6 channels (4 box + objectness + 1 class), got {outputs[0].shape[2]}"
             )
 
-    def conforms_to(self, header: TensorStreamHeader) -> None:
-        """Raise GeometryError unless every tensor matches the header grids."""
-        for level, out in enumerate(self.outputs):
-            expected = header.grid_shape(level) + (header.channels,)
-            if out.shape != expected:
-                raise GeometryError(
-                    f"frame {self.frame_index} level {level} (stride {header.strides[level]}): "
-                    f"expected shape {expected}, got {out.shape}"
-                )
-        if (self.image_width, self.image_height) != (header.image_width, header.image_height):
-            raise GeometryError(
-                f"frame {self.frame_index} declares image "
-                f"{self.image_width}x{self.image_height}, header says "
-                f"{header.image_width}x{header.image_height}"
-            )
-
 
 def _check_frames(header: TensorStreamHeader, frames: Sequence[RawTensorSet]) -> None:
     """Raise unless the frame at position N carries index N and fits the header grids."""
@@ -150,7 +131,19 @@ def _check_frames(header: TensorStreamHeader, frames: Sequence[RawTensorSet]) ->
                 f"frame at position {position} carries index {frame.frame_index}; "
                 "stream frames must be indexed 0,1,2,..."
             )
-        frame.conforms_to(header)
+        for level, out in enumerate(frame.outputs):
+            expected = header.grid_shape(level) + (header.channels,)
+            if out.shape != expected:
+                raise GeometryError(
+                    f"frame {frame.frame_index} level {level} (stride {header.strides[level]}): "
+                    f"expected shape {expected}, got {out.shape}"
+                )
+        if (frame.image_width, frame.image_height) != (header.image_width, header.image_height):
+            raise GeometryError(
+                f"frame {frame.frame_index} declares image "
+                f"{frame.image_width}x{frame.image_height}, header says "
+                f"{header.image_width}x{header.image_height}"
+            )
 
 
 def write_tensor_stream(

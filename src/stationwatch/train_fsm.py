@@ -34,9 +34,6 @@ class TrainState(Enum):
     ON = "ON"    # train arrived and stopped
     OUT = "OUT"  # train pulling out or recently gone
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class FsmConfig:
@@ -64,7 +61,7 @@ def observe_train(
     the zone itself.
     """
     if risk_zone.kind is not ZoneKind.RISK:
-        raise ValueError(f"train observation needs a RISK zone, got {risk_zone.kind}")
+        raise ValueError(f"train observation needs a RISK zone, got {risk_zone.kind.value}")
 
     present = any(  # the cheap point test first: the polygon clip runs only when it fails
         point_in_zone(ground_point(box), risk_zone)

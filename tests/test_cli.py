@@ -454,6 +454,7 @@ SIMULATE = ["simulate", "--scenario", "empty_platform"]
 SAME = "name the same file: "
 NO_DIRECTORY = "No such file or directory: 'missing/new.out'"
 DELAY = "simulated_delay_ms must lie in [0, 60000], got "
+STRIDES = "backend strides (8, 16, 32) do not match config (8, 16, 64)"
 DEEP = "[" * 200_000 + "]" * 200_000  # nested past the JSON parser's recursion limit
 RECURSION = "maximum recursion depth exceeded"
 
@@ -463,6 +464,8 @@ RECURSION = "maximum recursion depth exceeded"
      2, "exactly one RISK zone"),
     (RUN + ["--config", "class20.json", "--alerts-out", "old.out", "--results-out", "new.out"],
      2, "train class id 20 does not fit"),
+    (RUN + ["--config", "strides64.json", "--alerts-out", "old.out", "--results-out", "new.out"],
+     2, STRIDES),
     (RUN + ["--alerts-out", "old.out", "--results-out", "./old.out"],
      2, "--alerts-out and --results-out name the same file: ./old.out"),
     (RUN + ["--alerts-out", "old.out", "--results-out", "missing/new.out"],
@@ -483,6 +486,8 @@ RECURSION = "maximum recursion depth exceeded"
      2, "exactly one RISK zone"),
     (BENCH + ["--config", "class20.json", "--power-w", "9.1", "--out-csv", "new.out"],
      2, "train class id 20 does not fit"),
+    (BENCH + ["--config", "strides64.json", "--power-w", "9.1", "--out-csv", "old.out"],
+     2, STRIDES),
     (BENCH + ["--power-w", "9.1", "--out-csv", "missing/new.out"], 1, NO_DIRECTORY),
     (BENCH + ["--power-w", "9.1", "--out-csv", "./in.yxt"],
      2, "--tensors and --out-csv " + SAME + "./in.yxt"),
@@ -525,11 +530,11 @@ RECURSION = "maximum recursion depth exceeded"
      2, "exactly one RISK zone"),
     (SIMULATE + ["--out-tensors", "old.out", "--out-gt", "missing/new.out"], 1, NO_DIRECTORY),
     (["default-config", "--out", "missing/new.out"], 1, NO_DIRECTORY),
-], ids=["run-bad_config", "run-class_id_20", "run-equal_paths", "run-missing_directory",
-        "run-output_is_the_stream", "run-output_is_the_config", "run-missing_stream",
-        "run-nan_delay", "run-huge_delay", "run-deep_config",
-        "bench-bad_config", "bench-class_id_20", "bench-missing_directory",
-        "bench-output_is_the_stream", "bench-output_is_the_config",
+], ids=["run-bad_config", "run-class_id_20", "run-other_strides", "run-equal_paths",
+        "run-missing_directory", "run-output_is_the_stream", "run-output_is_the_config",
+        "run-missing_stream", "run-nan_delay", "run-huge_delay", "run-deep_config",
+        "bench-bad_config", "bench-class_id_20", "bench-other_strides",
+        "bench-missing_directory", "bench-output_is_the_stream", "bench-output_is_the_config",
         "bench-negative_accuracy", "bench-zero_latency", "bench-zero_power",
         "bench-infinite_power", "bench-nan_power", "bench-warmup_of_every_frame",
         "bench-negative_warmup", "bench-infinite_delay", "bench-deep_config",
@@ -552,6 +557,9 @@ def test_a_failed_command_creates_no_file_and_keeps_existing_outputs(
     class20 = json.loads((tmp_path / "good.json").read_text())
     class20["decode"]["train_class_id"] = 20
     (tmp_path / "class20.json").write_text(json.dumps(class20))
+    strides64 = json.loads((tmp_path / "good.json").read_text())
+    strides64["decode"]["strides"] = [8, 16, 64]
+    (tmp_path / "strides64.json").write_text(json.dumps(strides64))
     spec = ScenarioSpec(3, 320, 320, (Actor(0, (Waypoint(0, 160.0, 160.0, 18.0, 40.0),)),))
     (tmp_path / "spec.json").write_text(json.dumps(scenario_to_json(spec)))
     long = dict(scenario_to_json(spec), duration_frames=10**7)  # 1 TB of tensors
@@ -600,6 +608,21 @@ def test_evaluate_misaligned_streams_exit_1(tmp_path, capsys):
     code = run_cli("evaluate", "--pred", str(truncated), "--gt", str(gt))
     assert code == 1
     assert "149" in capsys.readouterr().err
+
+
+def test_evaluate_scores_a_skipped_frame_as_detecting_nothing(tmp_path, capsys):
+    tensors, gt = simulate(tmp_path)
+    frames = list(PlaybackBackend(tensors))
+    frames[40].outputs[0][0, 0, 4] = np.nan  # frame 40 holds one of the 81 person boxes
+    write_tensor_stream(tensors, read_header(tensors), frames)
+    code, _, results = run_outputs(tmp_path, tensors)
+    assert code == 1
+    lines = [json.loads(line) for line in results.read_text().splitlines()]
+    assert len(lines) == 150 and lines[40]["frame"] == 40 and "error" in lines[40]
+    capsys.readouterr()
+    assert run_cli("evaluate", "--pred", str(results), "--gt", str(gt)) == 0
+    record = last_json(capsys)
+    assert (record["tp"], record["fp"], record["fn"]) == (80, 0, 1)
 
 
 def test_evaluate_an_empty_prediction_stream_scores_zero(tmp_path, capsys):

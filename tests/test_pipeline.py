@@ -18,7 +18,6 @@ from stationwatch import (
     PipelineConfig,
     RawTensorSet,
     SequenceBackend,
-    Severity,
     SinkWriteError,
     TensorStreamHeader,
     TrainState,
@@ -68,10 +67,10 @@ def train_obj(box: BoundingBox, actor_id: int = 1) -> GroundTruthObject:
 
 def test_severity_grading_by_train_state():
     assert SEVERITY == {
-        TrainState.IN: Severity.CRITICAL,
-        TrainState.ON: Severity.WARNING,
-        TrainState.OUT: Severity.WARNING,
-        TrainState.OFF: Severity.CAUTION,
+        TrainState.IN: "CRITICAL",
+        TrainState.ON: "WARNING",
+        TrainState.OUT: "WARNING",
+        TrainState.OFF: "CAUTION",
     }
 
 

@@ -261,14 +261,13 @@ def test_tensor_set_needs_three_rank3_outputs_with_shared_channels():
 
 
 def test_tensor_set_conformance_names_the_offending_level():
-    header = small_header(1)
     frame = random_frames(small_header(1))[0]
     taller = TensorStreamHeader(
         num_classes=1, image_width=64, image_height=128,
         strides=(8, 16, 32), frame_count=1,
     )
     with pytest.raises(GeometryError, match="level 0"):
-        frame.conforms_to(taller)
+        SequenceBackend(taller, [frame])
 
 
 def test_playback_iterates_all_frames_in_order(tmp_path):

@@ -56,9 +56,10 @@ def test_any_touching_box_makes_the_train_present_in_either_order():
 
 
 def test_observe_train_requires_a_risk_zone():
-    monitor = Zone("platform", ZoneKind.MONITOR, RISK.polygon)
-    with pytest.raises(ValueError, match="RISK"):
-        observe_train([], monitor)
+    for kind in ("MONITOR", "DANGER"):
+        zone = Zone("platform", ZoneKind(kind), RISK.polygon)
+        with pytest.raises(ValueError, match=f"needs a RISK zone, got {kind}$"):
+            observe_train([], zone)
 
 
 def test_fsm_config_validation():
