@@ -12,7 +12,6 @@ from .bench import (
     BenchRecord,
     EvalResult,
     LatencyStats,
-    bench_summary,
     compute_efficiency,
     evaluate_run,
     match_detections,

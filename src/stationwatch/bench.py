@@ -191,15 +191,16 @@ def evaluate_run(
 def check_efficiency_input(name: str, value: float, label: str | None = None) -> None:
     """Raise ValueError unless compute_efficiency takes `value` as its `name`.
 
-    Every input must be finite; accuracy_pct >= 0, latency_ms and power_w
-    > 0. The message names `label` (a command-line flag), else `name`.
+    Every input must be finite; accuracy_pct lies in [0, 100], latency_ms
+    and power_w > 0. The message names `label` (a command-line flag), else
+    `name`.
     """
     if name == "accuracy_pct":
-        rule, ok = ">= 0", value >= 0
+        rule, ok = "lie in [0, 100]", 0 <= value <= 100
     else:
-        rule, ok = "> 0", value > 0
+        rule, ok = "be > 0", value > 0
     if not (math.isfinite(value) and ok):
-        raise ValueError(f"{label or name} must be {rule}, got {value}")
+        raise ValueError(f"{label or name} must {rule}, got {value}")
 
 
 def compute_efficiency(accuracy_pct: float, latency_ms: float, power_w: float) -> float:
@@ -282,30 +283,3 @@ def write_bench_csv(fh: IO[str], records: Sequence[BenchRecord]) -> None:
                 f"{stages['fsm']:.6f}",
             ]
         )
-
-
-def bench_summary(
-    stats: LatencyStats | None,
-    power_w: float,
-    accuracy_pct: float | None = None,
-    latency_ms: float | None = None,
-) -> dict:
-    """Assemble the bench report; efficiency needs an accuracy figure.
-
-    The accuracy comes from outside as accuracy_pct; latency_ms, when given,
-    overrides the measured mean latency. Without an accuracy the efficiency
-    is reported as null. So is the latency when there are no stats (every
-    frame skipped) and no override.
-    """
-    if latency_ms is None and stats is not None:
-        latency_ms = stats.mean_ms
-    efficiency = None
-    if accuracy_pct is not None and latency_ms is not None:
-        efficiency = compute_efficiency(accuracy_pct, latency_ms, power_w)
-    return {
-        "accuracy_pct": accuracy_pct,
-        "latency": stats.to_record() if stats is not None else None,
-        "latency_ms": latency_ms,
-        "power_w": power_w,
-        "efficiency": efficiency,
-    }

@@ -13,9 +13,10 @@ Exit codes: 0 success, 1 runtime failure (including a `run` or `bench`
 that skipped a corrupt frame or met a stream ending early), 2 invalid
 arguments, configuration or input file (a malformed config, spec,
 ground-truth or prediction file, reported as `malformed WHAT: REASON`),
-3 acceptance failure. Logs go to stderr; data
-goes to the requested files or stdout. Every file a command writes goes
-through `_outputs`: an output naming the same file as another output or
+3 acceptance failure. A command raises every refusal; `main` alone
+prints it as `COMMAND: message` and picks the exit code. Logs go to
+stderr; data goes to the requested files or stdout. Every file a command
+writes goes through `_outputs`: an output naming the same file as another output or
 an input exits 2, and outputs appear only once the command completes, so
 no failure, an exit-2 refusal included, leaves a partial output or
 changes a file already there.
@@ -33,7 +34,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from . import acceptance
-from .bench import (bench_summary, check_efficiency_input, evaluate_run, measure_latency,
+from .bench import (check_efficiency_input, compute_efficiency, evaluate_run, measure_latency,
                     write_bench_csv)
 from .errors import (
     ConfigError,
@@ -130,24 +131,17 @@ def _stream(args: argparse.Namespace):
     reads a frame, and `_outputs` then removes the staged output files.
     """
     config = default_config() if args.config is None else load_config(args.config)
-    backend = PlaybackBackend(args.tensors, loop_count=args.loop,
-                              simulated_delay_ms=args.delay_ms)
-    return config, backend
+    return config, PlaybackBackend(args.tensors, loop_count=args.loop)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if (args.scenario is None) == (args.spec_file is None):
-        print("simulate: give exactly one of --scenario or --spec-file", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("give exactly one of --scenario or --spec-file")
     if args.scenario is not None:
         catalog = builtin_scenarios()
         if args.scenario not in catalog:
-            print(
-                f"simulate: unknown scenario '{args.scenario}' "
-                f"(available: {', '.join(sorted(catalog))})",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise ValueError(f"unknown scenario '{args.scenario}' "
+                             f"(available: {', '.join(sorted(catalog))})")
         spec = catalog[args.scenario]
     else:
         spec = load_json(args.spec_file, scenario_from_json, ScenarioError, "scenario description")
@@ -192,33 +186,36 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    for name in ("power_w", "accuracy_pct", "latency_ms"):
-        if (value := getattr(args, name)) is not None:
-            check_efficiency_input(name, value, "--" + name.replace("_", "-"))
+    check_efficiency_input("power_w", args.power_w, "--power-w")
+    if args.accuracy_pct is not None:
+        check_efficiency_input("accuracy_pct", args.accuracy_pct, "--accuracy-pct")
     if args.warmup < 0:
-        print(f"bench: --warmup must be >= 0, got {args.warmup}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--warmup must be >= 0, got {args.warmup}")
     config, backend = _stream(args)
     total = backend.header.frame_count * args.loop
     if args.warmup >= total:
-        print(
-            f"bench: insufficient samples: warmup {args.warmup} consumes the whole "
-            f"stream of {total} frames",
-            file=sys.stderr,
+        raise InsufficientSamplesError(
+            f"insufficient samples: warmup {args.warmup} consumes the whole stream of "
+            f"{total} frames"
         )
-        return EXIT_USAGE
     reads = {"--tensors": args.tensors, "--config": args.config}
     with _outputs({"--out-csv": args.out_csv}, reads) as (csv_path,), _text(csv_path) as csv_fh:
         stats, records, run = measure_latency(backend, config, warmup_frames=args.warmup)
         write_bench_csv(csv_fh, records)
-    summary = bench_summary(
-        stats,
-        power_w=args.power_w,
-        accuracy_pct=args.accuracy_pct,
-        latency_ms=args.latency_ms,
-    )
-    summary["errors"] = run.error_count
-    print(json.dumps(summary))
+    # Efficiency needs an accuracy, which bench does not measure, and a
+    # latency, which it lacks when every frame was skipped.
+    latency_ms = None if stats is None else stats.mean_ms
+    efficiency = None
+    if args.accuracy_pct is not None and latency_ms is not None:
+        efficiency = compute_efficiency(args.accuracy_pct, latency_ms, args.power_w)
+    print(json.dumps({
+        "accuracy_pct": args.accuracy_pct,
+        "latency": None if stats is None else stats.to_record(),
+        "latency_ms": latency_ms,
+        "power_w": args.power_w,
+        "efficiency": efficiency,
+        "errors": run.error_count,
+    }))
     return EXIT_RUNTIME if run.error_count else EXIT_OK
 
 
@@ -287,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--tensors", required=True, help="input tensor stream")
     stream.add_argument("--config", help="pipeline config JSON (default: built-in scene)")
     stream.add_argument("--loop", type=int, default=1, help="play the stream this many times")
-    stream.add_argument("--delay-ms", type=float, default=0.0, help="pacing delay per frame")
 
     run = commands.add_parser("run", parents=[stream], help="monitor a tensor stream")
     run.add_argument("--alerts-out", required=True, help="alert JSON Lines output")
@@ -300,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out-csv", required=True, help="per-frame timing CSV output")
     bench.add_argument("--accuracy-pct", type=float, default=None,
                        help="accuracy percentage to score efficiency with")
-    bench.add_argument("--latency-ms", type=float, default=None,
-                       help="override the measured latency for the efficiency figure")
     bench.set_defaults(func=cmd_bench)
 
     evaluate = commands.add_parser("evaluate", help="score predictions against ground truth")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -112,23 +112,16 @@ def default_config() -> PipelineConfig:
 
 
 def config_to_json(config: PipelineConfig) -> dict:
+    # Each section's keys are its dataclass's fields in order. Zones are
+    # written by hand: `Zone.reach` is a field, not a key.
     return {
-        "decode": {
-            "strides": list(config.decode.strides),
-            "conf_threshold": config.decode.conf_threshold,
-            "nms_iou_threshold": config.decode.nms_iou_threshold,
-            "person_class_id": config.decode.person_class_id,
-            "train_class_id": config.decode.train_class_id,
-        },
+        "decode": {**asdict(config.decode), "strides": list(config.decode.strides)},
         "zones": [
             {"name": z.name, "kind": z.kind.value, "polygon": [list(v) for v in z.polygon]}
             for z in config.zones
         ],
-        "camera": {"height_m": config.camera.height_m, "z0_m": config.camera.z0_m},
-        "fsm": {
-            "stationary_eps_px": config.fsm.stationary_eps_px,
-            "confirm_frames": config.fsm.confirm_frames,
-        },
+        "camera": asdict(config.camera),
+        "fsm": asdict(config.fsm),
     }
 
 

@@ -111,12 +111,9 @@ class Detections:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Stable in both tails; plain 1/(1+exp(-x)) overflows for large -x.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # For x < 0, -|x| is x, so e is exp(x) there.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # A computed sigmoid lies within a few ulps of 1 of the exact one; this

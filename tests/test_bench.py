@@ -30,7 +30,7 @@ from stationwatch import (
     process_frame,
     write_bench_csv,
 )
-from stationwatch.bench import BENCH_CSV_HEADER, BenchRecord, bench_summary
+from stationwatch.bench import BENCH_CSV_HEADER, BenchRecord
 
 from reference import Det, greedy_match, to_batch
 
@@ -300,6 +300,8 @@ def test_efficiency_unit_case_and_domain_errors():
         compute_efficiency(50.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="accuracy_pct"):
         compute_efficiency(-1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"accuracy_pct must lie in \[0, 100\], got 100.5"):
+        compute_efficiency(100.5, 1.0, 1.0)
     with pytest.raises(ValueError, match="accuracy_pct"):
         compute_efficiency(math.nan, 1.0, 1.0)
 
@@ -454,23 +456,3 @@ def csv_text(value: float) -> str:
 @given(value=st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
 def test_bench_csv_does_not_depend_on_rounding_stage_times_first(value):
     assert csv_text(value) == csv_text(round(value, 6))
-
-
-def test_bench_summary_prefers_overrides_and_tolerates_missing_accuracy():
-    stats = LatencyStats.from_samples([10.0, 10.0, 10.0])
-
-    summary = bench_summary(stats, power_w=2.0, accuracy_pct=50.0)
-    assert summary["accuracy_pct"] == 50.0
-    assert summary["latency_ms"] == 10.0
-    assert summary["efficiency"] == 50.0 / (10.0 * 2.0)
-
-    hypothetical = bench_summary(
-        stats, power_w=10.737, accuracy_pct=70.791, latency_ms=20.878
-    )
-    assert hypothetical["efficiency"] == pytest.approx(0.316, abs=0.001)
-    assert hypothetical["latency_ms"] == 20.878
-
-    bare = bench_summary(stats, power_w=2.0)
-    assert bare["efficiency"] is None
-    assert bare["accuracy_pct"] is None
-    assert set(bare) == {"accuracy_pct", "latency", "latency_ms", "power_w", "efficiency"}

@@ -23,6 +23,7 @@ from stationwatch import (
 )
 from stationwatch.postprocess import (
     _objectness_cutoff,
+    _sigmoid,
     detections_from_record,
     detections_to_record,
     round6,
@@ -235,6 +236,19 @@ def test_batch_decode_all_equals_the_per_cell_decode(data, conf_threshold, strid
     assert_same_detections(
         from_batch(decode_all(frame, config)), per_cell_decode_all(frame, config)
     )
+
+
+def test_sigmoid_equals_the_two_branch_sigmoid_bit_for_bit():
+    # Random bit patterns (a NaN made 0: decode refuses a non-finite cell
+    # first) plus zeros, subnormals, the exp underflow edge, the float64
+    # extremes and the infinities.
+    x = np.random.default_rng(0).integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64)
+    x[np.isnan(x)] = 0.0
+    edges = [0.0, 5e-324, 2.2e-308, 36.7, 709.8, 745.0, 746.0, 1.8e308, math.inf]
+    x = np.concatenate([x, edges, np.negative(edges)]).reshape(2, -1)
+    with np.errstate(over="ignore"):  # the reference's exp(x) for x past ~709.8
+        expected = cell_sigmoid(x)
+    assert np.array_equal(_sigmoid(x).view(np.uint64), expected.view(np.uint64))
 
 
 def test_objectness_cutoff_at_the_ends_of_the_threshold_range():
