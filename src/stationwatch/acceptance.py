@@ -154,7 +154,7 @@ def check_roundtrip() -> str:
                 h = rng.uniform(10, min(120, height - 2))
                 cx = rng.uniform(w / 2, width - w / 2)
                 cy = rng.uniform(h / 2, height - h / 2)
-                level = _pick_level(w, h, strides)
+                level = _pick_level(strides, w * h)
                 cell = (level, int(cx // strides[level]), int(cy // strides[level]))
                 if cell not in used_cells:
                     used_cells.add(cell)

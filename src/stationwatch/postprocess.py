@@ -35,13 +35,14 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self):
-        for name in ("x1", "y1", "x2", "y2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"box coordinate {name} is not finite")
-        if self.x1 > self.x2 or self.y1 > self.y2:
-            raise ValueError(
-                f"box corners out of order: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
+        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
+        if not (math.isfinite(x1) and math.isfinite(y1) and math.isfinite(x2)
+                and math.isfinite(y2)):
+            name = next(name for name, value in zip(("x1", "y1", "x2", "y2"), (x1, y1, x2, y2))
+                        if not math.isfinite(value))
+            raise ValueError(f"box coordinate {name} is not finite")
+        if x1 > x2 or y1 > y2:
+            raise ValueError(f"box corners out of order: ({x1}, {y1}, {x2}, {y2})")
 
     @property
     def width(self) -> float:

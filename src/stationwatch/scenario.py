@@ -18,7 +18,6 @@ Coordinates are pixels, y grows downward.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,6 +43,9 @@ PLATFORM_POLYGON = ((0.0, 130.0), (320.0, 130.0), (320.0, 240.0), (0.0, 240.0))
 
 PERSON_CLASS = 0
 TRAIN_CLASS = 6
+
+# What `_object_rules` finds first wrong with an object, in the encoder's check order.
+_SIZE, _SCORE, _LEVEL, _LOG = 1, 2, 3, 4
 
 
 @dataclass(frozen=True)
@@ -113,22 +115,67 @@ class GroundTruthFrame:
     objects: tuple[GroundTruthObject, ...]
 
 
-def _interpolate(actor: Actor, frame: int) -> tuple[float, float, float, float] | None:
-    frames = [wp.frame for wp in actor.waypoints]
-    if frame < frames[0] or frame > frames[-1]:
-        return None
-    i = bisect.bisect_right(frames, frame) - 1
-    a = actor.waypoints[i]
-    if a.frame == frame:
-        return a.cx, a.cy, a.w, a.h
-    b = actor.waypoints[i + 1]
-    t = (frame - a.frame) / (b.frame - a.frame)
-    return (
-        a.cx + t * (b.cx - a.cx),
-        a.cy + t * (b.cy - a.cy),
-        a.w + t * (b.w - a.w),
-        a.h + t * (b.h - a.h),
-    )
+def _tracks(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (frame, actor) box of the scenario, in one array pass.
+
+    Rows run frame by frame, in actor order within a frame. Returns the
+    number of rows in each frame, each row's actor id and its corners as
+    an (n, 4) float64 array of (x1, y1, x2, y2). Between waypoints a and b
+    a row is a + t * (b - a) with t = (f - a.frame) / (b.frame - a.frame),
+    the correctly rounded quotient while both frame counts stay below
+    2**53; a frame that is a waypoint copies it. The first bad row raises:
+    ValueError for a non-finite corner, ScenarioError for a box that
+    leaves the image.
+    """
+    duration = spec.duration_frames
+    spans, ends = [], []  # per segment: (actor, first frame, frames, b.frame - a.frame); a and b
+    for actor_id, actor in enumerate(spec.actors):
+        waypoints = actor.waypoints
+        for a, b in zip(waypoints, waypoints[1:] + waypoints[-1:]):
+            if a.frame >= duration:
+                break
+            stop = b.frame if b is not a else a.frame + 1
+            spans.append((actor_id, a.frame, min(stop, duration) - a.frame, b.frame - a.frame or 1))
+            ends.append((a.cx, a.cy, a.w, a.h, b.cx, b.cy, b.w, b.h))
+    actor_of, first, length, step = np.array(spans, dtype=np.int64).reshape(-1, 4).T
+    ends = np.array(ends, dtype=np.float64).reshape(-1, 8)
+
+    segment = np.repeat(np.arange(len(length)), length)
+    offset = np.arange(len(segment)) - np.repeat(np.cumsum(length) - length, length)
+    order = np.argsort(first[segment] + offset, kind="stable")  # frame-major, then actor order
+    segment, offset = segment[order], offset[order]
+    frame, actor_ids = first[segment] + offset, actor_of[segment]
+    a, b = ends[segment, :4], ends[segment, 4:]
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf and nan, no warning
+        t = (offset / step[segment])[:, None]
+        cx, cy, w, h = np.where(offset[:, None] == 0, a, a + t * (b - a)).T
+        corners = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
+
+    x1, y1, x2, y2 = corners.T
+    bad = (~np.isfinite(corners).all(axis=1) | (x1 > x2) | (y1 > y2) | (x1 < 0) | (y1 < 0)
+           | (x2 > spec.image_width) | (y2 > spec.image_height))
+    if bad.any():
+        row = int(bad.argmax())
+        box = BoundingBox(*corners[row].tolist())  # a non-finite or out-of-order corner raises here
+        raise ScenarioError(
+            f"actor {actor_ids[row]} leaves the image at frame {frame[row]}: "
+            f"box ({box.x1:.1f}, {box.y1:.1f}, {box.x2:.1f}, {box.y2:.1f})"
+        )
+    return np.bincount(frame, minlength=duration), actor_ids, corners
+
+
+def _ground_truth(spec: ScenarioSpec, counts: np.ndarray, actor_ids: np.ndarray,
+                  corners: np.ndarray) -> list[GroundTruthFrame]:
+    classes = [actor.class_id for actor in spec.actors]
+    objects = [
+        GroundTruthObject(classes[actor_id], BoundingBox(x1, y1, x2, y2), actor_id)
+        for actor_id, x1, y1, x2, y2 in zip(actor_ids.tolist(), *corners.T.tolist())
+    ]
+    stops = np.cumsum(counts).tolist()
+    return [
+        GroundTruthFrame(index, tuple(objects[stop - count:stop]))
+        for index, (count, stop) in enumerate(zip(counts.tolist(), stops))
+    ]
 
 
 def generate_scenario(spec: ScenarioSpec) -> list[GroundTruthFrame]:
@@ -137,40 +184,165 @@ def generate_scenario(spec: ScenarioSpec) -> list[GroundTruthFrame]:
     Pure function of its input; the same scenario always yields the same
     frames. Raises ScenarioError when an interpolated box leaves the image.
     """
-    frames: list[GroundTruthFrame] = []
-    for frame in range(spec.duration_frames):
-        objects: list[GroundTruthObject] = []
-        for actor_id, actor in enumerate(spec.actors):
-            state = _interpolate(actor, frame)
-            if state is None:
-                continue
-            cx, cy, w, h = state
-            box = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-            if (
-                box.x1 < 0
-                or box.y1 < 0
-                or box.x2 > spec.image_width
-                or box.y2 > spec.image_height
-            ):
-                raise ScenarioError(
-                    f"actor {actor_id} leaves the image at frame {frame}: "
-                    f"box ({box.x1:.1f}, {box.y1:.1f}, {box.x2:.1f}, {box.y2:.1f})"
-                )
-            objects.append(GroundTruthObject(class_id=actor.class_id, box=box, actor_id=actor_id))
-        frames.append(GroundTruthFrame(frame_index=frame, objects=tuple(objects)))
-    return frames
+    return _ground_truth(spec, *_tracks(spec))
 
 
-def _logit(p: float) -> float:
-    p = min(max(p, _SCORE_CLAMP), 1.0 - _SCORE_CLAMP)
+def _score_logit(score: float) -> float:
+    """logit(sqrt(score)), with sqrt(score) clamped so that a score of 1.0 stays finite."""
+    p = min(max(math.sqrt(score), _SCORE_CLAMP), 1.0 - _SCORE_CLAMP)
     return math.log(p / (1.0 - p))
 
 
-def _pick_level(w: float, h: float, strides: Sequence[int]) -> int:
-    # Best level is where the box scale sits closest to 4 cells.
-    scale = math.sqrt(w * h)
-    costs = [abs(math.log(scale / (4.0 * s))) for s in strides]
+def _pick_level(strides: Sequence[int], area: float) -> int:
+    # Best level is where the box scale sits closest to 4 cells, the first
+    # on a tie. Written out for the three strides a DecodeConfig holds.
+    scale = math.sqrt(area)
+    fine, middle, coarse = strides
+    costs = (abs(math.log(scale / (4.0 * fine))), abs(math.log(scale / (4.0 * middle))),
+             abs(math.log(scale / (4.0 * coarse))))
     return costs.index(min(costs))
+
+
+def _object_rules(strides: Sequence[int], w: float, h: float, score: float) -> tuple:
+    """The scalar rules of one object of size (w, h) and score `score`.
+
+    Returns (refusal, level, tw, th, logit), where tw and th are
+    log(w / stride) and log(h / stride) at the level's stride. `refusal`
+    names the first check the object fails among those that depend on
+    these three values alone: _SIZE, _SCORE, _LEVEL (the level rule
+    refuses), _LOG (a size logarithm refuses), or 0. After a refusal the
+    fields read 0, except the level that _LOG keeps.
+    """
+    if w <= 0 or h <= 0:
+        return _SIZE, 0, 0.0, 0.0, 0.0
+    if not 0.0 < score <= 1.0:
+        return _SCORE, 0, 0.0, 0.0, 0.0
+    try:
+        level = _pick_level(strides, w * h)
+    except ValueError:
+        return _LEVEL, 0, 0.0, 0.0, 0.0
+    try:
+        tw, th = math.log(w / strides[level]), math.log(h / strides[level])
+    except ValueError:
+        return _LOG, level, 0.0, 0.0, 0.0
+    return 0, level, tw, th, _score_logit(score)
+
+
+def _place(frame_indices: Sequence[int], counts: Sequence[int], boxes: np.ndarray,
+           class_ids: Sequence[int], scores: Sequence[float], strides: Sequence[int],
+           layout: np.ndarray, num_classes: int):
+    """Where `_encode` writes each object, and what.
+
+    Row i of `layout` describes level i: (cols, rows, its first row in
+    `_encode`'s cell buffer, stride). Returns each
+    object's row in that buffer, its class channel and its five values
+    (tx, ty, tw, th, logit) as float32. A function of its own so that its
+    per-object temporaries are freed before `_encode` allocates the
+    tensors, which keeps the peak memory of a scene at the tensors plus
+    its ground truth.
+    """
+    frame_of = np.repeat(np.arange(len(frame_indices)), counts)
+    classes = np.asarray(class_ids)
+    size = boxes[:, 2:] - boxes[:, :2]  # (w, h)
+    # The scalar rules run once per distinct (w, h, score), in plain floats.
+    keys = list(zip(*size.T.tolist(), np.asarray(scores, dtype=np.float64).tolist()))
+    rules = {key: _object_rules(strides, *key) for key in set(keys)}
+    table = np.array([rules[key] for key in keys], dtype=np.float64).reshape(-1, 5)
+    refusal, level = table[:, 0], table[:, 1].astype(np.int64)
+    grid = layout[level]
+    stride = grid[:, 3:]
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf and nan, no warning
+        centre = (boxes[:, :2] + boxes[:, 2:]) / 2.0  # (cx, cy)
+        off_grid = ~np.isfinite(centre).all(axis=1)  # int(cx // stride) refuses these
+        # An off-grid object's cell is garbage; it fails before its cell is read.
+        cell_xy = np.minimum(np.maximum(np.floor_divide(centre, stride), 0), grid[:, :2] - 1)
+        cell_xy = cell_xy.astype(np.int64)  # (gx, gy)
+    gx, gy = cell_xy.T
+    cell = grid[:, 2] + (frame_of * grid[:, 1] + gy) * grid[:, 0] + gx
+    order = cell.argsort(kind="stable")
+    taken = np.zeros(len(cell), dtype=bool)
+    taken[order[1:]] = cell[order[1:]] == cell[order[:-1]]
+
+    failed = (classes >= num_classes) | (refusal != 0) | off_grid | taken
+    if failed.any():
+        k = int(failed.argmax())
+        index = frame_indices[frame_of[k]]
+        w, h = size[k].tolist()
+        if class_ids[k] >= num_classes:
+            raise ScenarioError(
+                f"object class {class_ids[k]} does not fit in {num_classes} classes"
+            )
+        if refusal[k] == _SIZE:
+            raise ScenarioError(f"frame {index}: zero-size box cannot be encoded")
+        if refusal[k] == _SCORE:
+            raise ScenarioError(f"score must lie in (0, 1], got {scores[k]}")
+        if refusal[k] == _LEVEL:
+            _pick_level(strides, w * h)  # raises
+        if off_grid[k]:
+            raise ValueError("cannot convert float NaN to integer")
+        if taken[k]:
+            s, x, y = int(stride[k, 0]), int(gx[k]), int(gy[k])
+            raise EncodingCollisionError(
+                index, s, (x, y), f"frame {index}: two objects map to stride-{s} "
+                f"cell (gx={x}, gy={y})"
+            )
+        s = strides[level[k]]
+        math.log(w / s), math.log(h / s)  # _LOG: one of these raises
+
+    values = np.concatenate([centre / stride - cell_xy, table[:, 2:]], axis=1)
+    return cell, 5 + classes.astype(np.int64), values.astype(np.float32)
+
+
+def _encode(frame_indices: Sequence[int], counts: Sequence[int], boxes: np.ndarray,
+            class_ids: Sequence[int], scores: Sequence[float], config: DecodeConfig,
+            image_width: int, image_height: int, num_classes: int) -> list[RawTensorSet]:
+    """Head tensors of a run of frames, every object written in one array pass.
+
+    `counts[i]` objects belong to the frame `frame_indices[i]`; `boxes`
+    ((n, 4) corners), `class_ids` and `scores` hold every object, frame by
+    frame. The scalar rules (`_object_rules`) run once per distinct
+    (w, h, score); the rest is elementwise IEEE arithmetic equal to
+    writing one object at a time. The first object, in frame and object
+    order, that fails a check raises its first failing check: class, size,
+    score, level, centre, cell collision, then size logarithm.
+    """
+    if num_classes < 1:
+        raise ScenarioError(f"num_classes must be >= 1, got {num_classes}")
+    for stride in config.strides:
+        if image_width % stride or image_height % stride:
+            raise ScenarioError(
+                f"stride {stride} does not divide image {image_width}x{image_height}"
+            )
+    if len(scores) != len(boxes):
+        raise ScenarioError(f"actor_scores has {len(scores)} entries for {len(boxes)} objects")
+
+    # One buffer of cells holds every level of every frame, level by level;
+    # each level's tensors are a (frames, rows, cols, channels) view of it.
+    frames, channels = len(frame_indices), 5 + num_classes
+    layout, first = [], 0
+    for stride in config.strides:
+        rows, cols = image_height // stride, image_width // stride
+        layout.append((cols, rows, first, stride))
+        first += frames * rows * cols
+    cell, channel, values = _place(frame_indices, counts, boxes, class_ids, scores,
+                                   config.strides, np.array(layout), num_classes)
+    cells = np.empty((first, channels), dtype=np.float32)
+    # The widest grid row of background cells; each level is filled a grid
+    # row at a time, one contiguous copy per row.
+    row = np.empty((layout[0][0], channels), dtype=np.float32)
+    row[:, :4] = 0.0
+    row[:, 4:] = _BACKGROUND_LOGIT
+    levels = []
+    for cols, rows, first, _ in layout:
+        level = cells[first:first + frames * rows * cols].reshape(frames, rows, cols, channels)
+        level[...] = row[:cols]
+        levels.append(level)
+    cells[cell, :5] = values
+    cells[cell, channel] = values[:, 4]
+    return [
+        RawTensorSet(index, tuple(level[f] for level in levels), image_width, image_height)
+        for f, index in enumerate(frame_indices)
+    ]
 
 
 def encode_objects_to_tensors(
@@ -189,72 +361,17 @@ def encode_objects_to_tensors(
     logit(sqrt(score)), so the decoder's fused score reproduces the
     requested score; all other cells stay at background logits. Two
     objects mapping to the same (level, cell) cannot be represented and
-    raise EncodingCollisionError.
+    raise EncodingCollisionError, whatever the first one wrote there.
 
     Per-object scores come from actor_scores (indexed by position in
     frame.objects); without it every object scores 0.9.
     """
-    if num_classes < 1:
-        raise ScenarioError(f"num_classes must be >= 1, got {num_classes}")
-    for stride in config.strides:
-        if image_width % stride or image_height % stride:
-            raise ScenarioError(
-                f"stride {stride} does not divide image {image_width}x{image_height}"
-            )
-    if actor_scores is not None and len(actor_scores) != len(frame.objects):
-        raise ScenarioError(
-            f"actor_scores has {len(actor_scores)} entries for {len(frame.objects)} objects"
-        )
-
-    channels = 5 + num_classes
-    outputs = []
-    for stride in config.strides:
-        grid = np.zeros((image_height // stride, image_width // stride, channels), dtype=np.float32)
-        grid[..., 4:] = _BACKGROUND_LOGIT
-        outputs.append(grid)
-
-    for position, obj in enumerate(frame.objects):
-        if obj.class_id >= num_classes:
-            raise ScenarioError(
-                f"object class {obj.class_id} does not fit in {num_classes} classes"
-            )
-        w, h = obj.box.width, obj.box.height
-        if w <= 0 or h <= 0:
-            raise ScenarioError(
-                f"frame {frame.frame_index}: zero-size box cannot be encoded"
-            )
-        score = 0.9 if actor_scores is None else actor_scores[position]
-        if not 0.0 < score <= 1.0:
-            raise ScenarioError(f"score must lie in (0, 1], got {score}")
-
-        level = _pick_level(w, h, config.strides)
-        stride = config.strides[level]
-        grid = outputs[level]
-        cx, cy = obj.box.center()
-        gx = min(max(int(cx // stride), 0), grid.shape[1] - 1)
-        gy = min(max(int(cy // stride), 0), grid.shape[0] - 1)
-        if grid[gy, gx, 4] != _BACKGROUND_LOGIT:
-            raise EncodingCollisionError(
-                frame.frame_index,
-                stride,
-                (gx, gy),
-                f"frame {frame.frame_index}: two objects map to stride-{stride} "
-                f"cell (gx={gx}, gy={gy})",
-            )
-        logit = _logit(math.sqrt(score))
-        grid[gy, gx, 0] = cx / stride - gx
-        grid[gy, gx, 1] = cy / stride - gy
-        grid[gy, gx, 2] = math.log(w / stride)
-        grid[gy, gx, 3] = math.log(h / stride)
-        grid[gy, gx, 4] = logit
-        grid[gy, gx, 5 + obj.class_id] = logit
-
-    return RawTensorSet(
-        frame_index=frame.frame_index,
-        outputs=tuple(outputs),
-        image_width=image_width,
-        image_height=image_height,
-    )
+    objects = frame.objects
+    boxes = np.array([(o.box.x1, o.box.y1, o.box.x2, o.box.y2) for o in objects],
+                     dtype=np.float64).reshape(-1, 4)
+    scores = [0.9] * len(objects) if actor_scores is None else actor_scores
+    return _encode([frame.frame_index], [len(objects)], boxes, [o.class_id for o in objects],
+                   scores, config, image_width, image_height, num_classes)[0]
 
 
 def _train_cycle(enter: int, stop: int, depart: int, gone: int,
@@ -350,16 +467,13 @@ def encode_scenario(
             f"{spec.duration_frames} frames at {spec.image_width}x{spec.image_height} need "
             f"{size} bytes of tensors, more than MAX_SCENARIO_BYTES ({MAX_SCENARIO_BYTES})"
         )
-    gt_frames = generate_scenario(spec)
-    tensor_frames = []
-    for gt in gt_frames:
-        scores = [spec.actors[obj.actor_id].score_level for obj in gt.objects]
-        tensor_frames.append(
-            encode_objects_to_tensors(
-                gt, config, spec.image_width, spec.image_height, num_classes,
-                actor_scores=scores,
-            )
-        )
+    counts, actor_ids, corners = _tracks(spec)
+    gt_frames = _ground_truth(spec, counts, actor_ids, corners)
+    classes = np.array([actor.class_id for actor in spec.actors])
+    scores = np.array([actor.score_level for actor in spec.actors], dtype=np.float64)
+    tensor_frames = _encode(range(spec.duration_frames), counts, corners, classes[actor_ids],
+                            scores[actor_ids], config, spec.image_width, spec.image_height,
+                            num_classes)
     return gt_frames, tensor_frames
 
 

@@ -7,17 +7,23 @@ time against every alive candidate, `greedy_match` computes one scalar IoU per
 pair, `ReferenceTrainMachine` keeps the train state machine's two counts by
 name, and `reference_frame_records` chains decode and NMS with a train
 state machine, a hand-written ground point and its own severity grading
-into the records the pipeline should emit for one frame.
+into the records the pipeline should emit for one frame. On the simulator's
+side, `reference_generate` interpolates one (frame, actor) at a time and
+`reference_encode_objects` writes one object at a time, as the simulator
+did before it rendered in arrays.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import namedtuple
 
 import numpy as np
 
-from stationwatch import BoundingBox, Detections, TrainState, ZoneKind, point_in_polygon
+from stationwatch import (BoundingBox, Detections, EncodingCollisionError, GroundTruthFrame,
+                          GroundTruthObject, RawTensorSet, ScenarioError, TrainState, ZoneKind,
+                          point_in_polygon)
 from stationwatch.geometry import box_zone_overlap_area
 
 # One detection as a plain record: a BoundingBox, a score and a class id.
@@ -326,3 +332,130 @@ def reference_frame_records(frame, config, fsm):
         "alerts": alerts,
     }
     return result, alerts
+
+
+def _reference_interpolate(actor, frame):
+    frames = [wp.frame for wp in actor.waypoints]
+    if frame < frames[0] or frame > frames[-1]:
+        return None
+    i = bisect.bisect_right(frames, frame) - 1
+    a = actor.waypoints[i]
+    if a.frame == frame:
+        return a.cx, a.cy, a.w, a.h
+    b = actor.waypoints[i + 1]
+    t = (frame - a.frame) / (b.frame - a.frame)
+    return (
+        a.cx + t * (b.cx - a.cx),
+        a.cy + t * (b.cy - a.cy),
+        a.w + t * (b.w - a.w),
+        a.h + t * (b.h - a.h),
+    )
+
+
+def reference_generate(spec):
+    """The scenario's ground truth, one (frame, actor) at a time."""
+    frames = []
+    for frame in range(spec.duration_frames):
+        objects = []
+        for actor_id, actor in enumerate(spec.actors):
+            state = _reference_interpolate(actor, frame)
+            if state is None:
+                continue
+            cx, cy, w, h = state
+            box = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+            if (
+                box.x1 < 0
+                or box.y1 < 0
+                or box.x2 > spec.image_width
+                or box.y2 > spec.image_height
+            ):
+                raise ScenarioError(
+                    f"actor {actor_id} leaves the image at frame {frame}: "
+                    f"box ({box.x1:.1f}, {box.y1:.1f}, {box.x2:.1f}, {box.y2:.1f})"
+                )
+            objects.append(GroundTruthObject(class_id=actor.class_id, box=box, actor_id=actor_id))
+        frames.append(GroundTruthFrame(frame_index=frame, objects=tuple(objects)))
+    return frames
+
+
+def _reference_logit(p):
+    p = min(max(p, 1e-9), 1.0 - 1e-9)
+    return math.log(p / (1.0 - p))
+
+
+def _reference_pick_level(w, h, strides):
+    scale = math.sqrt(w * h)
+    costs = [abs(math.log(scale / (4.0 * s))) for s in strides]
+    return costs.index(min(costs))
+
+
+def reference_encode_objects(frame, config, image_width, image_height, num_classes,
+                             actor_scores=None):
+    """The frame's head tensors, written one object at a time.
+
+    Two objects collide when they map to the same (level, cell), whatever
+    was written there.
+    """
+    if num_classes < 1:
+        raise ScenarioError(f"num_classes must be >= 1, got {num_classes}")
+    for stride in config.strides:
+        if image_width % stride or image_height % stride:
+            raise ScenarioError(
+                f"stride {stride} does not divide image {image_width}x{image_height}"
+            )
+    if actor_scores is not None and len(actor_scores) != len(frame.objects):
+        raise ScenarioError(
+            f"actor_scores has {len(actor_scores)} entries for {len(frame.objects)} objects"
+        )
+
+    channels = 5 + num_classes
+    outputs = []
+    for stride in config.strides:
+        grid = np.zeros((image_height // stride, image_width // stride, channels), dtype=np.float32)
+        grid[..., 4:] = -20.0
+        outputs.append(grid)
+
+    taken = set()
+    for position, obj in enumerate(frame.objects):
+        if obj.class_id >= num_classes:
+            raise ScenarioError(
+                f"object class {obj.class_id} does not fit in {num_classes} classes"
+            )
+        w, h = obj.box.width, obj.box.height
+        if w <= 0 or h <= 0:
+            raise ScenarioError(
+                f"frame {frame.frame_index}: zero-size box cannot be encoded"
+            )
+        score = 0.9 if actor_scores is None else actor_scores[position]
+        if not 0.0 < score <= 1.0:
+            raise ScenarioError(f"score must lie in (0, 1], got {score}")
+
+        level = _reference_pick_level(w, h, config.strides)
+        stride = config.strides[level]
+        grid = outputs[level]
+        cx, cy = obj.box.center()
+        gx = min(max(int(cx // stride), 0), grid.shape[1] - 1)
+        gy = min(max(int(cy // stride), 0), grid.shape[0] - 1)
+        if (level, gy, gx) in taken:
+            raise EncodingCollisionError(
+                frame.frame_index,
+                stride,
+                (gx, gy),
+                f"frame {frame.frame_index}: two objects map to stride-{stride} "
+                f"cell (gx={gx}, gy={gy})",
+            )
+        taken.add((level, gy, gx))
+        logit = _reference_logit(math.sqrt(score))
+        grid[gy, gx, 0] = cx / stride - gx
+        grid[gy, gx, 1] = cy / stride - gy
+        grid[gy, gx, 2] = math.log(w / stride)
+        grid[gy, gx, 3] = math.log(h / stride)
+        grid[gy, gx, 4] = logit
+        grid[gy, gx, 5 + obj.class_id] = logit
+
+    return RawTensorSet(
+        frame_index=frame.frame_index,
+        outputs=tuple(outputs),
+        image_width=image_width,
+        image_height=image_height,
+    )

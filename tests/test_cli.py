@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -516,6 +517,14 @@ RECURSION = "maximum recursion depth exceeded"
     (["simulate", "--spec-file", "long.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
      2, "simulate: 10000000 frames at 320x320 need 1092000000000 bytes of tensors, more than "
         "MAX_SCENARIO_BYTES (1073741824)"),
+    (["simulate", "--spec-file", "leave.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
+     2, "simulate: actor 0 leaves the image at frame 2: box (321.0, 80.0, 339.0, 120.0)"),
+    (["simulate", "--spec-file", "nan.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
+     2, "simulate: box coordinate x1 is not finite"),
+    (["simulate", "--spec-file", "cell.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
+     2, "simulate: frame 0: two objects map to stride-8 cell (gx=13, gy=15)"),
+    (["simulate", "--spec-file", "class9.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
+     2, "simulate: object class 9 does not fit in 8 classes"),
     (SIMULATE + ["--out-tensors", "s.yxt", "--out-gt", "./s.yxt"],
      2, "--out-tensors and --out-gt " + SAME + "./s.yxt"),
     (SIMULATE + ["--config", "good.json", "--out-tensors", "good.json", "--out-gt", "new.out"],
@@ -535,7 +544,8 @@ RECURSION = "maximum recursion depth exceeded"
         "bench-infinite_power", "bench-nan_power", "bench-warmup_of_every_frame",
         "bench-negative_warmup", "bench-deep_config",
         "simulate-no_scene", "simulate-bad_spec", "simulate-deep_spec", "simulate-missing_spec",
-        "simulate-too_long",
+        "simulate-too_long", "simulate-actor_leaves_image", "simulate-nan_centre",
+        "simulate-shared_cell", "simulate-class_id_9",
         "simulate-equal_paths", "simulate-output_is_the_config", "simulate-output_is_the_spec",
         "simulate-bad_config", "simulate-missing_directory",
         "default_config-missing_directory"])
@@ -560,6 +570,17 @@ def test_a_failed_command_creates_no_file_and_keeps_existing_outputs(
     (tmp_path / "spec.json").write_text(json.dumps(scenario_to_json(spec)))
     long = dict(scenario_to_json(spec), duration_frames=10**7)  # 1 TB of tensors
     (tmp_path / "long.json").write_text(json.dumps(long))
+    person = (18.0, 40.0)
+    for name, actors in {
+        "leave": [Actor(0, (Waypoint(0, 290.0, 100.0, *person),
+                            Waypoint(2, 330.0, 100.0, *person)))],
+        "nan": [Actor(0, (Waypoint(0, math.nan, 100.0, *person),))],
+        "cell": [Actor(0, (Waypoint(0, 109.0, 120.0, *person),)),
+                 Actor(0, (Waypoint(0, 110.0, 121.0, *person),))],
+        "class9": [Actor(9, (Waypoint(0, 160.0, 160.0, *person),))],
+    }.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(scenario_to_json(
+            ScenarioSpec(3, 320, 320, tuple(actors)))))
     (tmp_path / "deep.json").write_text(DEEP)
     monkeypatch.chdir(tmp_path)
 

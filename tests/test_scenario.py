@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stationwatch import (
     Actor,
@@ -29,6 +33,8 @@ from stationwatch.scenario import (
     scenario_from_json,
     scenario_to_json,
 )
+
+from reference import reference_encode_objects, reference_generate
 
 
 def single_actor_spec(actor: Actor, duration: int = 20) -> ScenarioSpec:
@@ -182,6 +188,116 @@ def test_two_objects_in_one_cell_raise_a_collision_error():
     assert err.frame_index == 7
     assert err.stride in (8, 16, 32)
     assert len(err.cell) == 2
+
+
+def test_an_object_whose_logit_is_the_background_still_takes_its_cell():
+    # sigmoid(-20)**2 gives the float32 objectness logit -20.0 exactly, the
+    # background value: the cell must count as taken all the same.
+    quiet = (1.0 / (1.0 + math.exp(20.0))) ** 2  # 4.248354237778568e-18
+    gt = GroundTruthFrame(0, (GroundTruthObject(0, BoundingBox(100.0, 100.0, 118.0, 140.0), 0),
+                              GroundTruthObject(0, BoundingBox(101.0, 101.0, 119.0, 141.0), 1)))
+    with pytest.raises(EncodingCollisionError) as excinfo:
+        encode_objects_to_tensors(gt, DecodeConfig(), 320, 320, 8, actor_scores=[quiet, 0.9])
+    assert (excinfo.value.stride, excinfo.value.cell) == (8, (13, 15))
+
+
+def outcome(call):
+    """What `call()` gives: its value, or the type and text of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # the two sides must fail alike, whatever the failure
+        return type(exc), str(exc)
+
+
+def tensor_bytes(frame):
+    return (frame.frame_index, frame.image_width, frame.image_height,
+            [(level.shape, level.tobytes()) for level in frame.outputs])
+
+
+def now_and_then(draw, usual, unusual):
+    """A draw from `unusual` about one time in ten, else from `usual`."""
+    return draw(unusual) if draw(st.integers(0, 9)) == 0 else draw(usual)
+
+
+@st.composite
+def frames_to_encode(draw):
+    width, height, most = draw(st.sampled_from([(64, 64, 6), (128, 96, 12), (640, 640, 40)]))
+    num_classes = draw(st.integers(1, 8))
+    # Few distinct sizes and scores per frame, so memoised inputs repeat.
+    sizes = draw(st.lists(st.sampled_from([3.0, 9.5, 18.0, 26.8, 40.0, 61.0, 130.0, 250.0]),
+                          min_size=1, max_size=4))
+    scores = draw(st.lists(st.sampled_from([1.0, 1e-12, 0.9, 0.35, 4.248354237778568e-18]),
+                           min_size=1, max_size=3))
+    # The kinds of refusal this frame may hold; each spoils about one object in ten.
+    spoilt = draw(st.sets(st.sampled_from(["class", "size", "score", "cell"])))
+
+    def spoil(kind, usual, unusual):
+        return now_and_then(draw, usual, unusual) if kind in spoilt else draw(usual)
+
+    xs = st.floats(0.0, width) | st.sampled_from([0.0, -4.0, width, width + 6.0])
+    ys = st.floats(0.0, height) | st.sampled_from([0.0, -4.0, height, height + 6.0])
+    objects, object_scores = [], []
+    for actor_id in range(draw(st.integers(0, most))):
+        w, h = (spoil("size", st.sampled_from(sizes), st.just(0.0)) for _ in "wh")
+        cx, cy = draw(xs), draw(ys)
+        if objects and spoil("cell", st.just(False), st.just(True)):
+            cx, cy = draw(st.sampled_from(objects)).box.center()
+        box = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+        class_id = spoil("class", st.integers(0, num_classes - 1),
+                         st.sampled_from([num_classes, num_classes + 1]))
+        objects.append(GroundTruthObject(class_id, box, actor_id))
+        object_scores.append(spoil("score", st.sampled_from(scores),
+                                   st.sampled_from([0.0, 1.5, math.nan])))
+    frame = GroundTruthFrame(draw(st.integers(0, 99)), tuple(objects))
+    actor_scores = draw(st.sampled_from([None, object_scores]))
+    return frame, width, height, num_classes, actor_scores
+
+
+def one_spoilt_object(class_id, x2, score):
+    box = BoundingBox(10.0, 10.0, x2, 30.0)
+    return GroundTruthFrame(3, (GroundTruthObject(class_id, box, 0),)), 64, 64, 8, [score]
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames_to_encode())
+@example(one_spoilt_object(9, 10.0, 1.5))  # class, before size and score
+@example(one_spoilt_object(0, 10.0, 1.5))  # size, before score
+def test_encoding_equals_the_one_object_at_a_time_encoder(case):
+    frame, width, height, num_classes, actor_scores = case
+    args = (frame, DecodeConfig(), width, height, num_classes)
+    ours = outcome(lambda: encode_objects_to_tensors(*args, actor_scores=actor_scores))
+    reference = outcome(lambda: reference_encode_objects(*args, actor_scores=actor_scores))
+    if isinstance(reference, tuple):
+        assert ours == reference
+    else:
+        assert tensor_bytes(ours) == tensor_bytes(reference)
+
+
+@st.composite
+def scenario_specs(draw):
+    duration = draw(st.integers(1, 30))
+    unusual = st.sampled_from([math.nan, math.inf, -math.inf, -30.0, 350.0, 1e308])
+    size = st.sampled_from([4.0, 18.0, 40.0]) | st.floats(0.5, 60.0)
+
+    def waypoint(frame):
+        cx, cy = (now_and_then(draw, st.floats(30.0, 290.0), unusual) for _ in "xy")
+        w, h = (now_and_then(draw, size, unusual.filter(lambda v: not v <= 0)) for _ in "wh")
+        return Waypoint(frame, cx, cy, w, h)
+
+    actors = []
+    for _ in range(draw(st.integers(0, 5))):
+        frames = sorted(draw(st.sets(st.integers(0, duration + 10), min_size=1, max_size=4)))
+        actors.append(Actor(draw(st.integers(0, 7)), tuple(waypoint(f) for f in frames),
+                            draw(st.sampled_from([0.9, 0.5, 1.0]))))
+    return ScenarioSpec(duration, 320, 320, tuple(actors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_specs())
+def test_generation_equals_the_one_frame_at_a_time_generator(spec):
+    ours = outcome(lambda: generate_scenario(spec))
+    reference = outcome(lambda: reference_generate(spec))
+    assert repr(ours) == repr(reference)  # repr keeps the sign of a zero
 
 
 def test_encoder_input_validation():
