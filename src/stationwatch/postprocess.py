@@ -10,6 +10,7 @@ tensors twice gives identical results.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from contextlib import contextmanager
@@ -122,6 +123,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 _SIGMOID_SLACK = 1e-15
 
 
+@functools.lru_cache
 def _objectness_cutoff(conf_threshold: float) -> np.float64:
     """Objectness logit below which no cell can score `conf_threshold`.
 
@@ -148,10 +150,19 @@ def _exp_or_inf(value: float) -> float:
 
 def _exp(values: np.ndarray) -> np.ndarray:
     # math.exp, not np.exp: the two differ in the last bit for some inputs.
+    flat = values.ravel().tolist()
     try:
-        return np.array([math.exp(v) for v in values.tolist()], dtype=np.float64)
+        out = np.fromiter(map(math.exp, flat), np.float64, len(flat))
     except OverflowError:
-        return np.array([_exp_or_inf(v) for v in values.tolist()], dtype=np.float64)
+        out = np.array([_exp_or_inf(v) for v in flat], dtype=np.float64)
+    return out.reshape(values.shape)
+
+
+@functools.lru_cache
+def _image_limits(width: int, height: int) -> np.ndarray:
+    limits = np.array([width, height, width, height], dtype=np.float64)
+    limits.flags.writeable = False
+    return limits
 
 
 def decode_all(frame: RawTensorSet, config: DecodeConfig) -> Detections:
@@ -163,13 +174,18 @@ def decode_all(frame: RawTensorSet, config: DecodeConfig) -> Detections:
     sigmoid(obj) * sigmoid(best class logit); the class label is the argmax
     over class logits, lowest id winning ties. Only detections with
     score >= conf_threshold are returned: stride levels in config order,
-    cells in row-major order within each level. Only the cells whose
-    objectness logit could reach the threshold are scored, those of all
-    levels in one pass.
+    cells in row-major order within each level.
+
+    Only the cells whose objectness logit could reach the threshold are
+    scored. Each level is checked whole, then its candidate cells are
+    found in its flat objectness column and gathered once, by flat index,
+    into one float64 array for the frame; from there every candidate of
+    every level is scored and boxed in one step, so a frame with few
+    candidates costs a small, fixed number of numpy calls.
     """
     width, height = frame.image_width, frame.image_height
     cutoff = _objectness_cutoff(config.conf_threshold)
-    parts = []
+    levels = []
     for level, (tensor, stride) in enumerate(zip(frame.outputs, config.strides)):
         where = f"frame {frame.frame_index}, level {level}: "
         expected = (height // stride, width // stride)
@@ -180,42 +196,48 @@ def decode_all(frame: RawTensorSet, config: DecodeConfig) -> Detections:
                 f"{where}grid {tensor.shape[:2]} does not match stride {stride} over "
                 f"{width}x{height} (expected {expected})"
             )
-        finite = np.isfinite(tensor)
-        if not finite.all():
-            gy, gx, ch = (int(i) for i in np.argwhere(~finite)[0])
+        if not np.isfinite(tensor).all():
+            gy, gx, ch = (int(i) for i in np.argwhere(~np.isfinite(tensor))[0])
             raise DecodeError(f"{where}non-finite value at cell (gx={gx}, gy={gy}), channel {ch}")
-        gy, gx = np.nonzero(tensor[..., _CH_OBJ] >= cutoff)
-        parts.append((np.full(len(gy), level), gy, gx, tensor[gy, gx]))
-    levels, gy, gx, cells = (np.concatenate(columns) for columns in zip(*parts))
-    cells = cells.astype(np.float64)
+        flat = tensor.reshape(-1, tensor.shape[2])
+        levels.append((flat, (flat[:, _CH_OBJ] >= cutoff).nonzero()[0], expected[1], stride))
 
-    obj_and_class = np.empty((2, len(cells)))
+    # Row r of `cells` is candidate r: `cell_xy[r]` is its (gx, gy) and
+    # `strides[r]` its level's stride.
+    count = sum(len(index) for _, index, _, _ in levels)
+    cells = np.empty((count, frame.outputs[0].shape[2]))
+    cell_xy = np.empty((count, 2), dtype=np.int64)
+    strides = np.empty((count, 1), dtype=np.int64)
+    start = 0
+    for flat, index, grid_width, stride in levels:
+        if len(index):
+            rows = slice(start, start + len(index))
+            cells[rows] = flat[index]
+            np.divmod(index, grid_width, out=(cell_xy[rows, 1], cell_xy[rows, 0]))
+            strides[rows] = stride
+            start = rows.stop
+
+    obj_and_class = np.empty((2, count))
     obj_and_class[0] = cells[:, _CH_OBJ]
     obj_and_class[1] = np.max(cells[:, _CH_CLASSES:], axis=-1)
     obj, cls = _sigmoid(obj_and_class)
     scores = obj * cls
-    keep = np.flatnonzero(scores >= config.conf_threshold)
-    levels, gy, gx, kept = levels[keep], gy[keep], gx[keep], cells[keep]
-    stride = np.array(config.strides)[levels]
-    cx = (gx + kept[:, _CH_TX]) * stride
-    cy = (gy + kept[:, _CH_TY]) * stride
+    keep = (scores >= config.conf_threshold).nonzero()[0]
+    kept, cell_xy, stride = cells[keep], cell_xy[keep], strides[keep]
+    centre = (cell_xy + kept[:, _CH_TX:_CH_TW]) * stride
     with np.errstate(over="ignore"):  # an overflow is reported below
-        half_w = _exp(kept[:, _CH_TW]) * stride / 2
-        half_h = _exp(kept[:, _CH_TH]) * stride / 2
-    boxes = np.empty((len(keep), 4))
-    boxes[:, 0] = cx - half_w
-    boxes[:, 1] = cy - half_h
-    boxes[:, 2] = cx + half_w
-    boxes[:, 3] = cy + half_h
+        half = _exp(kept[:, _CH_TW:_CH_OBJ]) * stride / 2
+    boxes = np.concatenate((centre - half, centre + half), axis=1)
     if not np.isfinite(boxes).all():
         row = int(np.argmin(np.isfinite(boxes).all(axis=1)))
+        gx, gy = cell_xy[row].tolist()
         raise DecodeError(
-            f"frame {frame.frame_index}, level {levels[row]}: box at cell "
-            f"(gx={gx[row]}, gy={gy[row]}) overflows: "
+            f"frame {frame.frame_index}, level {config.strides.index(int(stride[row, 0]))}: "
+            f"box at cell (gx={gx}, gy={gy}) overflows: "
             f"(tx, ty, tw, th) = {tuple(kept[row, _CH_TX:_CH_OBJ].tolist())}"
         )
-    np.minimum(np.maximum(boxes, 0.0), [width, height, width, height], out=boxes)
-    class_ids = np.argmax(kept[:, _CH_CLASSES:], axis=-1)
+    np.minimum(np.maximum(boxes, 0.0), _image_limits(width, height), out=boxes)
+    class_ids = kept[:, _CH_CLASSES:].argmax(axis=1)
     return Detections(boxes, scores[keep], class_ids.astype(np.int64, copy=False))
 
 
@@ -272,11 +294,27 @@ def _windows(lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, prior: np.ndarray
     return [(a, starts, np.maximum(stops - starts, 0), b) for a, starts, stops, b in windows]
 
 
-def _candidate_pairs(edges, rows: np.ndarray, prior: np.ndarray | None = None):
-    """Chunks of (earlier, later) rows that may overlap, from the sweep with fewer pairs.
+@functools.lru_cache
+def _every_pair(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second) positions of every pair first < second among `count` rows."""
+    pairs = np.triu_indices(count, 1)
+    for side in pairs:
+        side.flags.writeable = False
+    return pairs
 
-    `edges` holds the (low, high) edges of the x and the y axis.
+
+def _candidate_pairs(edges, rows: np.ndarray, prior: np.ndarray | None = None):
+    """Chunks of (earlier, later) rows that may overlap.
+
+    `edges` holds the (low, high) edges of the x and the y axis. The pairs
+    within `rows` (ascending) are all of them when they fit one chunk;
+    otherwise, and always with `prior`, they come from the sweep with fewer
+    pairs.
     """
+    if prior is None and len(rows) * (len(rows) - 1) // 2 <= _NMS_CHUNK:
+        first, second = _every_pair(len(rows))
+        yield rows[first], rows[second]
+        return
     sweeps = [_windows(lo, hi, rows, prior) for lo, hi in edges]
     totals = [sum(int(counts.sum()) for _, _, counts, _ in windows) for windows in sweeps]
     for a, starts, counts, b in sweeps[totals.index(min(totals))]:
@@ -308,9 +346,13 @@ def nms(detections: Detections, iou_threshold: float) -> Detections:
     within the block are found and walked once, in visit order, with one
     step per row that has a later partner. Pairs come from a sort-and-sweep
     on x or y, whichever gives fewer, in chunks of about `_NMS_CHUNK`, and
-    are scored with the arithmetic of `iou_matrix`. Scratch memory is
-    linear in the number of candidates, plus the suppressing pairs within
-    one block (at most `_NMS_BLOCK`**2 / 2), however the boxes lie.
+    are scored with the arithmetic of `iou_matrix`. A block whose pairs
+    all fit one chunk (91 rows or fewer) skips the sweep and takes every
+    pair: the sweep only leaves out pairs that do not overlap on one axis,
+    whose intersection is 0 and whose IoU is never above the threshold, so
+    the kept rows are the same either way. Scratch memory is linear in the
+    number of candidates, plus the suppressing pairs within one block (at
+    most `_NMS_BLOCK`**2 / 2), however the boxes lie.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold}")

@@ -274,8 +274,8 @@ def test_threshold_zero_keeps_every_cell_and_one_keeps_saturated_cells():
 
 # --- decode_all -------------------------------------------------------------
 
-def frame_with_levels(width: int = 64, height: int = 64) -> list[np.ndarray]:
-    return [blank_grid(height // s, width // s) for s in (8, 16, 32)]
+def frame_with_levels(width: int = 64, height: int = 64, channels: int = 6) -> list[np.ndarray]:
+    return [blank_grid(height // s, width // s, channels) for s in (8, 16, 32)]
 
 
 def test_decode_all_concatenates_levels_in_stride_order():
@@ -325,6 +325,69 @@ def test_decode_all_names_the_level_of_an_overflowing_box():
         "frame 3, level 2: box at cell (gx=1, gy=1) overflows: "
         "(tx, ty, tw, th) = (0.0, 0.0, 1000.0, 0.0)"
     )
+
+
+# A 128x64 image at strides (8, 16, 32): grids of 16x8, 8x4 and 4x2 cells,
+# each wider than high and at least two rows deep.
+WIDE_W, WIDE_H = 128, 64
+
+
+def test_decode_all_addresses_cells_by_flat_index_on_a_non_square_frame():
+    # Live on every level: flat index 0, w - 1, w and the last cell, each
+    # with its own offsets, sizes and class logits, so a cell read from the
+    # wrong row, column or level decodes to another box.
+    rng = np.random.default_rng(6432)
+    outputs = frame_with_levels(WIDE_W, WIDE_H, channels=8)
+    for grid in outputs:
+        grid_h, grid_w = grid.shape[:2]
+        for index in (0, grid_w - 1, grid_w, grid_h * grid_w - 1):
+            cell = grid.reshape(-1, 8)[index]
+            cell[:4] = rng.uniform(-0.5, 1.5, 4)
+            cell[4] = 20.0
+            cell[5:] = rng.uniform(0.0, 6.0, 3)
+    frame = RawTensorSet(2, tuple(outputs), WIDE_W, WIDE_H)
+    decoded = decode_all(frame, DecodeConfig())
+    assert len(decoded) == 12
+    assert_same_detections(from_batch(decoded), per_cell_decode_all(frame, DecodeConfig()))
+
+
+@pytest.mark.parametrize("live", [(), ((2, 0, 3), (2, 1, 0))], ids=["all_dead", "coarsest_only"])
+def test_decode_all_gives_typed_arrays_for_any_number_of_rows(live):
+    outputs = frame_with_levels(WIDE_W, WIDE_H)
+    for level, gy, gx in live:
+        outputs[level][gy, gx] = [0.5, 0.5, 0.0, 0.0, 20.0, 20.0]
+    frame = RawTensorSet(0, tuple(outputs), WIDE_W, WIDE_H)
+    decoded = decode_all(frame, DecodeConfig())
+    assert decoded.boxes.shape == (len(live), 4) and decoded.boxes.dtype == np.float64
+    assert decoded.scores.shape == (len(live),) and decoded.scores.dtype == np.float64
+    assert decoded.class_ids.shape == (len(live),) and decoded.class_ids.dtype == np.int64
+    assert_same_detections(from_batch(decoded), per_cell_decode_all(frame, DecodeConfig()))
+
+
+def test_an_overflow_after_rows_of_finer_levels_names_its_own_level_and_cell():
+    outputs = frame_with_levels(WIDE_W, WIDE_H)
+    for gy, gx in ((0, 0), (3, 9), (7, 15)):
+        outputs[0][gy, gx] = [0.5, 0.5, 0.0, 0.0, 20.0, 20.0]
+    outputs[1][2, 5] = [0.5, 0.5, 0.0, 0.0, 20.0, 20.0]
+    outputs[2][0, 2] = [0.5, 0.5, 1.0, 1.0, 20.0, 20.0]
+    outputs[2][1, 3] = [0.25, 0.5, 0.0, 800.0, 20.0, 20.0]
+    frame = RawTensorSet(6, tuple(outputs), WIDE_W, WIDE_H)
+    with pytest.raises(DecodeError) as excinfo:
+        decode_all(frame, DecodeConfig())
+    assert str(excinfo.value) == (
+        "frame 6, level 2: box at cell (gx=3, gy=1) overflows: "
+        "(tx, ty, tw, th) = (0.25, 0.5, 0.0, 800.0)"
+    )
+
+
+def test_a_non_finite_last_channel_of_the_last_cell_is_named():
+    outputs = frame_with_levels(WIDE_W, WIDE_H, channels=8)
+    outputs[0][0, 0] = [0.5, 0.5, 0.0, 0.0, 20.0, 20.0, 0.0, 0.0]
+    outputs[1][-1, -1, -1] = np.nan
+    frame = RawTensorSet(4, tuple(outputs), WIDE_W, WIDE_H)
+    with pytest.raises(DecodeError) as excinfo:
+        decode_all(frame, DecodeConfig())
+    assert str(excinfo.value) == "frame 4, level 1: non-finite value at cell (gx=7, gy=3), channel 7"
 
 
 # --- IoU --------------------------------------------------------------------
@@ -561,6 +624,49 @@ def test_nms_equals_the_row_by_row_nms_on_batches_of_several_blocks():
         )
         threshold = (0.0, 1 / 3, 0.5, 1.0)[trial % 4]
         assert_same_batch(nms(batch, threshold), row_by_row_nms(batch, threshold))
+
+
+def piled_boxes(rng, count, span, size):
+    """`count` integer-grid boxes with corners in [0, span) and sides in [0, size)."""
+    corners = rng.integers(0, span, (count, 2))
+    return np.hstack([corners, corners + rng.integers(0, size, (count, 2))]).astype(np.float64)
+
+
+def assert_nms_equals_both_references(batch, threshold):
+    kept = nms(batch, threshold)
+    assert from_batch(kept) == brute_force_nms(from_batch(batch), threshold)
+    assert_same_batch(kept, row_by_row_nms(batch, threshold))
+
+
+# A block of 91 rows has 4,095 pairs and takes every one of them; 92 rows
+# have 4,186, more than one chunk, and go through the sweep.
+@pytest.mark.parametrize("count", [91, 92])
+@pytest.mark.parametrize("threshold", [1 / 3, 0.5])
+def test_nms_on_either_side_of_the_every_pair_block_size(count, threshold):
+    rng = np.random.default_rng(count)
+    batch = Detections(
+        piled_boxes(rng, count, 8, 10),
+        rng.choice([0.25, 0.5, 0.75, 1.0], count),
+        rng.integers(0, 2, count),
+    )
+    assert_nms_equals_both_references(batch, threshold)
+
+
+def test_nms_on_a_small_second_block_left_after_suppression_by_the_first():
+    # 1,024 boxes scored 0.75-1.0 fill the first block of the visit order.
+    # Of the 50 scored 0.25-0.5 that follow, half lie on first-block boxes
+    # of their class and half pile up far from them, among themselves.
+    rng = np.random.default_rng(1074)
+    first = piled_boxes(rng, 1024, 300, 40)
+    classes = rng.integers(0, 2, 1024 + 50)
+    echo = rng.choice(1024, 25, replace=False)
+    classes[1024:1049] = classes[echo]
+    batch = Detections(
+        np.vstack([first, first[echo] + 1.0, piled_boxes(rng, 25, 8, 10) + 400.0]),
+        np.concatenate([rng.choice([0.75, 1.0], 1024), rng.choice([0.25, 0.5], 50)]),
+        classes,
+    )
+    assert_nms_equals_both_references(batch, 0.45)
 
 
 def full_width_frame(rng, height_logit):
