@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 import random
-import tempfile
+import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -35,8 +34,7 @@ from .pipeline import SEVERITY, default_config, run_pipeline
 from .postprocess import BoundingBox, DecodeConfig, Detections, decode_all, iou_matrix, nms
 from .scenario import (GroundTruthFrame, GroundTruthObject, _pick_level, builtin_scenarios,
                        encode_objects_to_tensors, encode_scenario)
-from .tensor_stream import (PlaybackBackend, SequenceBackend, TensorStreamHeader,
-                            write_tensor_stream)
+from .tensor_stream import RawTensorSet, SequenceBackend, TensorStreamHeader
 from .train_fsm import FsmConfig, TrainState, step_fsm
 
 
@@ -316,7 +314,7 @@ def _run_scenario(name: str) -> list[dict]:
         strides=config.decode.strides,
         frame_count=len(tensors),
     )
-    backend = SequenceBackend(header, tensors, descriptor=f"scenario:{name}")
+    backend = SequenceBackend(header, tensors)
     alerts: list[dict] = []
     run_pipeline(backend, config, alert_sink=alerts.append)
     return alerts
@@ -395,16 +393,24 @@ def check_evaluation_arithmetic() -> str:
 
 # --- criterion 9: latency harness sanity ------------------------------------
 
-def _background_stream(path: Path, frames: int) -> None:
-    # Eight classes, so the default config's train class (6) fits the stream.
+def _background(frames: int, source: type[SequenceBackend] = SequenceBackend) -> SequenceBackend:
+    # Eight classes, so the default config's train class (6) fits the source.
     header = TensorStreamHeader(
         num_classes=8, image_width=64, image_height=64, strides=(8, 16, 32),
         frame_count=frames,
     )
-    write_tensor_stream(path, header, [
+    return source(header, [
         encode_objects_to_tensors(GroundTruthFrame(index, ()), DecodeConfig(), 64, 64, 8)
         for index in range(frames)
     ])
+
+
+class _PacedBackend(SequenceBackend):
+    """Serves each frame 20 ms after it is asked for, like a camera would."""
+
+    def next_frame(self) -> RawTensorSet | None:
+        time.sleep(0.020)
+        return super().next_frame()
 
 
 def check_latency_harness() -> str:
@@ -419,55 +425,48 @@ def check_latency_harness() -> str:
     for k in range(1, 101):
         timeline.append(timeline[-1] + k / 1024.0)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        stream = Path(tmp) / "ticks.yxt"
-        _background_stream(stream, 100)
-        stats, _, _ = measure_latency(
-            PlaybackBackend(stream), default_config(),
-            warmup_frames=0, clock=iter(timeline).__next__,
+    stats, _, _ = measure_latency(
+        _background(100), default_config(),
+        warmup_frames=0, clock=iter(timeline).__next__,
+    )
+    expected_p50 = 125.0 * 50 / 128
+    expected_p95 = 125.0 * 95 / 128
+    expected_max = 125.0 * 100 / 128
+    if (stats.p50_ms, stats.p95_ms, stats.max_ms) != (
+        expected_p50, expected_p95, expected_max
+    ):
+        raise CheckFailed(
+            f"scripted dyadic run: p50={stats.p50_ms!r} (want {expected_p50!r}), "
+            f"p95={stats.p95_ms!r} (want {expected_p95!r})"
         )
-        expected_p50 = 125.0 * 50 / 128
-        expected_p95 = 125.0 * 95 / 128
-        expected_max = 125.0 * 100 / 128
-        if (stats.p50_ms, stats.p95_ms, stats.max_ms) != (
-            expected_p50, expected_p95, expected_max
-        ):
-            raise CheckFailed(
-                f"scripted dyadic run: p50={stats.p50_ms!r} (want {expected_p50!r}), "
-                f"p95={stats.p95_ms!r} (want {expected_p95!r})"
-            )
 
-        short_stream = Path(tmp) / "short.yxt"
-        _background_stream(short_stream, 3)
-        const_stats, _, _ = measure_latency(
-            PlaybackBackend(short_stream), default_config(), warmup_frames=0,
-            clock=iter([0.0, 0.010, 0.020, 0.030]).__next__,
+    const_stats, _, _ = measure_latency(
+        _background(3), default_config(), warmup_frames=0,
+        clock=iter([0.0, 0.010, 0.020, 0.030]).__next__,
+    )
+    if not (
+        math.isclose(const_stats.mean_ms, 10.0, rel_tol=1e-9)
+        and math.isclose(const_stats.p50_ms, 10.0, rel_tol=1e-9)
+        and math.isclose(const_stats.min_ms, const_stats.max_ms, rel_tol=1e-9)
+    ):
+        raise CheckFailed(
+            f"constant 10 ms run: mean={const_stats.mean_ms}, p50={const_stats.p50_ms}"
         )
-        if not (
-            math.isclose(const_stats.mean_ms, 10.0, rel_tol=1e-9)
-            and math.isclose(const_stats.p50_ms, 10.0, rel_tol=1e-9)
-            and math.isclose(const_stats.min_ms, const_stats.max_ms, rel_tol=1e-9)
-        ):
-            raise CheckFailed(
-                f"constant 10 ms run: mean={const_stats.mean_ms}, p50={const_stats.p50_ms}"
-            )
 
-        paced_stream = Path(tmp) / "paced.yxt"
-        _background_stream(paced_stream, 12)
-        paced_stats, paced_records, _ = measure_latency(
-            PlaybackBackend(paced_stream, simulated_delay_ms=20.0),
-            default_config(),
-            warmup_frames=2,
+    paced_stats, paced_records, _ = measure_latency(
+        _background(12, _PacedBackend),
+        default_config(),
+        warmup_frames=2,
+    )
+    if not 20.0 <= paced_stats.p50_ms <= 40.0:
+        raise CheckFailed(
+            f"20 ms paced source measured p50 {paced_stats.p50_ms:.3f} ms, "
+            "expected within [20, 40]"
         )
-        if not 20.0 <= paced_stats.p50_ms <= 40.0:
-            raise CheckFailed(
-                f"20 ms paced playback measured p50 {paced_stats.p50_ms:.3f} ms, "
-                "expected within [20, 40]"
-            )
-        if any(r.end_to_end_ms < max(r.stages.values()) for r in paced_records):
-            raise CheckFailed("a frame's end-to-end time undercut one of its stage times")
+    if any(r.end_to_end_ms < max(r.stages.values()) for r in paced_records):
+        raise CheckFailed("a frame's end-to-end time undercut one of its stage times")
     return (
-        f"nearest-rank percentiles exact on scripted clocks; 20 ms paced playback "
+        f"nearest-rank percentiles exact on scripted clocks; 20 ms paced source "
         f"measured p50 {paced_stats.p50_ms:.2f} ms"
     )
 

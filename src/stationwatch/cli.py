@@ -329,7 +329,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except (StationError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        if isinstance(exc, SinkWriteError) and exc.partial_summary is not None:
+        if isinstance(exc, SinkWriteError):
             print(json.dumps(exc.partial_summary.to_record()), file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -65,7 +65,7 @@ class FrameError(StationError):
 class SinkWriteError(StationError):
     """An output sink failed; carries the summary of work done so far."""
 
-    def __init__(self, message: str, partial_summary=None):
+    def __init__(self, message: str, partial_summary):
         super().__init__(message)
         self.partial_summary = partial_summary
 

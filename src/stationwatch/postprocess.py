@@ -45,20 +45,6 @@ class BoundingBox:
         if x1 > x2 or y1 > y2:
             raise ValueError(f"box corners out of order: ({x1}, {y1}, {x2}, {y2})")
 
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    def area(self) -> float:
-        return self.width * self.height
-
-    def center(self) -> tuple[float, float]:
-        return (self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0
-
     def as_list(self) -> list[float]:
         return [self.x1, self.y1, self.x2, self.y2]
 

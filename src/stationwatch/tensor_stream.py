@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import struct
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,9 +36,6 @@ from .errors import (
 
 MAGIC = b"YXT1"
 STREAM_VERSION = 1
-# Longest pacing delay PlaybackBackend takes per frame: a minute, far inside
-# what time.sleep accepts.
-MAX_DELAY_MS = 60_000
 
 _HEADER = struct.Struct("<4s8I")
 _U32 = struct.Struct("<I")
@@ -219,7 +215,7 @@ class InferenceBackend(ABC):
 
 
 class PlaybackBackend(InferenceBackend):
-    """Replays a recorded stream file, optionally looped and paced.
+    """Replays a recorded stream file, optionally looped.
 
     This is the package's only frame reader. The header is parsed once. A
     frame then has the size the header implies, 4 + sum(12 + 4*h*w*c) bytes;
@@ -234,16 +230,11 @@ class PlaybackBackend(InferenceBackend):
     own handle, so distinct instances over one file may run in parallel.
     """
 
-    def __init__(self, path: str | Path, loop_count: int = 1, simulated_delay_ms: float = 0.0):
+    def __init__(self, path: str | Path, loop_count: int = 1):
         if loop_count < 1:
             raise ValueError(f"loop_count must be >= 1, got {loop_count}")
-        if not 0 <= simulated_delay_ms <= MAX_DELAY_MS:
-            raise ValueError(
-                f"simulated_delay_ms must lie in [0, {MAX_DELAY_MS}], got {simulated_delay_ms}"
-            )
         self._path = Path(path)
         self._loop_count = loop_count
-        self._delay_s = simulated_delay_ms / 1000.0
         self._header = read_header(self._path)
         self.descriptor = f"playback:{self._path.name}"
         self._frames = self._generate()
@@ -300,8 +291,6 @@ class PlaybackBackend(InferenceBackend):
                             buf, dtype="<f4", count=count, offset=offset + _FRAME_META.size
                         )
                         outputs.append(payload.reshape(shape))
-                    if self._delay_s > 0:
-                        time.sleep(self._delay_s)
                     yield RawTensorSet(
                         frame_index=frame_index,
                         outputs=tuple(outputs),
@@ -316,12 +305,12 @@ class PlaybackBackend(InferenceBackend):
 class SequenceBackend(InferenceBackend):
     """Serves frames already held in memory; used by tests and the simulator."""
 
-    def __init__(self, header: TensorStreamHeader, frames: Sequence[RawTensorSet],
-                 descriptor: str = "sequence"):
+    descriptor = "sequence"
+
+    def __init__(self, header: TensorStreamHeader, frames: Sequence[RawTensorSet]):
         _check_frames(header, frames)
         self._header = header
         self._frames = iter(list(frames))
-        self.descriptor = descriptor
 
     @property
     def header(self) -> TensorStreamHeader:

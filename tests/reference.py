@@ -39,6 +39,16 @@ def to_batch(dets):
     )
 
 
+def box_area(box):
+    """(x2 - x1) * (y2 - y1) of a BoundingBox."""
+    return (box.x2 - box.x1) * (box.y2 - box.y1)
+
+
+def box_center(box):
+    """The (x, y) midpoint of a BoundingBox's corners."""
+    return (box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0
+
+
 def from_batch(batch):
     """One `Det` per row of a `Detections` batch, in row order."""
     return [
@@ -118,7 +128,7 @@ def brute_force_nms(dets, threshold):
             iw = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
             ih = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
             inter = iw * ih
-            union = a.area() + b.area() - inter
+            union = box_area(a) + box_area(b) - inter
             overlap = inter / union if union > 0 else 0.0
             if overlap > threshold:
                 ok = False
@@ -165,7 +175,7 @@ def scalar_iou(a, b):
     ix2 = min(a.x2, b.x2)
     iy2 = min(a.y2, b.y2)
     inter = max(0.0, ix2 - ix1) * max(0.0, iy2 - iy1)
-    union = a.area() + b.area() - inter
+    union = box_area(a) + box_area(b) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
@@ -421,7 +431,7 @@ def reference_encode_objects(frame, config, image_width, image_height, num_class
             raise ScenarioError(
                 f"object class {obj.class_id} does not fit in {num_classes} classes"
             )
-        w, h = obj.box.width, obj.box.height
+        w, h = obj.box.x2 - obj.box.x1, obj.box.y2 - obj.box.y1
         if w <= 0 or h <= 0:
             raise ScenarioError(
                 f"frame {frame.frame_index}: zero-size box cannot be encoded"
@@ -433,7 +443,7 @@ def reference_encode_objects(frame, config, image_width, image_height, num_class
         level = _reference_pick_level(w, h, config.strides)
         stride = config.strides[level]
         grid = outputs[level]
-        cx, cy = obj.box.center()
+        cx, cy = box_center(obj.box)
         gx = min(max(int(cx // stride), 0), grid.shape[1] - 1)
         gy = min(max(int(cy // stride), 0), grid.shape[0] - 1)
         if (level, gy, gx) in taken:

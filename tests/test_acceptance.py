@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tempfile
 import time
 
 import pytest
@@ -14,7 +15,10 @@ CHECK_IDS = [check.__name__.removeprefix("check_") for _, check in ALL_CHECKS]
 
 
 @pytest.mark.parametrize("row, budget", zip(ALL_CHECKS, TIME_BUDGETS_S), ids=CHECK_IDS)
-def test_acceptance_criterion(row, budget):
+def test_acceptance_criterion(row, budget, tmp_path, monkeypatch):
+    # A temporary directory that does not exist: a check that writes a
+    # file raises instead of passing.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
     name, check = row
     started = time.perf_counter()
     detail = check()  # a failing check raises CheckFailed with its detail

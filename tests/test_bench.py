@@ -32,7 +32,7 @@ from stationwatch import (
 )
 from stationwatch.bench import BENCH_CSV_HEADER, BenchRecord
 
-from reference import Det, greedy_match, to_batch
+from reference import Det, box_area, greedy_match, to_batch
 
 PERSON = 0
 UNIT = BoundingBox(10.0, 10.0, 30.0, 50.0)
@@ -214,7 +214,7 @@ def optimal_tp(preds, gts, threshold):
             iw = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
             ih = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
             inter = iw * ih
-            union = a.area() + b.area() - inter
+            union = box_area(a) + box_area(b) - inter
             if union > 0 and inter / union >= threshold:
                 tp += 1
         best = max(best, tp)

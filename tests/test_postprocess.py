@@ -22,6 +22,9 @@ from stationwatch import (
     nms,
 )
 from stationwatch.postprocess import (
+    _NMS_BLOCK,
+    _NMS_CHUNK,
+    _candidate_pairs,
     _objectness_cutoff,
     _sigmoid,
     detections_from_record,
@@ -31,6 +34,8 @@ from stationwatch.postprocess import (
 
 from reference import (
     Det,
+    box_area,
+    box_center,
     brute_force_nms,
     cell_sigmoid,
     from_batch,
@@ -92,9 +97,9 @@ def test_decode_matches_scalar_arithmetic():
     cx = (gx + 0.5) * 16  # 56
     cy = (gy + 0.5) * 16  # 40
     size = 2.0 * 16       # 32
-    assert det.box.center() == (cx, cy)
-    assert det.box.width == pytest.approx(size, rel=1e-7)
-    assert det.box.height == pytest.approx(size, rel=1e-7)
+    assert box_center(det.box) == (cx, cy)
+    assert det.box.x2 - det.box.x1 == pytest.approx(size, rel=1e-7)
+    assert det.box.y2 - det.box.y1 == pytest.approx(size, rel=1e-7)
     assert det.score == pytest.approx(sigmoid(0.0) * sigmoid(0.0))  # 0.25
 
 
@@ -114,7 +119,7 @@ def test_decode_output_is_row_major_over_cells():
     grid[0, 2] = strong
     grid[1, 2] = strong
     dets = from_batch(decode_all(*one_live_level(grid, 8, 0.3)))
-    centers = [d.box.center() for d in dets]
+    centers = [box_center(d.box) for d in dets]
     # (gy, gx) order: (0,2), (1,0), (1,2)
     assert centers == [(20.0, 4.0), (4.0, 12.0), (20.0, 12.0)]
 
@@ -286,7 +291,7 @@ def test_decode_all_concatenates_levels_in_stride_order():
     dets = from_batch(decode_all(frame, DecodeConfig()))
     assert len(dets) == 2
     # stride-8 hit first, then the stride-32 one at center (48, 48).
-    assert dets[1].box.center() == (48.0, 48.0)
+    assert box_center(dets[1].box) == (48.0, 48.0)
 
 
 def test_decode_all_clips_boxes_to_the_image():
@@ -440,7 +445,7 @@ def test_iou_is_symmetric_and_bounded(a, b):
 @given(a=boxes())
 def test_iou_of_a_box_with_itself_is_one_or_zero(a):
     value = iou_matrix(rows(a), rows(a))[0, 0]
-    assert value == (1.0 if a.area() > 0 else 0.0)
+    assert value == (1.0 if box_area(a) > 0 else 0.0)
 
 
 # --- NMS --------------------------------------------------------------------
@@ -709,6 +714,18 @@ def test_nms_on_a_hostile_frame_stays_in_bounded_memory(height_logit, threshold)
     assert (candidates.boxes[:, [0, 2]] == [0.0, 640.0]).all()
     assert peak < 64 * 2**20
     assert_same_batch(kept, row_by_row_nms(candidates, threshold))
+
+
+def test_a_block_of_one_pixel_strips_sweeps_on_y():
+    # Every strip spans the image width, so every pair overlaps on x: a
+    # sweep on x would give all 523,776 pairs of one block, and the sweep
+    # on y gives 1,637.
+    frame = full_width_frame(np.random.default_rng(640), lambda stride: math.log(1 / stride))
+    candidates = decode_all(frame, DecodeConfig())
+    order = np.lexsort((candidates.class_ids, -candidates.scores))
+    x1, y1, x2, y2 = candidates.boxes[order].T
+    chunks = _candidate_pairs(((x1, x2), (y1, y2)), np.arange(_NMS_BLOCK))
+    assert sum(len(first) for first, _ in chunks) < _NMS_CHUNK
 
 
 def test_detections_take_selects_rows():

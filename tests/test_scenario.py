@@ -34,7 +34,7 @@ from stationwatch.scenario import (
     scenario_to_json,
 )
 
-from reference import reference_encode_objects, reference_generate
+from reference import box_center, reference_encode_objects, reference_generate
 
 
 def single_actor_spec(actor: Actor, duration: int = 20) -> ScenarioSpec:
@@ -49,10 +49,10 @@ def test_waypoints_interpolate_linearly():
     actor = Actor(0, (Waypoint(0, 20.0, 100.0, 10.0, 10.0), Waypoint(10, 120.0, 100.0, 10.0, 30.0)))
     frames = generate_scenario(single_actor_spec(actor))
     mid = frames[5].objects[0]
-    assert mid.box.center() == (70.0, 100.0)
-    assert mid.box.height == 20.0
+    assert box_center(mid.box) == (70.0, 100.0)
+    assert mid.box.y2 - mid.box.y1 == 20.0
     at_waypoint = frames[10].objects[0]
-    assert at_waypoint.box.center() == (120.0, 100.0)
+    assert box_center(at_waypoint.box) == (120.0, 100.0)
 
 
 def test_actor_is_absent_outside_its_waypoint_span():
@@ -241,7 +241,7 @@ def frames_to_encode(draw):
         w, h = (spoil("size", st.sampled_from(sizes), st.just(0.0)) for _ in "wh")
         cx, cy = draw(xs), draw(ys)
         if objects and spoil("cell", st.just(False), st.just(True)):
-            cx, cy = draw(st.sampled_from(objects)).box.center()
+            cx, cy = box_center(draw(st.sampled_from(objects)).box)
         box = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
         class_id = spoil("class", st.integers(0, num_classes - 1),
                          st.sampled_from([num_classes, num_classes + 1]))

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import struct
-import time
 
 import numpy as np
 import pytest
@@ -312,27 +311,12 @@ def test_playback_frames_are_writable_and_share_no_memory(tmp_path):
             assert np.array_equal(a, b)
 
 
-def test_playback_simulated_delay_paces_frames(tmp_path):
-    header = small_header(3)
-    path = tmp_path / "paced.yxt"
-    write_tensor_stream(path, header, random_frames(header))
-
-    backend = PlaybackBackend(path, simulated_delay_ms=20.0)
-    start = time.perf_counter()
-    assert len(list(backend)) == 3
-    elapsed = time.perf_counter() - start
-    assert elapsed >= 0.055  # 3 frames x 20 ms, minus scheduler slack
-
-
 def test_playback_rejects_bad_knobs(tmp_path):
     header = small_header(1)
     path = tmp_path / "knobs.yxt"
     write_tensor_stream(path, header, random_frames(header))
     with pytest.raises(ValueError, match="loop_count"):
         PlaybackBackend(path, loop_count=0)
-    for delay_ms in (-1.0, float("nan"), float("inf"), 1e300):
-        with pytest.raises(ValueError, match=r"simulated_delay_ms must lie in \[0, 60000\]"):
-            PlaybackBackend(path, simulated_delay_ms=delay_ms)
 
 
 def test_two_playback_instances_do_not_interfere(tmp_path):
