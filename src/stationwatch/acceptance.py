@@ -29,10 +29,11 @@ from typing import Callable
 import numpy as np
 
 from .bench import compute_efficiency, evaluate_run, measure_latency, percentile_nearest_rank
+from .errors import EncodingCollisionError
 from .geometry import CameraModel, estimate_height, estimate_height_axial
 from .pipeline import SEVERITY, default_config, run_pipeline
 from .postprocess import BoundingBox, DecodeConfig, Detections, decode_all, iou_matrix, nms
-from .scenario import (GroundTruthFrame, GroundTruthObject, _pick_level, builtin_scenarios,
+from .scenario import (GroundTruthFrame, GroundTruthObject, builtin_scenarios,
                        encode_objects_to_tensors, encode_scenario)
 from .tensor_stream import RawTensorSet, SequenceBackend, TensorStreamHeader
 from .train_fsm import FsmConfig, TrainState, step_fsm
@@ -139,32 +140,27 @@ def check_roundtrip() -> str:
     frames, rng = 100, random.Random(771)
     config = DecodeConfig()
     canvases = [(320, 320), (256, 192), (128, 128)]
-    strides = config.strides
 
     for frame_index in range(frames):
         width, height = canvases[frame_index % len(canvases)]
         objects: list[GroundTruthObject] = []
         scores: list[float] = []
-        used_cells: set[tuple[int, int, int]] = set()
         for actor in range(rng.randint(1, 6)):
             for _ in range(50):
                 w = rng.uniform(10, min(120, width - 2))
                 h = rng.uniform(10, min(120, height - 2))
                 cx = rng.uniform(w / 2, width - w / 2)
                 cy = rng.uniform(h / 2, height - h / 2)
-                level = _pick_level(strides, w * h)
-                cell = (level, int(cx // strides[level]), int(cy // strides[level]))
-                if cell not in used_cells:
-                    used_cells.add(cell)
-                    objects.append(
-                        GroundTruthObject(
-                            class_id=rng.randint(0, 7),
-                            box=BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
-                            actor_id=actor,
-                        )
-                    )
-                    scores.append(rng.uniform(0.35, 0.99))
-                    break
+                box = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+                # The encoder places the box; its class and score come once it has a cell.
+                trial = GroundTruthFrame(0, (*objects, GroundTruthObject(0, box, actor)))
+                try:
+                    encode_objects_to_tensors(trial, config, width, height, 8)
+                except EncodingCollisionError:
+                    continue
+                objects.append(GroundTruthObject(rng.randint(0, 7), box, actor))
+                scores.append(rng.uniform(0.35, 0.99))
+                break
             else:
                 raise CheckFailed(f"frame {frame_index}: could not place a collision-free box")
 

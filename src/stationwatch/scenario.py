@@ -45,7 +45,7 @@ PERSON_CLASS = 0
 TRAIN_CLASS = 6
 
 # What `_object_rules` finds first wrong with an object, in the encoder's check order.
-_SIZE, _SCORE, _LEVEL, _LOG = 1, 2, 3, 4
+_SIZE, _SCORE = 1, 2
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,8 @@ def _tracks(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     an (n, 4) float64 array of (x1, y1, x2, y2). Between waypoints a and b
     a row is a + t * (b - a) with t = (f - a.frame) / (b.frame - a.frame),
     the correctly rounded quotient while both frame counts stay below
-    2**53; a frame that is a waypoint copies it. The first bad row raises:
-    ValueError for a non-finite corner, ScenarioError for a box that
-    leaves the image.
+    2**53; a frame that is a waypoint copies it. The first row with a
+    corner that is not finite or outside the image raises ScenarioError.
     """
     duration = spec.duration_frames
     spans, ends = [], []  # per segment: (actor, first frame, frames, b.frame - a.frame); a and b
@@ -152,14 +151,14 @@ def _tracks(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         corners = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
 
     x1, y1, x2, y2 = corners.T
-    bad = (~np.isfinite(corners).all(axis=1) | (x1 > x2) | (y1 > y2) | (x1 < 0) | (y1 < 0)
+    bad = (~np.isfinite(corners).all(axis=1) | (x1 < 0) | (y1 < 0)
            | (x2 > spec.image_width) | (y2 > spec.image_height))
     if bad.any():
         row = int(bad.argmax())
-        box = BoundingBox(*corners[row].tolist())  # a non-finite or out-of-order corner raises here
+        x1, y1, x2, y2 = corners[row].tolist()
         raise ScenarioError(
             f"actor {actor_ids[row]} leaves the image at frame {frame[row]}: "
-            f"box ({box.x1:.1f}, {box.y1:.1f}, {box.x2:.1f}, {box.y2:.1f})"
+            f"box ({x1:.1f}, {y1:.1f}, {x2:.1f}, {y2:.1f})"
         )
     return np.bincount(frame, minlength=duration), actor_ids, corners
 
@@ -182,7 +181,8 @@ def generate_scenario(spec: ScenarioSpec) -> list[GroundTruthFrame]:
     """Render a scenario into per-frame ground truth boxes.
 
     Pure function of its input; the same scenario always yields the same
-    frames. Raises ScenarioError when an interpolated box leaves the image.
+    frames. Raises ScenarioError when an interpolated box is not finite or
+    leaves the image.
     """
     return _ground_truth(spec, *_tracks(spec))
 
@@ -193,38 +193,26 @@ def _score_logit(score: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def _pick_level(strides: Sequence[int], area: float) -> int:
-    # Best level is where the box scale sits closest to 4 cells, the first
-    # on a tie. Written out for the three strides a DecodeConfig holds.
-    scale = math.sqrt(area)
-    fine, middle, coarse = strides
-    costs = (abs(math.log(scale / (4.0 * fine))), abs(math.log(scale / (4.0 * middle))),
-             abs(math.log(scale / (4.0 * coarse))))
-    return costs.index(min(costs))
-
-
 def _object_rules(strides: Sequence[int], w: float, h: float, score: float) -> tuple:
     """The scalar rules of one object of size (w, h) and score `score`.
 
-    Returns (refusal, level, tw, th, logit), where tw and th are
-    log(w / stride) and log(h / stride) at the level's stride. `refusal`
-    names the first check the object fails among those that depend on
-    these three values alone: _SIZE, _SCORE, _LEVEL (the level rule
-    refuses), _LOG (a size logarithm refuses), or 0. After a refusal the
-    fields read 0, except the level that _LOG keeps.
+    Returns (refusal, level, tw, th, logit): the level whose stride puts
+    the box scale closest to 4 cells, the first on a tie, and log(w /
+    stride) and log(h / stride) at it. `refusal` is the first rule broken:
+    _SIZE (zero, or vanishing at the stride), _SCORE, or 0; after a
+    refusal the fields read 0.
     """
-    if w <= 0 or h <= 0:
+    fine, middle, coarse = strides
+    try:  # a domain error: the size is zero or vanishes at the stride
+        scale = math.sqrt(w * h)
+        costs = (abs(math.log(scale / (4.0 * fine))), abs(math.log(scale / (4.0 * middle))),
+                 abs(math.log(scale / (4.0 * coarse))))
+        level = costs.index(min(costs))
+        tw, th = math.log(w / strides[level]), math.log(h / strides[level])
+    except ValueError:
         return _SIZE, 0, 0.0, 0.0, 0.0
     if not 0.0 < score <= 1.0:
         return _SCORE, 0, 0.0, 0.0, 0.0
-    try:
-        level = _pick_level(strides, w * h)
-    except ValueError:
-        return _LEVEL, 0, 0.0, 0.0, 0.0
-    try:
-        tw, th = math.log(w / strides[level]), math.log(h / strides[level])
-    except ValueError:
-        return _LOG, level, 0.0, 0.0, 0.0
     return 0, level, tw, th, _score_logit(score)
 
 
@@ -253,7 +241,7 @@ def _place(frame_indices: Sequence[int], counts: Sequence[int], boxes: np.ndarra
     stride = grid[:, 3:]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf and nan, no warning
         centre = (boxes[:, :2] + boxes[:, 2:]) / 2.0  # (cx, cy)
-        off_grid = ~np.isfinite(centre).all(axis=1)  # int(cx // stride) refuses these
+        off_grid = ~np.isfinite(centre).all(axis=1)
         # An off-grid object's cell is garbage; it fails before its cell is read.
         cell_xy = np.minimum(np.maximum(np.floor_divide(centre, stride), 0), grid[:, :2] - 1)
         cell_xy = cell_xy.astype(np.int64)  # (gx, gy)
@@ -267,7 +255,6 @@ def _place(frame_indices: Sequence[int], counts: Sequence[int], boxes: np.ndarra
     if failed.any():
         k = int(failed.argmax())
         index = frame_indices[frame_of[k]]
-        w, h = size[k].tolist()
         if class_ids[k] >= num_classes:
             raise ScenarioError(
                 f"object class {class_ids[k]} does not fit in {num_classes} classes"
@@ -276,18 +263,12 @@ def _place(frame_indices: Sequence[int], counts: Sequence[int], boxes: np.ndarra
             raise ScenarioError(f"frame {index}: zero-size box cannot be encoded")
         if refusal[k] == _SCORE:
             raise ScenarioError(f"score must lie in (0, 1], got {scores[k]}")
-        if refusal[k] == _LEVEL:
-            _pick_level(strides, w * h)  # raises
         if off_grid[k]:
-            raise ValueError("cannot convert float NaN to integer")
-        if taken[k]:
-            s, x, y = int(stride[k, 0]), int(gx[k]), int(gy[k])
-            raise EncodingCollisionError(
-                index, s, (x, y), f"frame {index}: two objects map to stride-{s} "
-                f"cell (gx={x}, gy={y})"
-            )
-        s = strides[level[k]]
-        math.log(w / s), math.log(h / s)  # _LOG: one of these raises
+            cx, cy = centre[k].tolist()
+            raise ScenarioError(f"frame {index}: box centre ({cx}, {cy}) is not finite")
+        s, x, y = int(stride[k, 0]), int(gx[k]), int(gy[k])
+        raise EncodingCollisionError(index, s, (x, y), f"frame {index}: two objects map to "
+                                     f"stride-{s} cell (gx={x}, gy={y})")
 
     values = np.concatenate([centre / stride - cell_xy, table[:, 2:]], axis=1)
     return cell, 5 + classes.astype(np.int64), values.astype(np.float32)
@@ -303,8 +284,9 @@ def _encode(frame_indices: Sequence[int], counts: Sequence[int], boxes: np.ndarr
     frame. The scalar rules (`_object_rules`) run once per distinct
     (w, h, score); the rest is elementwise IEEE arithmetic equal to
     writing one object at a time. The first object, in frame and object
-    order, that fails a check raises its first failing check: class, size,
-    score, level, centre, cell collision, then size logarithm.
+    order, that fails a check raises its first failing check: class, size
+    (zero, or vanishing at the level's stride), score, centre, then cell
+    collision.
     """
     if num_classes < 1:
         raise ScenarioError(f"num_classes must be >= 1, got {num_classes}")
@@ -359,9 +341,11 @@ def encode_objects_to_tensors(
     scale best matches the box, at the cell containing the box centre.
     Objectness and the object's class logit are both set to
     logit(sqrt(score)), so the decoder's fused score reproduces the
-    requested score; all other cells stay at background logits. Two
-    objects mapping to the same (level, cell) cannot be represented and
-    raise EncodingCollisionError, whatever the first one wrote there.
+    requested score; all other cells stay at background logits. The
+    first object that fails a check raises ScenarioError for the first
+    it fails: class, size (zero, or vanishing at its stride), score,
+    centre (not finite), then cell: two objects mapping to the same
+    (level, cell) raise EncodingCollisionError, whatever the first wrote.
 
     Per-object scores come from actor_scores (indexed by position in
     frame.objects); without it every object scores 0.9.

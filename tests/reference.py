@@ -372,17 +372,19 @@ def reference_generate(spec):
             if state is None:
                 continue
             cx, cy, w, h = state
-            box = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-            if (
-                box.x1 < 0
-                or box.y1 < 0
-                or box.x2 > spec.image_width
-                or box.y2 > spec.image_height
+            x1, y1, x2, y2 = cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
+            if not (
+                0 <= x1
+                and 0 <= y1
+                and x2 <= spec.image_width
+                and y2 <= spec.image_height
+                and all(math.isfinite(v) for v in (x1, y1, x2, y2))
             ):
                 raise ScenarioError(
                     f"actor {actor_id} leaves the image at frame {frame}: "
-                    f"box ({box.x1:.1f}, {box.y1:.1f}, {box.x2:.1f}, {box.y2:.1f})"
+                    f"box ({x1:.1f}, {y1:.1f}, {x2:.1f}, {y2:.1f})"
                 )
+            box = BoundingBox(x1, y1, x2, y2)
             objects.append(GroundTruthObject(class_id=actor.class_id, box=box, actor_id=actor_id))
         frames.append(GroundTruthFrame(frame_index=frame, objects=tuple(objects)))
     return frames
@@ -403,8 +405,10 @@ def reference_encode_objects(frame, config, image_width, image_height, num_class
                              actor_scores=None):
     """The frame's head tensors, written one object at a time.
 
-    Two objects collide when they map to the same (level, cell), whatever
-    was written there.
+    An object's size is refused as zero when its width, height or area is
+    not positive, or when its width or height divided by its level's
+    stride is 0. Two objects collide when they map to the same (level,
+    cell), whatever was written there.
     """
     if num_classes < 1:
         raise ScenarioError(f"num_classes must be >= 1, got {num_classes}")
@@ -432,18 +436,26 @@ def reference_encode_objects(frame, config, image_width, image_height, num_class
                 f"object class {obj.class_id} does not fit in {num_classes} classes"
             )
         w, h = obj.box.x2 - obj.box.x1, obj.box.y2 - obj.box.y1
-        if w <= 0 or h <= 0:
+        if w <= 0 or h <= 0 or w * h <= 0:
+            raise ScenarioError(
+                f"frame {frame.frame_index}: zero-size box cannot be encoded"
+            )
+        level = _reference_pick_level(w, h, config.strides)
+        stride = config.strides[level]
+        if w / stride == 0 or h / stride == 0:
             raise ScenarioError(
                 f"frame {frame.frame_index}: zero-size box cannot be encoded"
             )
         score = 0.9 if actor_scores is None else actor_scores[position]
         if not 0.0 < score <= 1.0:
             raise ScenarioError(f"score must lie in (0, 1], got {score}")
-
-        level = _reference_pick_level(w, h, config.strides)
-        stride = config.strides[level]
-        grid = outputs[level]
         cx, cy = box_center(obj.box)
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise ScenarioError(
+                f"frame {frame.frame_index}: box centre ({cx}, {cy}) is not finite"
+            )
+
+        grid = outputs[level]
         gx = min(max(int(cx // stride), 0), grid.shape[1] - 1)
         gy = min(max(int(cy // stride), 0), grid.shape[0] - 1)
         if (level, gy, gx) in taken:

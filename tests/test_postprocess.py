@@ -759,6 +759,8 @@ def test_decode_config_validation():
         DecodeConfig(conf_threshold=1.5)
     with pytest.raises(ValueError, match="differ"):
         DecodeConfig(person_class_id=3, train_class_id=3)
+    with pytest.raises(ValueError, match="class ids must be >= 0"):
+        DecodeConfig(person_class_id=-1)
 
 
 def test_detection_records_round_trip():

@@ -236,6 +236,7 @@ def test_write_rejects_nonconforming_frames_without_creating_the_file(tmp_path):
     [
         (dict(num_classes=0), "num_classes"),
         (dict(image_width=0), "dimensions"),
+        (dict(strides=(8, 16)), "exactly 3 strides"),
         (dict(strides=(16, 8, 32)), "strictly increasing"),
         (dict(strides=(8, 16, 48)), "does not divide"),
         (dict(frame_count=-1), "frame_count"),
@@ -267,6 +268,13 @@ def test_tensor_set_conformance_names_the_offending_level():
     )
     with pytest.raises(GeometryError, match="level 0"):
         SequenceBackend(taller, [frame])
+
+
+def test_tensor_set_conformance_refuses_another_image_size():
+    frame = random_frames(small_header(1))[0]
+    wider = RawTensorSet(0, frame.outputs, 72, 64)  # the header's grids, another image size
+    with pytest.raises(GeometryError, match="declares image 72x64, header says 64x64"):
+        SequenceBackend(small_header(1), [wider])
 
 
 def test_playback_iterates_all_frames_in_order(tmp_path):

@@ -69,6 +69,11 @@ def test_fsm_config_validation():
         FsmConfig(confirm_frames=0)
 
 
+def test_step_fsm_refuses_a_state_it_does_not_know():
+    with pytest.raises(ValueError, match="unknown state 'ON'"):
+        step_fsm("ON", *STILL, 0, FsmConfig())
+
+
 # --- step_fsm transition table ---------------------------------------------------
 
 def test_off_state_reacts_only_to_presence():
