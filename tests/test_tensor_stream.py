@@ -236,10 +236,10 @@ def test_write_rejects_nonconforming_frames_without_creating_the_file(tmp_path):
     [
         (dict(num_classes=0), "num_classes"),
         (dict(image_width=0), "dimensions"),
-        (dict(strides=(8, 16)), "exactly 3 strides"),
         (dict(strides=(16, 8, 32)), "strictly increasing"),
         (dict(strides=(8, 16, 48)), "does not divide"),
         (dict(frame_count=-1), "frame_count"),
+        (dict(strides=(8, 16)), "exactly 3 strides"),
     ],
 )
 def test_header_validation_rejects_bad_fields(kwargs, message):
