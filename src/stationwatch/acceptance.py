@@ -33,8 +33,8 @@ from .errors import EncodingCollisionError
 from .geometry import CameraModel, estimate_height, estimate_height_axial
 from .pipeline import SEVERITY, default_config, run_pipeline
 from .postprocess import BoundingBox, DecodeConfig, Detections, decode_all, iou_matrix, nms
-from .scenario import (GroundTruthFrame, GroundTruthObject, builtin_scenarios,
-                       encode_objects_to_tensors, encode_scenario)
+from .scenario import (SCENE_NUM_CLASSES, GroundTruthFrame, GroundTruthObject,
+                       builtin_scenarios, encode_objects_to_tensors, encode_scenario)
 from .tensor_stream import RawTensorSet, SequenceBackend, TensorStreamHeader
 from .train_fsm import FsmConfig, TrainState, step_fsm
 
@@ -155,17 +155,18 @@ def check_roundtrip() -> str:
                 # The encoder places the box; its class and score come once it has a cell.
                 trial = GroundTruthFrame(0, (*objects, GroundTruthObject(0, box, actor)))
                 try:
-                    encode_objects_to_tensors(trial, config, width, height, 8)
+                    encode_objects_to_tensors(trial, config, width, height, SCENE_NUM_CLASSES)
                 except EncodingCollisionError:
                     continue
-                objects.append(GroundTruthObject(rng.randint(0, 7), box, actor))
+                objects.append(GroundTruthObject(rng.randint(0, SCENE_NUM_CLASSES - 1), box, actor))
                 scores.append(rng.uniform(0.35, 0.99))
                 break
             else:
                 raise CheckFailed(f"frame {frame_index}: could not place a collision-free box")
 
         gt = GroundTruthFrame(frame_index=0, objects=tuple(objects))
-        tensors = encode_objects_to_tensors(gt, config, width, height, 8, actor_scores=scores)
+        tensors = encode_objects_to_tensors(gt, config, width, height, SCENE_NUM_CLASSES,
+                                            actor_scores=scores)
         decoded = decode_all(tensors, config)
 
         if len(decoded) != len(objects):
@@ -304,7 +305,7 @@ def _run_scenario(name: str) -> list[dict]:
     scenes = builtin_scenarios()
     gt_frames, tensors = encode_scenario(scenes[name], config.decode)
     header = TensorStreamHeader(
-        num_classes=8,
+        num_classes=SCENE_NUM_CLASSES,
         image_width=scenes[name].image_width,
         image_height=scenes[name].image_height,
         strides=config.decode.strides,
@@ -390,13 +391,14 @@ def check_evaluation_arithmetic() -> str:
 # --- criterion 9: latency harness sanity ------------------------------------
 
 def _background(frames: int, source: type[SequenceBackend] = SequenceBackend) -> SequenceBackend:
-    # Eight classes, so the default config's train class (6) fits the source.
+    # The scene's classes, so the default config's train class (6) fits the source.
     header = TensorStreamHeader(
-        num_classes=8, image_width=64, image_height=64, strides=(8, 16, 32),
+        num_classes=SCENE_NUM_CLASSES, image_width=64, image_height=64, strides=(8, 16, 32),
         frame_count=frames,
     )
     return source(header, [
-        encode_objects_to_tensors(GroundTruthFrame(index, ()), DecodeConfig(), 64, 64, 8)
+        encode_objects_to_tensors(GroundTruthFrame(index, ()), DecodeConfig(), 64, 64,
+                                  SCENE_NUM_CLASSES)
         for index in range(frames)
     ])
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import ge, le
 from typing import Sequence
 
 _EDGE_EPS = 1e-9
@@ -78,6 +79,12 @@ def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> 
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
+def _in_span(a, b, p) -> bool:
+    """True when point p lies in the axis-aligned bounding box of segment ab."""
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
 def _segments_cross(p1, p2, p3, p4) -> bool:
     """True when segments p1p2 and p3p4 share any point."""
     d1 = _cross(*p3, *p4, *p1)
@@ -87,15 +94,9 @@ def _segments_cross(p1, p2, p3, p4) -> bool:
     if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 \
             and d3 != 0 and d4 != 0:
         return True
-
-    def on(a, b, p):
-        return (
-            _cross(*a, *b, *p) == 0
-            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-        )
-
-    return on(p3, p4, p1) or on(p3, p4, p2) or on(p1, p2, p3) or on(p1, p2, p4)
+    # Otherwise they meet only where an endpoint lies on the other segment.
+    return ((d1 == 0 and _in_span(p3, p4, p1)) or (d2 == 0 and _in_span(p3, p4, p2))
+            or (d3 == 0 and _in_span(p1, p2, p3)) or (d4 == 0 and _in_span(p1, p2, p4)))
 
 
 def _polygon_is_simple(vertices: Sequence[tuple[float, float]]) -> bool:
@@ -201,45 +202,28 @@ def polygon_area(vertices: Sequence[tuple[float, float]]) -> float:
 def clip_polygon_to_box(
     vertices: Sequence[tuple[float, float]], box: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman clip of a polygon against an (x1, y1, x2, y2) box."""
+    """Sutherland-Hodgman clip of a polygon against an (x1, y1, x2, y2) box.
+
+    The polygon is clipped by each side of the box in turn. A side keeps the
+    points whose coordinate on `axis` (0 for x, 1 for y) is at least `bound`
+    (x1, y1) or at most it (x2, y2); an edge that crosses the side gains the
+    point where it meets it.
+    """
     x1, y1, x2, y2 = box
-
-    def clip_half_plane(points, inside, intersect):
-        out = []
-        n = len(points)
-        for i in range(n):
-            cur = points[i]
-            prev = points[i - 1]
-            cur_in = inside(cur)
-            prev_in = inside(prev)
-            if cur_in:
-                if not prev_in:
-                    out.append(intersect(prev, cur))
-                out.append(cur)
-            elif prev_in:
-                out.append(intersect(prev, cur))
-        return out
-
-    def x_cut(bound):
-        def intersect(p, q):
-            t = (bound - p[0]) / (q[0] - p[0])
-            return (bound, p[1] + t * (q[1] - p[1]))
-        return intersect
-
-    def y_cut(bound):
-        def intersect(p, q):
-            t = (bound - p[1]) / (q[1] - p[1])
-            return (p[0] + t * (q[0] - p[0]), bound)
-        return intersect
-
     points = list(vertices)
-    for inside, intersect in (
-        (lambda p: p[0] >= x1, x_cut(x1)),
-        (lambda p: p[0] <= x2, x_cut(x2)),
-        (lambda p: p[1] >= y1, y_cut(y1)),
-        (lambda p: p[1] <= y2, y_cut(y2)),
-    ):
-        points = clip_half_plane(points, inside, intersect)
+    for axis, bound, keep in ((0, x1, ge), (0, x2, le), (1, y1, ge), (1, y2, le)):
+        other = 1 - axis
+        out = []
+        for i in range(len(points)):
+            prev, cur = points[i - 1], points[i]
+            cur_in = keep(cur[axis], bound)
+            if cur_in != keep(prev[axis], bound):
+                t = (bound - prev[axis]) / (cur[axis] - prev[axis])
+                cut = prev[other] + t * (cur[other] - prev[other])
+                out.append((bound, cut) if axis == 0 else (cut, bound))
+            if cur_in:
+                out.append(cur)
+        points = out
         if not points:
             return []
     return points

@@ -231,7 +231,8 @@ def _place(frame_indices: Sequence[int], counts: Sequence[int], boxes: np.ndarra
     """
     frame_of = np.repeat(np.arange(len(frame_indices)), counts)
     classes = np.asarray(class_ids)
-    size = boxes[:, 2:] - boxes[:, :2]  # (w, h)
+    with np.errstate(over="ignore"):  # an infinite width or height is refused below
+        size = boxes[:, 2:] - boxes[:, :2]  # (w, h)
     # The scalar rules run once per distinct (w, h, score), in plain floats.
     keys = list(zip(*size.T.tolist(), np.asarray(scores, dtype=np.float64).tolist()))
     rules = {key: _object_rules(strides, *key) for key in set(keys)}
@@ -239,19 +240,21 @@ def _place(frame_indices: Sequence[int], counts: Sequence[int], boxes: np.ndarra
     refusal, level = table[:, 0], table[:, 1].astype(np.int64)
     grid = layout[level]
     stride = grid[:, 3:]
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf and nan, no warning
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
         centre = (boxes[:, :2] + boxes[:, 2:]) / 2.0  # (cx, cy)
-        off_grid = ~np.isfinite(centre).all(axis=1)
-        # An off-grid object's cell is garbage; it fails before its cell is read.
+        # A centre that is not finite gives a garbage cell; its values are not finite.
         cell_xy = np.minimum(np.maximum(np.floor_divide(centre, stride), 0), grid[:, :2] - 1)
         cell_xy = cell_xy.astype(np.int64)  # (gx, gy)
+        values = np.concatenate([centre / stride - cell_xy, table[:, 2:]], axis=1)
+        values = values.astype(np.float32)
+    unwritable = ~np.isfinite(values).all(axis=1)
     gx, gy = cell_xy.T
     cell = grid[:, 2] + (frame_of * grid[:, 1] + gy) * grid[:, 0] + gx
     order = cell.argsort(kind="stable")
     taken = np.zeros(len(cell), dtype=bool)
     taken[order[1:]] = cell[order[1:]] == cell[order[:-1]]
 
-    failed = (classes >= num_classes) | (refusal != 0) | off_grid | taken
+    failed = (classes >= num_classes) | (refusal != 0) | unwritable | taken
     if failed.any():
         k = int(failed.argmax())
         index = frame_indices[frame_of[k]]
@@ -263,15 +266,17 @@ def _place(frame_indices: Sequence[int], counts: Sequence[int], boxes: np.ndarra
             raise ScenarioError(f"frame {index}: zero-size box cannot be encoded")
         if refusal[k] == _SCORE:
             raise ScenarioError(f"score must lie in (0, 1], got {scores[k]}")
-        if off_grid[k]:
-            cx, cy = centre[k].tolist()
-            raise ScenarioError(f"frame {index}: box centre ({cx}, {cy}) is not finite")
+        if unwritable[k]:
+            x1, y1, x2, y2 = boxes[k].tolist()
+            raise ScenarioError(
+                f"frame {index}: box ({x1}, {y1}, {x2}, {y2}) does not fit the float32 "
+                "head tensors"
+            )
         s, x, y = int(stride[k, 0]), int(gx[k]), int(gy[k])
         raise EncodingCollisionError(index, s, (x, y), f"frame {index}: two objects map to "
                                      f"stride-{s} cell (gx={x}, gy={y})")
 
-    values = np.concatenate([centre / stride - cell_xy, table[:, 2:]], axis=1)
-    return cell, 5 + classes.astype(np.int64), values.astype(np.float32)
+    return cell, 5 + classes.astype(np.int64), values
 
 
 def _encode(frame_indices: Sequence[int], counts: Sequence[int], boxes: np.ndarray,
@@ -285,8 +290,8 @@ def _encode(frame_indices: Sequence[int], counts: Sequence[int], boxes: np.ndarr
     (w, h, score); the rest is elementwise IEEE arithmetic equal to
     writing one object at a time. The first object, in frame and object
     order, that fails a check raises its first failing check: class, size
-    (zero, or vanishing at the level's stride), score, centre, then cell
-    collision.
+    (zero, or vanishing at the level's stride), score, values (the five
+    float32 values written must be finite), then cell collision.
     """
     if num_classes < 1:
         raise ScenarioError(f"num_classes must be >= 1, got {num_classes}")
@@ -344,7 +349,8 @@ def encode_objects_to_tensors(
     requested score; all other cells stay at background logits. The
     first object that fails a check raises ScenarioError for the first
     it fails: class, size (zero, or vanishing at its stride), score,
-    centre (not finite), then cell: two objects mapping to the same
+    values (each of the five float32 values written, tx, ty, tw, th and
+    the logit, must be finite), then cell: two objects mapping to the same
     (level, cell) raise EncodingCollisionError, whatever the first wrote.
 
     Per-object scores come from actor_scores (indexed by position in

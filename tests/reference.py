@@ -4,13 +4,17 @@ Each reference is written for obviousness, not speed: the per-cell decode
 scores every cell and builds one `Det` record per kept cell, the NMS scans
 every kept pair explicitly, `row_by_row_nms` tests one kept row at a
 time against every alive candidate, `greedy_match` computes one scalar IoU per
-pair, `ReferenceTrainMachine` keeps the train state machine's two counts by
-name, and `reference_frame_records` chains decode and NMS with a train
-state machine, a hand-written ground point and its own severity grading
-into the records the pipeline should emit for one frame. On the simulator's
-side, `reference_generate` interpolates one (frame, actor) at a time and
-`reference_encode_objects` writes one object at a time, as the simulator
-did before it rendered in arrays.
+pair, `reference_clip` clips a polygon to a box with one closure per side,
+`reference_area` is a shoelace of its own, `reference_polygon_is_simple`
+tests every pair of non-adjacent edges, `ReferenceTrainMachine` keeps the
+train state machine's two counts by name and measures zone overlap with
+`reference_clip` and `reference_area`, and `reference_frame_records`
+chains decode and NMS with a train state machine, a hand-written ground
+point and its own severity grading into the records the pipeline should
+emit for one frame. On the simulator's side, `reference_generate`
+interpolates one (frame, actor) at a time and `reference_encode_objects`
+writes one object at a time, as the simulator did before it rendered in
+arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import numpy as np
 from stationwatch import (BoundingBox, Detections, EncodingCollisionError, GroundTruthFrame,
                           GroundTruthObject, RawTensorSet, ScenarioError, TrainState, ZoneKind,
                           point_in_polygon)
-from stationwatch.geometry import box_zone_overlap_area
 
 # One detection as a plain record: a BoundingBox, a score and a class id.
 Det = namedtuple("Det", "box score class_id")
@@ -209,6 +212,101 @@ def greedy_match(predictions, ground_truth, iou_threshold, class_id):
     return tp, len(preds) - tp, len(unmatched)
 
 
+def reference_clip(vertices, box):
+    """Sutherland-Hodgman clip of a polygon against an (x1, y1, x2, y2) box.
+
+    One half-plane pass per side of the box, each side given as a membership
+    test and an intersection closure of its own.
+    """
+    x1, y1, x2, y2 = box
+
+    def clip_half_plane(points, inside, intersect):
+        out = []
+        n = len(points)
+        for i in range(n):
+            cur = points[i]
+            prev = points[i - 1]
+            cur_in = inside(cur)
+            prev_in = inside(prev)
+            if cur_in:
+                if not prev_in:
+                    out.append(intersect(prev, cur))
+                out.append(cur)
+            elif prev_in:
+                out.append(intersect(prev, cur))
+        return out
+
+    def x_cut(bound):
+        def intersect(p, q):
+            t = (bound - p[0]) / (q[0] - p[0])
+            return (bound, p[1] + t * (q[1] - p[1]))
+        return intersect
+
+    def y_cut(bound):
+        def intersect(p, q):
+            t = (bound - p[1]) / (q[1] - p[1])
+            return (p[0] + t * (q[0] - p[0]), bound)
+        return intersect
+
+    points = list(vertices)
+    for inside, intersect in (
+        (lambda p: p[0] >= x1, x_cut(x1)),
+        (lambda p: p[0] <= x2, x_cut(x2)),
+        (lambda p: p[1] >= y1, y_cut(y1)),
+        (lambda p: p[1] <= y2, y_cut(y2)),
+    ):
+        points = clip_half_plane(points, inside, intersect)
+        if not points:
+            return []
+    return points
+
+
+def reference_area(vertices):
+    """Shoelace area of a polygon, 0 for fewer than three vertices."""
+    if len(vertices) < 3:
+        return 0.0
+    twice = sum(x1 * y2 - x2 * y1
+                for (x1, y1), (x2, y2) in zip(vertices, vertices[1:] + vertices[:1]))
+    return abs(twice) / 2.0
+
+
+def _reference_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _reference_segments_meet(p1, p2, p3, p4):
+    """True when segments p1p2 and p3p4 share any point."""
+    d1 = _reference_cross(p3, p4, p1)
+    d2 = _reference_cross(p3, p4, p2)
+    d3 = _reference_cross(p1, p2, p3)
+    d4 = _reference_cross(p1, p2, p4)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 \
+            and d3 != 0 and d4 != 0:
+        return True
+
+    def on(a, b, p):
+        return (
+            _reference_cross(a, b, p) == 0
+            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+        )
+
+    return on(p3, p4, p1) or on(p3, p4, p2) or on(p1, p2, p3) or on(p1, p2, p4)
+
+
+def reference_polygon_is_simple(vertices):
+    """True when no two edges of the polygon meet, other than neighbours."""
+    n = len(vertices)
+    edges = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            if _reference_segments_meet(*edges[i], *edges[j]):
+                return False
+    return True
+
+
 class ReferenceTrainMachine:
     """The train state machine as the `train_fsm` module docstring's table reads.
 
@@ -230,7 +328,7 @@ class ReferenceTrainMachine:
         """(before, after, centre) of one frame's train boxes, as `TrainStateMachine`'s."""
         present = False
         for x1, y1, x2, y2 in trains:
-            if (box_zone_overlap_area([x1, y1, x2, y2], risk_zone) > 0.0
+            if (reference_area(reference_clip(risk_zone.polygon, (x1, y1, x2, y2))) > 0.0
                     or point_in_polygon((x1 + x2) / 2.0, y2, risk_zone.polygon)):
                 present = True
         centroid = None
@@ -407,8 +505,10 @@ def reference_encode_objects(frame, config, image_width, image_height, num_class
 
     An object's size is refused as zero when its width, height or area is
     not positive, or when its width or height divided by its level's
-    stride is 0. Two objects collide when they map to the same (level,
-    cell), whatever was written there.
+    stride is 0. Its box is refused when its centre or any of the five
+    values it writes (tx, ty, tw, th and the logit) is not finite as a
+    float32. Two objects collide when they map to the same (level, cell),
+    whatever was written there.
     """
     if num_classes < 1:
         raise ScenarioError(f"num_classes must be >= 1, got {num_classes}")
@@ -450,14 +550,20 @@ def reference_encode_objects(frame, config, image_width, image_height, num_class
         if not 0.0 < score <= 1.0:
             raise ScenarioError(f"score must lie in (0, 1], got {score}")
         cx, cy = box_center(obj.box)
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            raise ScenarioError(
-                f"frame {frame.frame_index}: box centre ({cx}, {cy}) is not finite"
-            )
-
-        grid = outputs[level]
-        gx = min(max(int(cx // stride), 0), grid.shape[1] - 1)
-        gy = min(max(int(cy // stride), 0), grid.shape[0] - 1)
+        fits = math.isfinite(cx) and math.isfinite(cy)
+        if fits:
+            grid = outputs[level]
+            gx = min(max(int(cx // stride), 0), grid.shape[1] - 1)
+            gy = min(max(int(cy // stride), 0), grid.shape[0] - 1)
+            logit = _reference_logit(math.sqrt(score))
+            with np.errstate(over="ignore"):  # a value too large for float32 becomes inf
+                values = np.array([cx / stride - gx, cy / stride - gy, math.log(w / stride),
+                                   math.log(h / stride), logit], dtype=np.float32)
+            fits = bool(np.isfinite(values).all())
+        if not fits:
+            x1, y1, x2, y2 = map(float, obj.box.as_list())
+            raise ScenarioError(f"frame {frame.frame_index}: box ({x1}, {y1}, {x2}, {y2}) "
+                                "does not fit the float32 head tensors")
         if (level, gy, gx) in taken:
             raise EncodingCollisionError(
                 frame.frame_index,
@@ -467,12 +573,7 @@ def reference_encode_objects(frame, config, image_width, image_height, num_class
                 f"cell (gx={gx}, gy={gy})",
             )
         taken.add((level, gy, gx))
-        logit = _reference_logit(math.sqrt(score))
-        grid[gy, gx, 0] = cx / stride - gx
-        grid[gy, gx, 1] = cy / stride - gy
-        grid[gy, gx, 2] = math.log(w / stride)
-        grid[gy, gx, 3] = math.log(h / stride)
-        grid[gy, gx, 4] = logit
+        grid[gy, gx, :5] = values
         grid[gy, gx, 5 + obj.class_id] = logit
 
     return RawTensorSet(

@@ -20,7 +20,7 @@ from stationwatch import (
 )
 from stationwatch.geometry import box_zone_overlap_area, clip_polygon_to_box
 
-from reference import box_area
+from reference import box_area, reference_clip, reference_polygon_is_simple
 
 SQUARE = ((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0))
 # L-shape: the notch removes the quadrant x>2, y>2.
@@ -236,6 +236,24 @@ def test_zone_accepts_concave_simple_polygons():
     assert polygon_area(zone.polygon) == 12.0
 
 
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+                | st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                min_size=3, max_size=7))
+@example([(0, 0), (2, 2), (2, 0), (0, 2)])          # a bowtie
+@example([(0, 0), (2, 0), (4, 0), (2, 2)])          # collinear neighbours
+@example([(0, 0), (4, 0), (2, 0), (2, 2)])          # an edge folds back along another
+@example([(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)])  # a vertex touches a far edge
+def test_zone_self_intersection_verdict_equals_the_reference(vertices):
+    try:
+        Zone("z", ZoneKind.RISK, vertices)
+        simple = True
+    except ValueError as exc:
+        assert "self-intersecting" in str(exc)
+        simple = False
+    assert simple == reference_polygon_is_simple([(float(x), float(y)) for x, y in vertices])
+
+
 # --- areas and clipping -----------------------------------------------------------
 
 def test_polygon_area_known_values():
@@ -287,3 +305,40 @@ def test_box_zone_overlap_area():
     assert box_zone_overlap_area((2, 0, 6, 4), zone) == 8.0
     assert box_zone_overlap_area((10, 10, 12, 12), zone) == 0.0
     assert box_zone_overlap_area((-1, -1, 5, 5), zone) == 16.0
+
+
+@st.composite
+def polygons_and_touching_boxes(draw):
+    """A simple polygon and a box whose sides often run along its edges or vertices."""
+    if draw(st.booleans()):
+        polygon = draw(st.sampled_from([SQUARE, L_SHAPE, WEDGE]))
+    else:
+        # Integer vertices sorted by angle around a centre make a star-shaped
+        # polygon; the few that come out self-intersecting are rejected.
+        points = draw(st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8)),
+                               min_size=3, max_size=8, unique=True))
+        cx, cy = draw(st.tuples(st.integers(-3, 8), st.integers(-3, 8)))
+        polygon = tuple(sorted(points, key=lambda p: math.atan2(p[1] - cy, p[0] - cx)))
+        if not reference_polygon_is_simple(polygon):
+            reject()
+    xs, ys = zip(*polygon)
+
+    def bound(coords):
+        return draw(st.sampled_from(coords) | st.integers(-4, 9)
+                    | st.floats(-4.0, 9.0, allow_nan=False))
+
+    x1, x2 = sorted((bound(xs), bound(xs)))
+    y1, y2 = sorted((bound(ys), bound(ys)))
+    return polygon, (x1, y1, x2, y2)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=polygons_and_touching_boxes())
+@example(case=(SQUARE, (0, 0, 4, 4)))          # the box is the polygon
+@example(case=(L_SHAPE, (2, 2, 4, 4)))         # the box is the notch: zero area
+@example(case=(WEDGE, (3, 1.5, 3, 4.0)))       # a zero-width box through the wedge's tip
+@example(case=(((0, 0), (4, 0), (0, 4)), (0, 0, 2, 2)))  # integer vertices and bounds
+def test_clip_equals_the_reference_clipper_exactly(case):
+    polygon, box = case
+    # repr tells 1 from 1.0 and 0.0 from -0.0: values, order and element types all agree.
+    assert repr(clip_polygon_to_box(polygon, box)) == repr(reference_clip(polygon, box))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,8 @@ def objects_at(*boxes):
 @example(objects_at(BoundingBox(0.0, 10.0, 5e-324, 30.0)))  # the width vanishes at stride 8
 @example(objects_at(BoundingBox(0.0, 0.0, 5e-324, 5e-324)))  # the area is 0
 @example(objects_at(BoundingBox(1e308, 0.0, 1.7e308, 10.0)))  # the centre overflows
+@example(objects_at(BoundingBox(-1e308, 0.0, 1e308, 10.0)))  # the width overflows: tw is inf
+@example(objects_at(BoundingBox(0.0, 0.0, 1e300, 10.0)))  # tx overflows float32
 @example(objects_at(BoundingBox(0.0, 10.0, 6.0, 30.0),  # size, before the cell it shares
                     BoundingBox(0.0, 10.0, 5e-324, 30.0)))
 def test_encoding_equals_the_one_object_at_a_time_encoder(case):
@@ -284,6 +287,19 @@ def test_encoding_equals_the_one_object_at_a_time_encoder(case):
         assert ours == reference
     else:
         assert tensor_bytes(ours) == tensor_bytes(reference)
+
+
+@pytest.mark.parametrize("box, text", [
+    (BoundingBox(-1e308, 0.0, 1e308, 10.0), "(-1e+308, 0.0, 1e+308, 10.0)"),
+    (BoundingBox(0.0, 0.0, 1e300, 10.0), "(0.0, 0.0, 1e+300, 10.0)"),
+], ids=["width_overflows", "tx_overflows_float32"])
+def test_a_box_whose_values_overflow_float32_is_refused_without_a_warning(box, text):
+    frame, width, height, num_classes, _ = objects_at(box)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError) as excinfo:
+            encode_objects_to_tensors(frame, DecodeConfig(), width, height, num_classes)
+    assert str(excinfo.value) == f"frame 3: box {text} does not fit the float32 head tensors"
 
 
 @st.composite
