@@ -175,7 +175,7 @@ def check_roundtrip() -> str:
                 f"detections out at conf {config.conf_threshold}"
             )
         # Column k: each decoded row's IoU with object k; a claimed row drops to -1.
-        overlaps = iou_matrix(decoded.boxes, np.array([obj.box.as_list() for obj in objects]))
+        overlaps = iou_matrix(decoded.boxes, np.array([obj.box for obj in objects]))
         for k, (obj, score) in enumerate(zip(objects, scores)):
             best = int(np.argmax(overlaps[:, k]))
             overlap = overlaps[best, k]
@@ -360,7 +360,7 @@ def check_evaluation_arithmetic() -> str:
 
     def persons(*scored_boxes: tuple[BoundingBox, float]) -> Detections:
         return Detections(
-            np.array([b.as_list() for b, _ in scored_boxes], dtype=np.float64).reshape(-1, 4),
+            np.array([b for b, _ in scored_boxes], dtype=np.float64).reshape(-1, 4),
             np.array([score for _, score in scored_boxes], dtype=np.float64),
             np.full(len(scored_boxes), person, dtype=np.int64),
         )

@@ -131,7 +131,7 @@ def match_detections(
     """
     _check_iou_threshold(iou_threshold)
     gt_boxes = np.array(
-        [obj.box.as_list() for obj in ground_truth.objects if obj.class_id == class_id],
+        [obj.box for obj in ground_truth.objects if obj.class_id == class_id],
         dtype=np.float64,
     ).reshape(-1, 4)
     rows = np.flatnonzero(predictions.class_ids == class_id)

@@ -38,6 +38,11 @@ logger = logging.getLogger(__name__)
 
 Sink = Callable[[dict], None]
 
+# A frame that decodes to more candidates than this is refused before NMS,
+# whose time grows faster than the count: four times the most any benchmark
+# workload frame has (504), and a fully live 640x640 frame has 8,400.
+MAX_CANDIDATES = 2048
+
 
 SEVERITY: dict[TrainState, str] = {
     TrainState.IN: "CRITICAL",
@@ -202,15 +207,22 @@ def process_frame(
 
     Advances `fsm` as a side effect. The FSM steps before person
     evaluation, so alert severities use the state the train reached on
-    this very frame. Decode problems raise FrameError carrying the frame
-    index and the decode message, which already names the frame; the
-    caller decides whether the run continues.
+    this very frame. Decode problems, and a frame that decodes to more than
+    MAX_CANDIDATES candidates, raise FrameError carrying the frame index
+    and a message that names the frame; the caller decides whether the run
+    continues.
     """
     t0 = time.perf_counter()
     try:
         decoded = decode_all(frame, config.decode)
     except (DecodeError, GeometryError) as exc:
         raise FrameError(frame.frame_index, str(exc)) from exc
+    if len(decoded) > MAX_CANDIDATES:
+        raise FrameError(
+            frame.frame_index,
+            f"frame {frame.frame_index}: {len(decoded)} candidates, more than "
+            f"MAX_CANDIDATES ({MAX_CANDIDATES})",
+        )
     t1 = time.perf_counter()
 
     detections = nms(decoded, config.decode.nms_iou_threshold)

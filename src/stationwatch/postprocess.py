@@ -15,6 +15,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,27 +27,13 @@ _CH_TX, _CH_TY, _CH_TW, _CH_TH, _CH_OBJ = 0, 1, 2, 3, 4
 _CH_CLASSES = 5
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in pixel coordinates, corners ordered x1<=x2, y1<=y2."""
+class BoundingBox(NamedTuple):
+    """Axis-aligned box in pixels, unchecked: `box_from_json` checks outside input."""
 
     x1: float
     y1: float
     x2: float
     y2: float
-
-    def __post_init__(self):
-        x1, y1, x2, y2 = self.x1, self.y1, self.x2, self.y2
-        if not (math.isfinite(x1) and math.isfinite(y1) and math.isfinite(x2)
-                and math.isfinite(y2)):
-            name = next(name for name, value in zip(("x1", "y1", "x2", "y2"), (x1, y1, x2, y2))
-                        if not math.isfinite(value))
-            raise ValueError(f"box coordinate {name} is not finite")
-        if x1 > x2 or y1 > y2:
-            raise ValueError(f"box corners out of order: ({x1}, {y1}, {x2}, {y2})")
-
-    def as_list(self) -> list[float]:
-        return [self.x1, self.y1, self.x2, self.y2]
 
 
 @dataclass(frozen=True)
@@ -462,8 +449,15 @@ def real_number(value, name: str) -> float:
 
 
 def box_from_json(values) -> BoundingBox:
-    """Read an [x1, y1, x2, y2] box from outside input, each corner by real_number."""
-    return BoundingBox(*(real_number(value, "box corner") for value in values))
+    """Read an [x1, y1, x2, y2] box from outside input: real_number corners, finite, in order."""
+    box = BoundingBox(*(real_number(value, "box corner") for value in values))
+    for name, value in zip(BoundingBox._fields, box):
+        if not math.isfinite(value):
+            raise ValueError(f"box coordinate {name} is not finite")
+    x1, y1, x2, y2 = box
+    if x1 > x2 or y1 > y2:
+        raise ValueError(f"box corners out of order: {tuple(box)}")
+    return box
 
 
 def known_keys(data, keys, name: str) -> dict:
@@ -514,11 +508,10 @@ def detections_from_record(record: dict) -> tuple[int, Detections]:
     frame_index = whole_number(record["frame"], "frame")
     boxes, scores, class_ids = [], [], []
     for entry in record["detections"]:
-        box = box_from_json(entry["box"])
+        boxes.append(box_from_json(entry["box"]))
         score = real_number(entry["score"], "score")
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {score}")
-        boxes.append(box.as_list())
         scores.append(score)
         class_ids.append(whole_number(entry["class"], "class"))
     detections = Detections(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,8 +102,7 @@ class ScenarioSpec:
             raise ScenarioError("image dimensions must be positive")
 
 
-@dataclass(frozen=True)
-class GroundTruthObject:
+class GroundTruthObject(NamedTuple):
     class_id: int
     box: BoundingBox
     actor_id: int
@@ -357,8 +356,7 @@ def encode_objects_to_tensors(
     frame.objects); without it every object scores 0.9.
     """
     objects = frame.objects
-    boxes = np.array([(o.box.x1, o.box.y1, o.box.x2, o.box.y2) for o in objects],
-                     dtype=np.float64).reshape(-1, 4)
+    boxes = np.array([o.box for o in objects], dtype=np.float64).reshape(-1, 4)
     scores = [0.9] * len(objects) if actor_scores is None else actor_scores
     return _encode([frame.frame_index], [len(objects)], boxes, [o.class_id for o in objects],
                    scores, config, image_width, image_height, num_classes)[0]
@@ -515,7 +513,7 @@ def scenario_from_json(data: dict) -> ScenarioSpec:
 
 
 def _frame_to_json(gt: GroundTruthFrame) -> dict:
-    corners = np.array([obj.box.as_list() for obj in gt.objects], dtype=np.float64)
+    corners = np.array([obj.box for obj in gt.objects], dtype=np.float64)
     objects = []
     for obj, box in zip(gt.objects, round6(corners.reshape(-1, 4)).tolist()):
         entry = {"class": obj.class_id, "box": box}

@@ -209,10 +209,6 @@ class InferenceBackend(ABC):
     @abstractmethod
     def next_frame(self) -> RawTensorSet | None: ...
 
-    def __iter__(self) -> Iterator[RawTensorSet]:
-        while (frame := self.next_frame()) is not None:
-            yield frame
-
 
 class PlaybackBackend(InferenceBackend):
     """Replays a recorded stream file, optionally looped.

@@ -36,7 +36,7 @@ Det = namedtuple("Det", "box score class_id")
 def to_batch(dets):
     """The `Detections` batch holding `dets`, one row each, in order."""
     return Detections(
-        np.array([d.box.as_list() for d in dets], dtype=np.float64).reshape(-1, 4),
+        np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4),
         np.array([d.score for d in dets], dtype=np.float64),
         np.array([d.class_id for d in dets], dtype=np.int64),
     )
@@ -90,9 +90,12 @@ def per_cell_decode_head(tensor, stride, conf_threshold):
         cy = (gy + ty) * stride
         w = math.exp(tw) * stride
         h = math.exp(th) * stride
+        box = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+        if not all(math.isfinite(v) for v in box):
+            raise ValueError(f"box at cell (gx={gx}, gy={gy}) is not finite: {box}")
         detections.append(
             Det(
-                box=BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
+                box=box,
                 score=float(scores[gy, gx]),
                 class_id=int(class_ids[gy, gx]),
             )
@@ -408,7 +411,7 @@ def reference_frame_records(frame, config, fsm):
         raise Rejected(str(exc)) from exc
     kept = brute_force_nms(candidates, config.decode.nms_iou_threshold)
 
-    trains = [d.box.as_list() for d in kept if d.class_id == config.decode.train_class_id]
+    trains = [list(d.box) for d in kept if d.class_id == config.decode.train_class_id]
     _, state, _ = fsm.observe_and_step(trains, config.risk_zone)
 
     alerts = []
@@ -423,14 +426,14 @@ def reference_frame_records(frame, config, fsm):
                     "zone": zone.name,
                     "state": state.value,
                     "severity": REFERENCE_SEVERITY[state.value],
-                    "box": [_printed(v) for v in det.box.as_list()],
+                    "box": [_printed(v) for v in det.box],
                     "score": _printed(det.score),
                 })
     result = {
         "frame": frame.frame_index,
         "detections": [
             {
-                "box": [_printed(v) for v in det.box.as_list()],
+                "box": [_printed(v) for v in det.box],
                 "score": _printed(det.score),
                 "class": det.class_id,
             }
@@ -561,7 +564,7 @@ def reference_encode_objects(frame, config, image_width, image_height, num_class
                                    math.log(h / stride), logit], dtype=np.float32)
             fits = bool(np.isfinite(values).all())
         if not fits:
-            x1, y1, x2, y2 = map(float, obj.box.as_list())
+            x1, y1, x2, y2 = map(float, obj.box)
             raise ScenarioError(f"frame {frame.frame_index}: box ({x1}, {y1}, {x2}, {y2}) "
                                 "does not fit the float32 head tensors")
         if (level, gy, gx) in taken:

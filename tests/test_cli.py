@@ -286,7 +286,7 @@ def nan_stream(tmp_path):
     tensors, _ = simulate(tmp_path, "empty_platform")
     frames = PlaybackBackend(tensors)
     header = frames.header
-    frames = list(frames)
+    frames = list(iter(frames.next_frame, None))
     frames[7].outputs[0][0, 0, 4] = np.nan
     path = tmp_path / "nan.yxt"
     write_tensor_stream(path, header, frames)
@@ -306,7 +306,7 @@ def all_nan_stream(tmp_path):
     tensors, _ = simulate(tmp_path, "empty_platform")
     frames = PlaybackBackend(tensors)
     header = frames.header
-    frames = [frame for frame, _ in zip(frames, range(3))]
+    frames = [frame for frame, _ in zip(iter(frames.next_frame, None), range(3))]
     for frame in frames:
         frame.outputs[0][0, 0, 4] = np.nan
     path = tmp_path / "all-nan.yxt"
@@ -446,7 +446,7 @@ def short_stream(tmp_path_factory):
     tensors, _ = simulate(tmp_path, "empty_platform")
     frames = PlaybackBackend(tensors)
     header = frames.header
-    frames = [frame for frame, _ in zip(frames, range(3))]
+    frames = [frame for frame, _ in zip(iter(frames.next_frame, None), range(3))]
     path = tmp_path / "short.yxt"
     write_tensor_stream(path, dataclasses.replace(header, frame_count=3), frames)
     return path.read_bytes()
@@ -629,7 +629,7 @@ def test_evaluate_misaligned_streams_exit_1(tmp_path, capsys):
 
 def test_evaluate_scores_a_skipped_frame_as_detecting_nothing(tmp_path, capsys):
     tensors, gt = simulate(tmp_path)
-    frames = list(PlaybackBackend(tensors))
+    frames = list(iter(PlaybackBackend(tensors).next_frame, None))
     frames[40].outputs[0][0, 0, 4] = np.nan  # frame 40 holds one of the 81 person boxes
     write_tensor_stream(tensors, read_header(tensors), frames)
     code, _, results = run_outputs(tmp_path, tensors)

@@ -292,7 +292,7 @@ def test_clipped_vertices_stay_inside_the_box():
     for _ in range(200):
         x1, y1 = rng.uniform(-2, 6), rng.uniform(-2, 6)
         box = BoundingBox(x1, y1, x1 + rng.uniform(0.5, 6), y1 + rng.uniform(0.5, 6))
-        clipped = clip_polygon_to_box(polygon, box.as_list())
+        clipped = clip_polygon_to_box(polygon, list(box))
         area = polygon_area(clipped)
         assert 0.0 <= area <= min(polygon_area(polygon), box_area(box)) + 1e-9
         for px, py in clipped:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from stationwatch import (
     run_pipeline,
     save_config,
 )
-from stationwatch.pipeline import SEVERITY, config_from_json, config_to_json
+from stationwatch.pipeline import MAX_CANDIDATES, SEVERITY, config_from_json, config_to_json
 from stationwatch.postprocess import Detections, detections_to_record
 from stationwatch.scenario import PERSON_CLASS, TRAIN_CLASS
 
@@ -487,6 +488,50 @@ def test_run_pipeline_counts_a_size_overflow_as_a_frame_error(background_frame):
     assert error["frame"] == 1
     assert "level 0: box at cell (gx=3, gy=2) overflows" in error["error"]
     assert [r["frame"] for r in results if "detections" in r] == [0, 2, 3]
+
+
+def two_class_config() -> PipelineConfig:
+    """The default config with the train as class 1, for frames of two classes."""
+    base = default_config()
+    return PipelineConfig(decode=DecodeConfig(train_class_id=1), zones=base.zones,
+                          camera=base.camera, fsm=base.fsm)
+
+
+def wide_header(frame_count: int) -> TensorStreamHeader:
+    return TensorStreamHeader(
+        num_classes=2, image_width=640, image_height=640,
+        strides=(8, 16, 32), frame_count=frame_count,
+    )
+
+
+def test_run_pipeline_refuses_a_frame_with_more_than_max_candidates(background_frame,
+                                                                    full_frame):
+    header = wide_header(3)
+    frames = [background_frame(header, 0), full_frame(np.random.default_rng(8400), 1),
+              background_frame(header, 2)]
+    results: list[dict] = []
+    summary = run_pipeline(SequenceBackend(header, frames), two_class_config(),
+                           result_sink=results.append)
+    assert (summary.frames_processed, summary.error_count) == (2, 1)
+    assert results[1] == {
+        "frame": 1, "error": "frame 1: 8400 candidates, more than MAX_CANDIDATES (2048)",
+    }
+    assert [r["frame"] for r in results if "detections" in r] == [0, 2]
+
+
+def test_a_frame_of_exactly_max_candidates_is_processed(background_frame):
+    config = two_class_config()
+    frame = background_frame(wide_header(1), 0)
+    # 1-px person boxes at the centres of the finest cells: none overlaps
+    # another, so every candidate is also kept.
+    live = frame.outputs[0].reshape(-1, 7)
+    live[:MAX_CANDIDATES] = [0.5, 0.5, math.log(1 / 8), math.log(1 / 8), 20.0, 20.0, -20.0]
+    record, _ = process_frame(frame, config, TrainStateMachine(config.fsm))
+    assert len(record["detections"]) == MAX_CANDIDATES
+
+    live[MAX_CANDIDATES] = live[0]
+    with pytest.raises(FrameError, match=f"frame 0: {MAX_CANDIDATES + 1} candidates"):
+        process_frame(frame, config, TrainStateMachine(config.fsm))
 
 
 def test_run_pipeline_counts_a_backend_failure_and_stops(background_frame):

@@ -27,6 +27,7 @@ from stationwatch.postprocess import (
     _candidate_pairs,
     _objectness_cutoff,
     _sigmoid,
+    box_from_json,
     detections_from_record,
     detections_to_record,
     round6,
@@ -398,7 +399,7 @@ def test_a_non_finite_last_channel_of_the_last_cell_is_named():
 # --- IoU --------------------------------------------------------------------
 
 def rows(*boxes: BoundingBox) -> np.ndarray:
-    return np.array([box.as_list() for box in boxes], dtype=np.float64).reshape(-1, 4)
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
 
 
 def test_iou_known_values():
@@ -548,21 +549,7 @@ def test_batch_nms_equals_brute_force_on_ties_duplicates_and_degenerate_boxes(de
     assert kept == brute_force_nms(dets, threshold)
 
 
-def full_frame(rng):
-    """A 640x640 frame of two classes with every cell of every level live."""
-    outputs = []
-    for stride in (8, 16, 32):
-        side = 640 // stride
-        grid = np.empty((side, side, 7), dtype=np.float32)
-        grid[..., 0:2] = rng.uniform(0.0, 1.0, (side, side, 2))
-        grid[..., 2:4] = rng.uniform(0.0, 1.5, (side, side, 2))
-        grid[..., 4] = 20.0
-        grid[..., 5:] = rng.uniform(0.0, 4.0, (side, side, 2))
-        outputs.append(grid)
-    return RawTensorSet(0, tuple(outputs), 640, 640)
-
-
-def test_nms_on_a_fully_live_frame_is_greedy_in_bounded_memory():
+def test_nms_on_a_fully_live_frame_is_greedy_in_bounded_memory(full_frame):
     frame = full_frame(np.random.default_rng(8400))
     threshold = 0.45
     tracemalloc.start()
@@ -744,10 +731,13 @@ def test_detections_take_selects_rows():
 # --- validation and records ---------------------------------------------------
 
 def test_bounding_box_validation():
-    with pytest.raises(ValueError, match="out of order"):
-        BoundingBox(5, 0, 1, 2)
-    with pytest.raises(ValueError, match="not finite"):
-        BoundingBox(0, math.nan, 1, 2)
+    with pytest.raises(ValueError, match=r"box corners out of order: \(5.0, 0.0, 1.0, 2.0\)"):
+        box_from_json([5, 0, 1, 2])
+    with pytest.raises(ValueError, match="box coordinate y1 is not finite"):
+        box_from_json([0, math.nan, 1, math.inf])
+    with pytest.raises(TypeError, match="missing 2 required positional arguments"):
+        box_from_json([1.0, 2.0])
+    assert box_from_json([0, 1, 0, 2.5]) == BoundingBox(0.0, 1.0, 0.0, 2.5)
 
 
 def test_decode_config_validation():

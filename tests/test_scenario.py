@@ -302,6 +302,22 @@ def test_a_box_whose_values_overflow_float32_is_refused_without_a_warning(box, t
     assert str(excinfo.value) == f"frame 3: box {text} does not fit the float32 head tensors"
 
 
+@pytest.mark.parametrize("corners, reason", [
+    ((5.0, 0.0, 1.0, 2.0), "zero-size box cannot be encoded"),
+    ((10.0, 20.0, 4.0, 2.0), "zero-size box cannot be encoded"),
+    ((0.0, math.nan, 10.0, 20.0),
+     "box (0.0, nan, 10.0, 20.0) does not fit the float32 head tensors"),
+    ((0.0, 0.0, 10.0, math.inf),
+     "box (0.0, 0.0, 10.0, inf) does not fit the float32 head tensors"),
+], ids=["x_inverted", "both_inverted", "nan_corner", "infinite_corner"])
+def test_the_encoder_refuses_an_inverted_or_non_finite_box(corners, reason):
+    # A box checks nothing when it is built, so the encoder is what refuses these.
+    frame, width, height, num_classes, _ = objects_at(BoundingBox(*corners))
+    with pytest.raises(ScenarioError) as excinfo:
+        encode_objects_to_tensors(frame, DecodeConfig(), width, height, num_classes)
+    assert str(excinfo.value) == f"frame 3: {reason}"
+
+
 @st.composite
 def scenario_specs(draw):
     duration = draw(st.integers(1, 30))

@@ -66,7 +66,7 @@ def test_round_trip_is_bitwise_exact(tmp_path):
     reader = PlaybackBackend(path)
     read_back_header = reader.header
     assert read_back_header == header
-    read_frames = list(reader)
+    read_frames = list(iter(reader.next_frame, None))
     assert len(read_frames) == 3
     for original, restored in zip(frames, read_frames):
         assert restored.frame_index == original.frame_index
@@ -91,7 +91,7 @@ def test_empty_stream_round_trips(tmp_path):
     reader = PlaybackBackend(path)
     restored = reader.header
     assert restored.frame_count == 0
-    assert list(reader) == []
+    assert reader.next_frame() is None
 
 
 def test_bad_magic_names_the_found_bytes(tmp_path):
@@ -136,7 +136,7 @@ def test_truncation_mid_frame_reports_the_frame_index(tmp_path):
     assert len(data) == HEADER_SIZE + 2 * per_frame
     path.write_bytes(data[: HEADER_SIZE + per_frame + 100])
 
-    reader = iter(PlaybackBackend(path))
+    reader = iter(PlaybackBackend(path).next_frame, None)
     first = next(reader)
     assert np.array_equal(first.outputs[0], frames[0].outputs[0])
     with pytest.raises(StreamTruncatedError) as excinfo:
@@ -151,7 +151,7 @@ def test_truncation_at_a_frame_boundary_still_reports_the_frame(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: HEADER_SIZE + frame_size_bytes(header)])
 
-    reader = iter(PlaybackBackend(path))
+    reader = iter(PlaybackBackend(path).next_frame, None)
     next(reader)
     with pytest.raises(StreamTruncatedError) as excinfo:
         next(reader)
@@ -167,7 +167,7 @@ def test_corrupted_stored_grid_shape_is_a_stream_format_error(tmp_path):
     struct.pack_into("<I", raw, HEADER_SIZE + 4, 99)
     path.write_bytes(bytes(raw))
 
-    reader = iter(PlaybackBackend(path))
+    reader = iter(PlaybackBackend(path).next_frame, None)
     with pytest.raises(StreamFormatError, match="does not match header"):
         next(reader)
 
@@ -184,7 +184,7 @@ def test_payload_larger_than_the_file_is_truncation_not_an_allocation(tmp_path):
     path = tmp_path / "huge.yxt"
     path.write_bytes(raw)
 
-    reader = iter(PlaybackBackend(path))
+    reader = iter(PlaybackBackend(path).next_frame, None)
     with pytest.raises(StreamTruncatedError, match="frame 0") as excinfo:
         next(reader)
     assert excinfo.value.frame_index == 0
@@ -198,7 +198,7 @@ def test_corrupted_frame_index_is_rejected(tmp_path):
     struct.pack_into("<I", raw, HEADER_SIZE, 7)
     path.write_bytes(bytes(raw))
 
-    reader = iter(PlaybackBackend(path))
+    reader = iter(PlaybackBackend(path).next_frame, None)
     with pytest.raises(StreamFormatError, match="carries index 7"):
         next(reader)
 
@@ -286,7 +286,7 @@ def test_playback_iterates_all_frames_in_order(tmp_path):
     backend = PlaybackBackend(path)
     assert backend.header == header
     assert "play.yxt" in backend.descriptor
-    seen = list(backend)
+    seen = list(iter(backend.next_frame, None))
     assert [f.frame_index for f in seen] == [0, 1, 2, 3]
     assert backend.next_frame() is None
     assert backend.next_frame() is None  # exhausted stays exhausted
@@ -299,7 +299,7 @@ def test_playback_loop_renumbers_frames(tmp_path):
     write_tensor_stream(path, header, frames)
 
     backend = PlaybackBackend(path, loop_count=2)
-    seen = list(backend)
+    seen = list(iter(backend.next_frame, None))
     assert [f.frame_index for f in seen] == [0, 1, 2, 3, 4, 5]
     for repeat, original in zip(seen[3:], frames):
         assert np.array_equal(repeat.outputs[1], original.outputs[1])
@@ -311,7 +311,7 @@ def test_playback_frames_are_writable_and_share_no_memory(tmp_path):
     path = tmp_path / "own.yxt"
     write_tensor_stream(path, header, frames)
 
-    first, second, first_again, _ = PlaybackBackend(path, loop_count=2)
+    first, second, first_again, _ = iter(PlaybackBackend(path, loop_count=2).next_frame, None)
     for out in first.outputs:
         out[...] = np.nan
     for replayed, original in ((second, frames[1]), (first_again, frames[0])):
@@ -371,7 +371,7 @@ def test_round_trip_property_over_random_geometries(
     write_tensor_stream(path, header, frames)
     reader = PlaybackBackend(path)
     restored_header = reader.header
-    restored = list(reader)
+    restored = list(iter(reader.next_frame, None))
     assert restored_header == header
     assert len(restored) == frame_count
     for a, b in zip(frames, restored):
@@ -409,7 +409,7 @@ def test_any_damaged_stream_gives_frames_or_a_stream_format_error(tmp_path_facto
     try:
         reader = PlaybackBackend(path)
         restored_header = reader.header
-        restored = list(reader)
+        restored = list(iter(reader.next_frame, None))
     except StreamFormatError:
         return
     assert len(restored) == restored_header.frame_count

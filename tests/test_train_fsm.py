@@ -22,7 +22,7 @@ STILL = (True, 0.0)
 
 
 def train(box: BoundingBox) -> list[float]:
-    return box.as_list()
+    return list(box)
 
 
 # --- observe_train ------------------------------------------------------------
